@@ -21,11 +21,25 @@ e^(-16 kappa k).  kappa = 2 keeps aliases below 1e-12 while keeping the
 e^(c lam) amplification of the truncated-tail error small, and T is
 chosen from a per-term bound on that tail so the truncation error stays
 below AUTO_TRUNCATION_TOL.
+
+Cost model: K(c + i w) is needed at every node w_j = j h of a contour
+segment of `nodes` points, for the `terms` spectral values kept.  The
+nodes form an arithmetic progression, so with B = ceil(sqrt(nodes)) and
+j = j0 + q B + r,
+
+    e^(-i lam_n w_j) = e^(-i lam_n (j0 + q B) h) * e^(-i lam_n r h),
+
+and the trace on the grid is one complex matrix product P @ E of a
+(nodes/B) x terms table P[q, n] = a_n e^(-i lam_n (j0 + q B) h) with a
+terms x B table E[n, r] = e^(-i lam_n r h).  That costs about
+2 sqrt(nodes) * terms complex exponentials and nodes * terms complex
+multiply-adds in one GEMM.  P is built and multiplied in row groups of
+at most BLOCK_BYTES of working arrays, so the transient memory of one
+call is BLOCK_BYTES plus the table E, whatever the height T.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,7 +54,7 @@ KAPPA = 2.0                  # target c * lam for the auto contour
 AUTO_TRUNCATION_TOL = 2e-3   # absolute truncation-error budget for auto T
 T_CAP_FACTOR = 1e5           # hard cap T <= T_CAP_FACTOR * c
 TERM_DROP_EXPONENT = 46.0    # drop spectral terms with c*(lam_n - lam) beyond this
-BLOCK = 1 << 16
+BLOCK_BYTES = 1 << 24       # working-array budget of one row group of the contour kernel
 
 
 @dataclass(frozen=True)
@@ -179,50 +193,53 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
     coeffs = s.multiplicities[keep] * np.exp(-values * c)
 
     m_steps = int(math.ceil(T / h))
-    acc = 0.0
-    for j0 in range(0, m_steps + 1, BLOCK):
-        j = np.arange(j0, min(j0 + BLOCK, m_steps + 1))
-        omega = j * h
-        trace = coeffs @ np.exp(-1j * np.outer(values, omega))
-        integrand = np.real(trace * np.exp(1j * lam * omega) / (c + 1j * omega))
-        weights = np.ones(j.size)
-        if j[0] == 0:
-            weights[0] = 0.5
-        if j[-1] == m_steps:
-            weights[-1] = 0.5
-        acc += float(np.sum(weights * integrand))
     prefactor = math.exp(c * lam) / math.pi
-    value = prefactor * h * acc
 
-    _assert_conjugate_symmetry(values, coeffs, lam, c, h * max(m_steps // 2, 1), value)
+    def segment(j0: int, count: int, first_weight: float) -> float:
+        # Trapezoid sum over nodes j0 .. j0 + count - 1: weight first_weight
+        # at the first node, 1/2 at the last.
+        acc = 0.0
+        for j, trace in _trace_on_grid(values, coeffs, h, j0, count):
+            omega = j * h
+            integrand = np.real(trace * np.exp(1j * lam * omega) / (c + 1j * omega))
+            weights = np.ones(j.size)
+            if j[0] == j0:
+                weights[0] = first_weight
+            if j[-1] == j0 + count - 1:
+                weights[-1] = 0.5
+            acc += float(weights @ integrand)
+        return prefactor * h * acc
+
+    value = segment(0, m_steps + 1, 0.5)
 
     # Last full oscillation period of e^(i lam w).
     n_tail = max(int(math.ceil(2.0 * math.pi / (lam * h))), 2)
-    j = np.arange(max(m_steps + 1 - n_tail, 0), m_steps + 1)
-    omega = j * h
-    trace = coeffs @ np.exp(-1j * np.outer(values, omega))
-    integrand = np.real(trace * np.exp(1j * lam * omega) / (c + 1j * omega))
-    weights = np.ones(j.size)
-    weights[-1] = 0.5
-    osc_raw = abs(prefactor * h * float(np.sum(weights * integrand)))
+    j0 = max(m_steps + 1 - n_tail, 0)
+    osc_raw = abs(segment(j0, m_steps + 1 - j0, 1.0))
     oscillation = max(osc_raw, 2.0**-40 * (1.0 + abs(value)))
     return InversionResult(value, oscillation, cfg)
 
 
-def _assert_conjugate_symmetry(values, coeffs, lam, c, omega, value) -> None:
-    # One symmetric node pair: the imaginary parts must cancel exactly.
-    up = complex(coeffs @ np.exp(-values * complex(c, omega))) * cmath.exp(
-        1j * lam * omega
-    ) / complex(c, omega)
-    down = complex(coeffs @ np.exp(-values * complex(c, -omega))) * cmath.exp(
-        -1j * lam * omega
-    ) / complex(c, -omega)
-    residual = abs((up + down).imag)
-    scale = max(abs(value), abs(up + down), 1e-30)
-    if residual > 1e-10 * scale:
-        raise AssertionError(
-            f"conjugate symmetry violated: imaginary residual {residual!r} at omega={omega!r}"
-        )
+def _trace_on_grid(values, coeffs, h, j0, count):
+    """Yield (j, sum_n coeffs_n e^(-i values_n j h)) in blocks covering j0 .. j0 + count - 1.
+
+    Node j = j0 + q B + r with B = ceil(sqrt(count)): the trace is the
+    product of a row group of P[q, n] = coeffs_n e^(-i values_n (j0 + q B) h)
+    with E[n, r] = e^(-i values_n r h), row groups sized by BLOCK_BYTES.
+    """
+    width = math.isqrt(count - 1) + 1
+    rows = -(-count // width)
+    table = np.exp(-1j * np.outer(values, h * np.arange(width)))
+    # bytes per row of P: phases, exponentials and P itself per term;
+    # trace, node indices and integrand temporaries per column
+    row_bytes = 40 * values.size + 112 * width
+    group = max(BLOCK_BYTES // row_bytes, 1)
+    stop = j0 + count
+    for q0 in range(0, rows, group):
+        starts = j0 + width * np.arange(q0, min(q0 + group, rows))
+        trace = (coeffs * np.exp(-1j * np.outer(h * starts, values))) @ table
+        j = np.arange(starts[0], min(starts[-1] + width, stop))
+        yield j, trace.ravel()[: j.size]
 
 
 def invert_profile(s: Spectrum, grid, cfg: InversionConfig | None = None) -> EvalTable:

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately naive (pure-python loops, math.fsum)
-and shares no code path with the package.
+Everything here is deliberately naive (pure-python loops, math.fsum,
+one exponential per term and node) and shares no code path with the
+package.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+
+import numpy as np
 
 
 def torus_multiplicities(lam_max: float) -> dict[int, int]:
@@ -53,3 +57,45 @@ def heat_trace_direct(eigenvalues, t: float) -> float:
 def pairs(spectrum):
     """(value, mult) pairs of a package Spectrum, as plain python floats/ints."""
     return [(float(v), int(m)) for v, m in zip(spectrum.values, spectrum.multiplicities)]
+
+
+def bromwich_trapezoid(values, mults, lam, c, T, h, drop_exponent):
+    """Direct trapezoid sum for the contour inversion: (value, oscillation_estimate).
+
+    One complex exponential per kept term per node, e^(-i lam_n w) from
+    np.outer(values, omega), nodes w = j h for j = 0..ceil(T/h) with half
+    weight at both ends; the oscillation estimate is the same sum over the
+    last period 2 pi/lam (half weight at its last node only), floored at
+    2^-40 (1 + |value|).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    mults = np.asarray(mults, dtype=np.float64)
+    keep = c * (values - lam) <= drop_exponent
+    values = values[keep]
+    coeffs = mults[keep] * np.exp(-values * c)
+    prefactor = math.exp(c * lam) / math.pi
+
+    def integrand(j):
+        omega = j * h
+        trace = coeffs @ np.exp(-1j * np.outer(values, omega))
+        return np.real(trace * np.exp(1j * lam * omega) / (c + 1j * omega))
+
+    m_steps = int(math.ceil(T / h))
+    f = np.concatenate(
+        [integrand(np.arange(a, min(a + 4096, m_steps + 1))) for a in range(0, m_steps + 1, 4096)]
+    )
+    value = prefactor * h * (math.fsum(f) - 0.5 * (f[0] + f[-1]))
+    n_tail = max(int(math.ceil(2.0 * math.pi / (lam * h))), 2)
+    tail = f[max(m_steps + 1 - n_tail, 0) :]
+    osc = abs(prefactor * h * (math.fsum(tail) - 0.5 * tail[-1]))
+    return value, max(osc, 2.0**-40 * (1.0 + abs(value)))
+
+
+def trace_on_nodes(values, coeffs, h, j0, count):
+    """sum_n coeffs_n e^(-i values_n j h) for j = j0..j0+count-1, one cmath.exp per term."""
+    out = []
+    for j in range(j0, j0 + count):
+        omega = j * h
+        terms = [a * cmath.exp(-1j * v * omega) for v, a in zip(values, coeffs)]
+        out.append(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
+    return out

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from heatcount import (
     ConfigurationError,
     DomainError,
@@ -14,8 +18,11 @@ from heatcount import (
     bromwich_invert,
     counting,
     generate_interval,
+    generate_torus,
     invert_profile,
+    inversion,
 )
+from heatcount.inversion import _resolve_config, _trace_on_grid
 
 
 class TestAbscissaEstimate:
@@ -155,3 +162,100 @@ class TestRoundTripSweep:
             oracle = counting(s, lam)
             assert match == "yes"
             assert abs(value - oracle) <= 0.1
+
+
+def assert_matches_direct_trapezoid(s, lam, cfg=None):
+    """bromwich_invert agrees with the direct trapezoid on the contour _resolve_config picks."""
+    res = bromwich_invert(s, lam, cfg)
+    expected_cfg = _resolve_config(s, lam, cfg or InversionConfig())
+    used = res.config_used
+    assert used.auto == expected_cfg.auto
+    assert [used.c.hex(), used.T.hex(), used.h.hex()] == [
+        expected_cfg.c.hex(),
+        expected_cfg.T.hex(),
+        expected_cfg.h.hex(),
+    ]
+    value, oscillation = oracles.bromwich_trapezoid(
+        s.values, s.multiplicities, lam, used.c, used.T, used.h, inversion.TERM_DROP_EXPONENT
+    )
+    assert res.value == pytest.approx(value, rel=1e-10, abs=0.0)
+    assert res.oscillation_estimate == pytest.approx(oscillation, rel=1e-10, abs=0.0)
+
+
+class TestContourKernel:
+    @pytest.mark.parametrize(
+        "j0, count",
+        [(0, 1), (0, 2), (0, 7), (0, 16), (0, 17), (0, 1000), (0, 1001), (5, 1), (977, 2), (12_345, 38)],
+    )
+    @pytest.mark.parametrize("budget", [inversion.BLOCK_BYTES, 1])
+    def test_trace_matches_per_term_sum(self, interval_pi_200, monkeypatch, j0, count, budget):
+        # budget 1 forces one row of P per block
+        monkeypatch.setattr(inversion, "BLOCK_BYTES", budget)
+        c, h = 0.05, math.pi / 96.0
+        values = interval_pi_200.values[:60]
+        coeffs = interval_pi_200.multiplicities[:60] * np.exp(-values * c)
+        blocks = list(_trace_on_grid(values, coeffs, h, j0, count))
+        j = np.concatenate([b[0] for b in blocks])
+        trace = np.concatenate([b[1] for b in blocks])
+        assert j.tolist() == list(range(j0, j0 + count))
+        expected = np.array(oracles.trace_on_nodes(values, coeffs, h, j0, count))
+        # either sum rounds the phase values_n * w to about eps * values_n * w
+        omega_max = h * (j0 + count - 1)
+        tol = 1e-15 * float(np.sum(coeffs * (1.0 + values * omega_max)))
+        assert np.max(np.abs(trace - expected)) <= tol
+
+    @pytest.mark.parametrize("lam", [0.5, 9.0, 12.0, 20.5, 380.5])
+    def test_interval_auto_contour(self, interval_pi_200, lam):
+        assert_matches_direct_trapezoid(interval_pi_200, lam)
+
+    @pytest.mark.parametrize("lam", [1.5, 3.0, 19.5])
+    def test_constant_density_auto_contour(self, const_density_200, lam):
+        assert_matches_direct_trapezoid(const_density_200, lam)
+
+    @pytest.mark.parametrize(
+        "family, lam, c, T, h",
+        [
+            # nodes ceil(T/h) + 1 (B = ceil(sqrt(nodes))); oscillation segment count at j0
+            ("interval", 12.0, 0.2, 0.15, 0.1),  # 3 nodes (B 2); 3 at 0
+            ("interval", 12.0, 0.2, 1.0, 0.3),  # 5 (B 3); 2 at 3
+            ("interval", 6.5, 0.5, 99.9, 0.1),  # 1000 (B 32); 10 at 990
+            ("constant", 5.5, 0.4, 409.6, 0.1),  # 4097 (B 65); 12 at 4085
+            ("constant", 2.5, 0.8, 100.0, 0.01),  # 10_001 (B 101); 252 at 9749
+        ],
+    )
+    def test_manual_contours(self, interval_pi_200, const_density_200, family, lam, c, T, h):
+        s = interval_pi_200 if family == "interval" else const_density_200
+        assert_matches_direct_trapezoid(s, lam, InversionConfig(c=c, T=T, h=h, auto=False))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.5, max_value=40.0), st.integers(min_value=1, max_value=3)
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.floats(min_value=0.2, max_value=45.0),
+    )
+    @settings(deadline=None)
+    def test_random_file_spectra(self, entries, lam):
+        s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
+        try:
+            cfg = _resolve_config(s, lam, InversionConfig())
+        except OverflowError:
+            assume(False)  # e^(c lam) overflows in _auto_truncation: a known defect
+        # bromwich_invert rejects c * lam > 700; the node cap bounds the oracle's cost
+        assume(cfg.c * lam <= 700.0 and cfg.T / cfg.h <= 100_000)
+        assert_matches_direct_trapezoid(s, lam)
+
+    def test_torus_2000_memory_bounded(self):
+        # the node-by-term exponential matrix of the direct sum peaks above 1 GiB here
+        s = generate_torus(2000.0)
+        tracemalloc.start()
+        try:
+            res = bromwich_invert(s, 263.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.value - counting(s, 263.0)) <= 0.1
+        assert peak < 128 * 2**20

@@ -1,20 +1,27 @@
 """Property tests for the structural invariants."""
 
+import cmath
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatcount import (
     CountingMode,
+    InversionConfig,
     SmoothingConfig,
     Spectrum,
     counting,
+    generate_constant_density,
+    generate_interval,
+    generate_rectangle,
+    generate_torus,
     heat_trace,
     partial_exponential_sum,
     smoothed_counting,
 )
+from heatcount.inversion import TERM_DROP_EXPONENT, _resolve_config
 from heatcount.spectrum import spectrum_from_dict, spectrum_to_dict
 
 # eigenvalues are 0 or >= 1e-3: below ~1e-16, e^(-lam t) rounds to exactly 1.0
@@ -124,3 +131,57 @@ def test_json_dict_round_trip_exact(entries):
     assert clone == s
     assert clone.values.tolist() == s.values.tolist()
     assert clone.multiplicities.tolist() == s.multiplicities.tolist()
+
+
+FAMILIES = {
+    "interval": lambda: generate_interval(math.pi, 200),
+    "constant": lambda: generate_constant_density(1.0, 200),
+    "rectangle": lambda: generate_rectangle(math.pi, math.pi, 400.0),
+    "torus": lambda: generate_torus(400.0),
+}
+
+
+def assert_conjugate_symmetry(s, lam, height_fraction):
+    """K(c - i w) = conj K(c + i w) on the contour bromwich_invert uses.
+
+    Folding the contour onto [0, T] rests on this: at one symmetric node
+    pair the imaginary parts of the integrand must cancel.
+    """
+    try:
+        cfg = _resolve_config(s, lam, InversionConfig())
+    except OverflowError:
+        # e^(c lam) overflows in _auto_truncation before bromwich_invert can
+        # reject the contour; a known defect, outside the folded domain
+        assume(False)
+    assume(cfg.c * lam <= 700.0)  # bromwich_invert rejects larger c * lam
+    c, omega = cfg.c, height_fraction * cfg.T
+    keep = c * (s.values - lam) <= TERM_DROP_EXPONENT
+    values, mults = s.values[keep], s.multiplicities[keep]
+    up = complex(mults @ np.exp(-values * complex(c, omega))) * cmath.exp(
+        1j * lam * omega
+    ) / complex(c, omega)
+    down = complex(mults @ np.exp(-values * complex(c, -omega))) * cmath.exp(
+        -1j * lam * omega
+    ) / complex(c, -omega)
+    scale = max(float(counting(s, lam)), abs(up + down), 1e-30)
+    assert abs((up + down).imag) <= 1e-10 * scale
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.floats(min_value=0.05, max_value=0.5),
+    st.floats(min_value=1e-6, max_value=1.0),
+)
+@settings(max_examples=50, deadline=None)
+def test_contour_conjugate_symmetry_generators(family, lam_fraction, height_fraction):
+    s = FAMILIES[family]()
+    assert_conjugate_symmetry(s, lam_fraction * float(s.values[-1]), height_fraction)
+
+
+@given(
+    entry_lists,
+    st.floats(min_value=0.01, max_value=110.0),
+    st.floats(min_value=1e-6, max_value=1.0),
+)
+def test_contour_conjugate_symmetry_file_spectra(entries, lam, height_fraction):
+    assert_conjugate_symmetry(build(entries), lam, height_fraction)
