@@ -29,11 +29,9 @@ from .errors import (
 )
 from .evaltable import EvalTable
 from .inversion import (
-    AbscissaReport,
     InversionConfig,
     InversionResult,
     abscissa_estimate,
-    abscissa_report,
     bromwich_invert,
     invert_profile,
 )
@@ -45,7 +43,6 @@ from .smoothing import (
     smoothing_error_bound,
 )
 from .spectrum import (
-    GeneratorSpec,
     Spectrum,
     generate_constant_density,
     generate_interval,
@@ -70,7 +67,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbscissaReport",
     "AccuracyError",
     "ConfigurationError",
     "CountingMode",
@@ -79,7 +75,6 @@ __all__ = [
     "DomainError",
     "EmptySpectrumError",
     "EvalTable",
-    "GeneratorSpec",
     "HeatTraceResult",
     "HeatcountError",
     "InsufficientDataError",
@@ -95,7 +90,6 @@ __all__ = [
     "ValidationError",
     "WeylCheckReport",
     "abscissa_estimate",
-    "abscissa_report",
     "beta_sweep",
     "bromwich_invert",
     "counting",

@@ -44,7 +44,6 @@ class WeylCheckReport:
     ratios: tuple[float, ...]
     flags: tuple[str, ...]
     density_constant: float
-    deviation_trend: tuple[float, ...]
 
     def to_table(self) -> EvalTable:
         table = EvalTable(
@@ -72,7 +71,7 @@ def weyl_check(s: Spectrum, t_grid) -> WeylCheckReport:
         raise DomainError(f"t values must be positive, got {ts[0]!r}")
     coverage = s.coverage
     density = s.total_count / coverage if coverage > 0 else math.nan
-    heats, counts, ratios, flags, deviations = [], [], [], [], []
+    heats, counts, ratios, flags = [], [], [], []
     for t in ts:
         lam = 1.0 / t
         if lam > COVERAGE_FRACTION * coverage:
@@ -80,21 +79,17 @@ def weyl_check(s: Spectrum, t_grid) -> WeylCheckReport:
             counts.append(0)
             ratios.append(math.nan)
             flags.append("coverage")
-            deviations.append(math.nan)
             continue
         k_val = heat_trace(s, t).value
         n_val = counting(s, lam, CountingMode.STRICT)
         heats.append(k_val)
         counts.append(n_val)
         if n_val > 0:
-            ratio = k_val / n_val
-            ratios.append(ratio)
+            ratios.append(k_val / n_val)
             flags.append("ok")
-            deviations.append(abs(ratio - 1.0))
         else:
             ratios.append(math.nan)
             flags.append("zero-count")
-            deviations.append(math.nan)
     return WeylCheckReport(
         tuple(ts),
         tuple(heats),
@@ -102,7 +97,6 @@ def weyl_check(s: Spectrum, t_grid) -> WeylCheckReport:
         tuple(ratios),
         tuple(flags),
         density,
-        tuple(deviations),
     )
 
 

@@ -16,15 +16,16 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from . import __version__
+from . import __version__, spectrum
 from .asymptotics import tauberian_first_term, weyl_check
 from .errors import AccuracyError, HeatcountError, InvalidParameterError
 from .evaltable import EvalTable
 from .inversion import InversionConfig, invert_profile
 from .smoothing import beta_sweep, default_beta
-from .spectrum import GeneratorSpec, load_spectrum, save_spectrum
+from .spectrum import Spectrum, load_spectrum, save_spectrum
 from .transforms import (
     density_estimate,
     heat_trace,
@@ -75,63 +76,66 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(manifest_path, command, params, inputs, outputs, started):
+# shape -> (generator in heatcount.spectrum, its flags in argument order).
+# Generators are looked up by name at call time, so a wrapper installed on
+# the module attribute sees the call.
+GENERATORS = {
+    "interval": ("generate_interval", ("length", "count")),
+    "rectangle": ("generate_rectangle", ("a", "b", "lambda_max")),
+    "torus": ("generate_torus", ("lambda_max",)),
+    "constant_density": ("generate_constant_density", ("density", "count")),
+}
+
+
+def _run(args) -> int:
+    """Load, compute, write the data file and its manifest, print the summary."""
+    started = time.monotonic()
+    inputs = [args.spectrum] if "spectrum" in vars(args) else []
+    s = load_spectrum(args.spectrum) if inputs else None
+    result, message, ok = args.func(s, args)
+    if isinstance(result, Spectrum):
+        save_spectrum(result, args.out)
+    else:
+        result.write_csv(args.out)
+    params = {
+        key: str(value) if isinstance(value, Path) else value
+        for key, value in vars(args).items()
+        if key not in ("func", "command", "manifest")
+    }
     payload = {
-        "command": command,
+        "command": args.command,
         "params": params,
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in inputs],
-        "outputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in outputs],
+        "outputs": [{"path": str(args.out), "sha256": _sha256(Path(args.out))}],
         "version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    manifest_path = Path(manifest_path)
+    manifest_path = Path(args.manifest or str(args.out) + ".manifest.json")
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     with manifest_path.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    print(message)
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _manifest_path(args) -> Path:
-    if args.manifest:
-        return Path(args.manifest)
-    return Path(str(args.out) + ".manifest.json")
+# -- subcommands: (spectrum or None, args) -> (result, summary line, passed)
 
 
-# -- subcommands ----------------------------------------------------------
-
-
-def _cmd_generate(args) -> int:
-    started = time.monotonic()
-    spec = GeneratorSpec(
-        kind=args.shape.replace("-", "_"),
-        length=args.length,
-        a=args.a,
-        b=args.b,
-        density=args.density,
-        count=args.count,
-        lam_max=args.lambda_max,
-    )
-    s = spec.build()
+def _generate(_, args):
+    kind = args.shape.replace("-", "_")
+    name, flags = GENERATORS[kind]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise InvalidParameterError(flag, f"required for shape {kind!r}")
+    s = getattr(spectrum, name)(*(getattr(args, flag) for flag in flags))
     if args.label:
-        s = type(s)(s.values, s.multiplicities, label=args.label, generator=s.generator, cutoff=s.cutoff)
-    save_spectrum(s, args.out)
-    print(
+        s = replace(s, label=args.label)
+    message = (
         f"wrote {args.out}: {s.values.size} distinct eigenvalues, "
         f"total count {s.total_count}, range [{s.values[0]:g}, {s.values[-1]:g}]"
     )
-    params = {
-        "shape": args.shape,
-        "length": args.length,
-        "a": args.a,
-        "b": args.b,
-        "density": args.density,
-        "count": args.count,
-        "lambda_max": args.lambda_max,
-        "label": args.label,
-        "out": str(args.out),
-    }
-    _write_manifest(_manifest_path(args), "generate", params, [], [args.out], started)
-    return EXIT_OK
+    return s, message, True
 
 
 def _verify_theorem_1(s, args):
@@ -234,131 +238,64 @@ def _verify_theorem_4(s, args):
     return table, all_ok
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
-    s = load_spectrum(args.spectrum)
+def _verify(s, args):
     runners = {1: _verify_theorem_1, 2: _verify_theorem_2, 3: _verify_theorem_3, 4: _verify_theorem_4}
     table, all_ok = runners[args.theorem](s, args)
-    table.write_csv(args.out)
-    params = {
-        "spectrum": str(args.spectrum),
-        "theorem": args.theorem,
-        "t": args.t,
-        "lambda": args.lam,
-        "beta": args.beta,
-        "tol": args.tol,
-        "out": str(args.out),
-    }
-    _write_manifest(_manifest_path(args), "verify", params, [args.spectrum], [args.out], started)
     n_pass = sum(1 for row in table.rows if row[-1] == "yes")
-    print(f"theorem {args.theorem}: {n_pass}/{len(table.rows)} rows passed -> {args.out}")
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    message = f"theorem {args.theorem}: {n_pass}/{len(table.rows)} rows passed -> {args.out}"
+    return table, message, all_ok
 
 
-def _cmd_smooth(args) -> int:
-    started = time.monotonic()
-    s = load_spectrum(args.spectrum)
-    lam = float(args.lam)
-    if args.beta:
-        betas = parse_grid(args.beta)
-    else:
-        betas = [default_beta(s, lam)]
-    table = beta_sweep(s, lam, betas)
-    table.write_csv(args.out)
-    params = {
-        "spectrum": str(args.spectrum),
-        "lambda": lam,
-        "beta": args.beta,
-        "out": str(args.out),
-    }
-    _write_manifest(_manifest_path(args), "smooth", params, [args.spectrum], [args.out], started)
-    print(f"smoothed counting at lambda={lam:g} over {len(betas)} beta values -> {args.out}")
-    return EXIT_OK
+def _smooth(s, args):
+    betas = parse_grid(args.beta) if args.beta else [default_beta(s, args.lam)]
+    message = f"smoothed counting at lambda={args.lam:g} over {len(betas)} beta values -> {args.out}"
+    return beta_sweep(s, args.lam, betas), message, True
 
 
-def _cmd_invert(args) -> int:
-    started = time.monotonic()
-    s = load_spectrum(args.spectrum)
-    grid = parse_grid(args.lam)
-    manual = [args.contour_c, args.height, args.step]
+def _invert(s, args):
+    manual = (args.contour_c, args.height, args.step)
     if any(v is not None for v in manual):
-        cfg = InversionConfig(c=args.contour_c, T=args.height, h=args.step, auto=False)
+        cfg = InversionConfig(*manual, auto=False)
     else:
         cfg = InversionConfig()
-    table = invert_profile(s, grid, cfg)
-    table.write_csv(args.out)
-    params = {
-        "spectrum": str(args.spectrum),
-        "lambda": args.lam,
-        "c": args.contour_c,
-        "T": args.height,
-        "h": args.step,
-        "out": str(args.out),
-    }
-    _write_manifest(_manifest_path(args), "invert", params, [args.spectrum], [args.out], started)
+    table = invert_profile(s, parse_grid(args.lam), cfg)
     mismatches = sum(1 for row in table.rows if row[-1] != "yes")
-    print(f"inverted {len(table.rows)} points, {mismatches} disagree with the counting oracle -> {args.out}")
-    return EXIT_OK
+    message = (
+        f"inverted {len(table.rows)} points, {mismatches} disagree with the counting oracle "
+        f"-> {args.out}"
+    )
+    return table, message, True
 
 
-def _cmd_weyl(args) -> int:
-    started = time.monotonic()
-    s = load_spectrum(args.spectrum)
+def _weyl(s, args):
     report = weyl_check(s, parse_grid(args.t))
-    report.to_table().write_csv(args.out)
-    params = {"spectrum": str(args.spectrum), "t": args.t, "out": str(args.out)}
-    _write_manifest(_manifest_path(args), "weyl", params, [args.spectrum], [args.out], started)
-    print(
+    message = (
         f"density constant estimate {report.density_constant:.17g}; "
         f"{len(report.t_grid)} grid rows -> {args.out}"
     )
-    return EXIT_OK
+    return report.to_table(), message, True
 
 
-def _cmd_tauber(args) -> int:
-    started = time.monotonic()
-    s = load_spectrum(args.spectrum)
-    result = tauberian_first_term(
-        s, (args.t_lo, args.t_hi), args.probe, n_points=args.points
-    )
-    result.to_table(args.probe).write_csv(args.out)
-    params = {
-        "spectrum": str(args.spectrum),
-        "t_lo": args.t_lo,
-        "t_hi": args.t_hi,
-        "probe": args.probe,
-        "points": args.points,
-        "out": str(args.out),
-    }
-    _write_manifest(_manifest_path(args), "tauber", params, [args.spectrum], [args.out], started)
+def _tauber(s, args):
+    result = tauberian_first_term(s, (args.t_lo, args.t_hi), args.probe, n_points=args.points)
     fit = result.fit
-    print(
+    if fit.poor_fit:
+        print("warning: fit residual above 5%; the trace is not power-law on this window", file=sys.stderr)
+    message = (
         f"K(t) ~ {fit.amplitude:.6g} * t^-{fit.exponent:.6g} (residual {fit.fit_residual:.3g}); "
         f"predicted N({args.probe:g}) = {result.predicted_count:.6g} vs actual {result.actual_count}"
     )
-    if fit.poor_fit:
-        print("warning: fit residual above 5%; the trace is not power-law on this window", file=sys.stderr)
-    return EXIT_OK
+    return result.to_table(args.probe), message, True
 
 
-def _cmd_density(args) -> int:
-    started = time.monotonic()
-    s = load_spectrum(args.spectrum)
+def _density(s, args):
     lo, hi = (float(x) for x in args.range.split(","))
     result = density_estimate(s, args.bin_width, (lo, hi))
-    result.table.write_csv(args.out)
-    params = {
-        "spectrum": str(args.spectrum),
-        "bin_width": args.bin_width,
-        "range": args.range,
-        "out": str(args.out),
-    }
-    _write_manifest(_manifest_path(args), "density", params, [args.spectrum], [args.out], started)
-    print(
+    message = (
         f"mean density {result.mean_density:.17g}, "
         f"constancy deviation {result.constancy_deviation:.3g} -> {args.out}"
     )
-    return EXIT_OK
+    return result.table, message, True
 
 
 # -- parser ---------------------------------------------------------------
@@ -384,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--label", default=None)
     gen.add_argument("--out", required=True)
     gen.add_argument("--manifest", default=None)
-    gen.set_defaults(func=_cmd_generate)
+    gen.set_defaults(func=_generate)
 
     ver = sub.add_parser("verify", help="Run one of the four identity checks over a grid.")
     ver.add_argument("--spectrum", required=True)
@@ -396,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="row tolerance (defaults: 1e-12 rel, 0.1 abs, bound-based, 0.01)")
     ver.add_argument("--out", required=True)
     ver.add_argument("--manifest", default=None)
-    ver.set_defaults(func=_cmd_verify)
+    ver.set_defaults(func=_verify)
 
     smo = sub.add_parser("smooth", help="Sharpness sweep of the smoothed counting function.")
     smo.add_argument("--spectrum", required=True)
@@ -404,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     smo.add_argument("--beta", default=None, help="beta grid; default 50/(nearest gap)")
     smo.add_argument("--out", required=True)
     smo.add_argument("--manifest", default=None)
-    smo.set_defaults(func=_cmd_smooth)
+    smo.set_defaults(func=_smooth)
 
     inv = sub.add_parser("invert", help="Contour-invert the heat trace back to counts.")
     inv.add_argument("--spectrum", required=True)
@@ -414,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--step", type=float, default=None, help="trapezoid step h")
     inv.add_argument("--out", required=True)
     inv.add_argument("--manifest", default=None)
-    inv.set_defaults(func=_cmd_invert)
+    inv.set_defaults(func=_invert)
 
     wey = sub.add_parser("weyl", help="Constant-density regime check K(t) vs N(1/t).")
     wey.add_argument("--spectrum", required=True)
     wey.add_argument("--t", required=True, help="t grid")
     wey.add_argument("--out", required=True)
     wey.add_argument("--manifest", default=None)
-    wey.set_defaults(func=_cmd_weyl)
+    wey.set_defaults(func=_weyl)
 
     tau = sub.add_parser("tauber", help="Power-law fit of K(t) and first-term count prediction.")
     tau.add_argument("--spectrum", required=True)
@@ -431,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     tau.add_argument("--points", type=int, default=16)
     tau.add_argument("--out", required=True)
     tau.add_argument("--manifest", default=None)
-    tau.set_defaults(func=_cmd_tauber)
+    tau.set_defaults(func=_tauber)
 
     den = sub.add_parser("density", help="Binned eigenvalue density over a range.")
     den.add_argument("--spectrum", required=True)
@@ -439,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--range", required=True, help="lo,hi")
     den.add_argument("--out", required=True)
     den.add_argument("--manifest", default=None)
-    den.set_defaults(func=_cmd_density)
+    den.set_defaults(func=_density)
 
     return parser
 
@@ -448,7 +385,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except HeatcountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

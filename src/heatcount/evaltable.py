@@ -1,9 +1,8 @@
-"""Tabular results with deterministic CSV/JSON serialization."""
+"""Tabular results with deterministic CSV serialization."""
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,18 +48,6 @@ class EvalTable:
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow([_format_cell(cell) for cell in row])
-
-    def write_json(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-            "metadata": self.metadata,
-        }
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def __len__(self) -> int:
         return len(self.rows)

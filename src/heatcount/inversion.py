@@ -82,22 +82,12 @@ class InversionResult:
             raise ValueError("oscillation_estimate must be >= 0")
 
 
-@dataclass(frozen=True)
-class AbscissaReport:
-    """Tail estimate of lim sup (ln n)/lam_n with a trend diagnostic."""
-
-    estimate: float
-    tail_size: int
-    nonincreasing_fraction: float
-
-
-def abscissa_report(s: Spectrum) -> AbscissaReport:
+def abscissa_estimate(s: Spectrum) -> float:
     """Estimate the abscissa of convergence from the stored tail.
 
     Uses the cumulative index n_k at each distinct eigenvalue over the
-    top half of the spectrum and reports the maximum of (ln n_k)/lam_k
-    there, plus the fraction of tail steps on which the ratio does not
-    increase (a limit that exists shows a monotone tail).
+    top half of the spectrum and returns the maximum of (ln n_k)/lam_k
+    there.
     """
     if s.total_count < 32:
         raise InsufficientDataError(
@@ -111,17 +101,7 @@ def abscissa_report(s: Spectrum) -> AbscissaReport:
     n_k = n_k[positive]
     if lam.size == 0:
         raise InsufficientDataError("no positive eigenvalues in the spectrum tail")
-    ratios = np.log(n_k) / lam
-    if ratios.size > 1:
-        steps = np.diff(ratios)
-        fraction = float(np.mean(steps <= 0))
-    else:
-        fraction = 1.0
-    return AbscissaReport(float(np.max(ratios)), int(lam.size), fraction)
-
-
-def abscissa_estimate(s: Spectrum) -> float:
-    return abscissa_report(s).estimate
+    return float(np.max(np.log(n_k) / lam))
 
 
 def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionConfig:
@@ -131,25 +111,33 @@ def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionC
         except InsufficientDataError:
             est = 0.0  # small spectra: fall back to the pure damping target
         c = max(2.0 * est, KAPPA / lam)
-        below = s.values[(s.values < lam) & (s.values > 0)]
-        lam_ref = float(below[-1]) if below.size else lam
-        h = min(math.pi / (8.0 * lam), math.pi / (8.0 * lam_ref))
-        T = _auto_truncation(s, lam, c, h)
-        return InversionConfig(c=c, T=T, h=h, auto=True)
-    if cfg.c is None or cfg.T is None or cfg.h is None:
-        raise ConfigurationError("manual inversion config requires c, T and h")
-    if not (cfg.c > 0):
-        raise ConfigurationError(f"contour abscissa c must be positive, got {cfg.c!r}")
-    if not (0 < cfg.h < cfg.T):
-        raise ConfigurationError(f"need 0 < h < T, got h={cfg.h!r}, T={cfg.T!r}")
-    if s.total_count >= 32:
-        est = abscissa_estimate(s)
-        if cfg.c <= est:
-            raise ConfigurationError(
-                f"contour abscissa c={cfg.c!r} does not exceed the convergence "
-                f"abscissa estimate {est!r}"
-            )
-    return cfg
+    else:
+        if cfg.c is None or cfg.T is None or cfg.h is None:
+            raise ConfigurationError("manual inversion config requires c, T and h")
+        if not (cfg.c > 0):
+            raise ConfigurationError(f"contour abscissa c must be positive, got {cfg.c!r}")
+        if not (0 < cfg.h < cfg.T):
+            raise ConfigurationError(f"need 0 < h < T, got h={cfg.h!r}, T={cfg.T!r}")
+        if s.total_count >= 32:
+            est = abscissa_estimate(s)
+            if cfg.c <= est:
+                raise ConfigurationError(
+                    f"contour abscissa c={cfg.c!r} does not exceed the convergence "
+                    f"abscissa estimate {est!r}"
+                )
+        c = cfg.c
+    # checked before _auto_truncation, which evaluates e^(c lam) itself
+    if c * lam > 700.0:
+        raise ConfigurationError(
+            f"e^(c*lam) overflows for c*lam = {c * lam:g}; choose a smaller contour abscissa"
+        )
+    if not cfg.auto:
+        return cfg
+    below = s.values[(s.values < lam) & (s.values > 0)]
+    lam_ref = float(below[-1]) if below.size else lam
+    h = min(math.pi / (8.0 * lam), math.pi / (8.0 * lam_ref))
+    T = _auto_truncation(s, lam, c, h)
+    return InversionConfig(c=c, T=T, h=h, auto=True)
 
 
 def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:
@@ -182,10 +170,6 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
         raise DomainError(f"inversion point must be positive, got {lam!r}")
     cfg = _resolve_config(s, lam, cfg or InversionConfig())
     c, T, h = cfg.c, cfg.T, cfg.h
-    if c * lam > 700.0:
-        raise ConfigurationError(
-            f"e^(c*lam) overflows for c*lam = {c * lam:g}; choose a smaller contour abscissa"
-        )
 
     # Terms too far above lam are damped below resolution; drop them.
     keep = c * (s.values - lam) <= TERM_DROP_EXPONENT

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .evaltable import EvalTable
 from .spectrum import Spectrum
-from .transforms import FSUM_THRESHOLD, CountingMode, counting
+from .transforms import CountingMode, _sum, counting
 
 DEFAULT_EXPONENT_CAP = 700.0  # e^709 overflows a double; saturated terms are exact to e^-700
 
@@ -50,10 +50,7 @@ def _occupation(x: np.ndarray, cap: float) -> np.ndarray:
 def smoothed_counting(s: Spectrum, lam: float, cfg: SmoothingConfig) -> float:
     """sum_n mult_n / (e^(beta(lam_n - lam)) + 1), in [0, total count]."""
     x = cfg.beta * (s.values - lam)
-    terms = s.multiplicities * _occupation(x, cfg.exponent_cap)
-    if terms.size > FSUM_THRESHOLD:
-        return math.fsum(terms)
-    return float(np.sum(terms))
+    return _sum(s.multiplicities * _occupation(x, cfg.exponent_cap))
 
 
 def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
@@ -71,10 +68,7 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
             "jump midpoint there, not to the counting function"
         )
     t = np.exp(-beta * np.abs(s.values - lam))
-    terms = s.multiplicities * (t / (1.0 + t))
-    if terms.size > FSUM_THRESHOLD:
-        return math.fsum(terms)
-    return float(np.sum(terms))
+    return _sum(s.multiplicities * (t / (1.0 + t)))
 
 
 def default_beta(s: Spectrum, lam: float, sharpness: float = 50.0) -> float:

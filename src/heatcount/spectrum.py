@@ -269,40 +269,6 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative recipe for one generator call (used by the CLI)."""
-
-    kind: str
-    length: float | None = None
-    a: float | None = None
-    b: float | None = None
-    density: float | None = None
-    count: int | None = None
-    lam_max: float | None = None
-
-    def build(self) -> Spectrum:
-        if self.kind == "interval":
-            self._require("length", "count")
-            return generate_interval(self.length, self.count)
-        if self.kind == "rectangle":
-            self._require("a", "b", "lam_max")
-            return generate_rectangle(self.a, self.b, self.lam_max)
-        if self.kind == "torus":
-            self._require("lam_max")
-            return generate_torus(self.lam_max)
-        if self.kind == "constant_density":
-            self._require("density", "count")
-            return generate_constant_density(self.density, self.count)
-        raise InvalidParameterError("shape", f"unknown generator kind {self.kind!r}")
-
-    def _require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                flag = "lambda_max" if name == "lam_max" else name
-                raise InvalidParameterError(flag, f"required for shape {self.kind!r}")
-
-
 # -- persistence ----------------------------------------------------------
 
 

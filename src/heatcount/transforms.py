@@ -31,7 +31,6 @@ from .spectrum import Spectrum
 QUAD_TOL_SCALE = 1e-10        # absolute tolerance = QUAD_TOL_SCALE * result scale
 QUAD_MAX_DEPTH = 30           # hard subdivision cap
 QUAD_MAX_PANELS = 1 << 21
-QUAD_ALIGN_LIMIT = 10_000     # align panels with eigenvalues up to this many distinct values
 BOUNDARY_DROP = 1e-12         # quadrature extends domain until boundary term < this * result
 
 # Compensated accumulation kicks in above this many distinct entries.
@@ -75,12 +74,16 @@ def counting(s: Spectrum, lam: float, mode: CountingMode = CountingMode.STRICT) 
     return int(s.cumulative[idx])
 
 
-def _exp_sum(values: np.ndarray, mults: np.ndarray, t: float) -> float:
-    """sum_n mult_n * exp(-lam_n * t), summed in ascending eigenvalue order."""
-    terms = mults * np.exp(-values * t)
-    if values.size > FSUM_THRESHOLD:
+def _sum(terms: np.ndarray) -> float:
+    """Sum of the terms, compensated (math.fsum) above FSUM_THRESHOLD entries."""
+    if terms.size > FSUM_THRESHOLD:
         return math.fsum(terms)
     return float(np.sum(terms))
+
+
+def _exp_sum(values: np.ndarray, mults: np.ndarray, t: float) -> float:
+    """sum_n mult_n * exp(-lam_n * t), summed in ascending eigenvalue order."""
+    return _sum(mults * np.exp(-values * t))
 
 
 def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
@@ -164,10 +167,7 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
         raise DomainError(f"laplace transform requires t > 0, got {t!r}")
     if method == "step_exact":
         big = math.exp(-s.coverage * t)
-        terms = s.multiplicities * (np.exp(-s.values * t) - big)
-        if s.values.size > FSUM_THRESHOLD:
-            return math.fsum(terms)
-        return float(np.sum(terms))
+        return _sum(s.multiplicities * (np.exp(-s.values * t) - big))
     if method == "quadrature":
         return _laplace_quadrature(s, t)
     raise InvalidParameterError("method", f"expected 'step_exact' or 'quadrature', got {method!r}")
@@ -175,37 +175,21 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
     scale = max(_exp_sum(s.values, s.multiplicities, t), 5e-324)
-    total = s.total_count
     # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible.
-    needed = (math.log(total) - math.log(BOUNDARY_DROP * scale)) / t
+    needed = (math.log(s.total_count) - math.log(BOUNDARY_DROP * scale)) / t
     lam_hi = max(s.coverage, needed)
 
     values = s.values
-    cum = s.cumulative
-    if values.size <= QUAD_ALIGN_LIMIT:
-        inner = values[(values > 0.0) & (values < lam_hi)]
-        edges = np.concatenate(([0.0], inner, [lam_hi]))
-        # N restricted to each open panel (lam_k, lam_{k+1}) is the
-        # inclusive count at the left edge; endpoint evaluations use the
-        # interior value so the jump carries no quadrature weight.
-        left_counts = cum[np.searchsorted(values, edges[:-1], side="right")]
-        panel_n = left_counts.astype(np.float64)
-        lookup = None
-    else:
-        # Without eigenvalue-aligned panels, concentrate the initial grid on
-        # the region where the exponential still carries mass; beyond
-        # ``domain`` the dropped boundary term stays under the 1e-12 budget.
-        domain = (math.log(total) - math.log(1e-13 * scale)) / t
-        edges = np.linspace(0.0, min(lam_hi, domain), 4097)
-        panel_n = None
-
-        def lookup(x: np.ndarray) -> np.ndarray:
-            return cum[np.searchsorted(values, x, side="left")].astype(np.float64)
+    inner = values[(values > 0.0) & (values < lam_hi)]
+    edges = np.concatenate(([0.0], inner, [lam_hi]))
+    # N restricted to each open panel (lam_k, lam_{k+1}) is the
+    # inclusive count at the left edge; endpoint evaluations use the
+    # interior value so the jump carries no quadrature weight.
+    left_counts = s.cumulative[np.searchsorted(values, edges[:-1], side="right")]
+    panel_n = left_counts.astype(np.float64)
 
     try:
-        integral, _ = _adaptive_simpson_exp(
-            edges, panel_n, lookup, t, tol=QUAD_TOL_SCALE * scale / t
-        )
+        integral, _ = _adaptive_simpson_exp(edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t)
     except AccuracyError as exc:
         raise AccuracyError(
             "laplace quadrature did not converge",
@@ -215,12 +199,12 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     return t * integral
 
 
-def _adaptive_simpson_exp(edges, panel_n, lookup, t, tol):
+def _adaptive_simpson_exp(edges, n_const, t, tol):
     """Vectorized adaptive Simpson for f(lam) = N(lam) * exp(-lam * t).
 
-    ``panel_n`` carries the constant value of N on each initial panel when
-    the panels are eigenvalue-aligned; otherwise ``lookup`` evaluates N
-    pointwise.  Budget: per-panel tolerance proportional to panel length;
+    The initial panels are aligned with the eigenvalues, so N is the
+    constant ``n_const`` on each of them and every subpanel inherits it.
+    Budget: per-panel tolerance proportional to panel length;
     Richardson-extrapolated acceptance at |S2 - S1|/15.
     """
     a = edges[:-1].copy()
@@ -228,10 +212,8 @@ def _adaptive_simpson_exp(edges, panel_n, lookup, t, tol):
     total_len = edges[-1] - edges[0]
 
     def f(x, n_const):
-        weight = n_const if lookup is None else lookup(x)
-        return weight * np.exp(-x * t)
+        return n_const * np.exp(-x * t)
 
-    n_const = panel_n if lookup is None else np.zeros_like(a)
     fa = f(a, n_const)
     fb = f(b, n_const)
     mid = 0.5 * (a + b)
@@ -274,8 +256,7 @@ def _adaptive_simpson_exp(edges, panel_n, lookup, t, tol):
         fm = np.concatenate((flm[keep], frm[keep]))
         s_whole = np.concatenate((s_left[keep], s_right[keep]))
         mid = mid_new
-        if lookup is None:
-            n_const = np.concatenate((n_const[keep], n_const[keep]))
+        n_const = np.concatenate((n_const[keep], n_const[keep]))
     raise AssertionError("unreachable")
 
 

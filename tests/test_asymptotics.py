@@ -66,7 +66,7 @@ class TestWeylCheck:
         # jitter; fit C by least squares and check the envelope holds
         ts = np.geomspace(1.2e-3, 0.3, 11)
         report = weyl_check(const_density_10k, ts)
-        devs = np.array(report.deviation_trend)
+        devs = np.abs(np.array(report.ratios) - 1.0)
         inv_n = 1.0 / np.array(report.counts, dtype=float)
         x = np.array(report.t_grid)
         y = np.maximum(devs - inv_n, 0.0)

@@ -82,6 +82,14 @@ class TestGenerate:
         assert code == 2
         assert "lambda_max" in capsys.readouterr().err
 
+    def test_label_overrides_generator_label(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run("generate", "--shape", "torus", "--lambda-max", 10,
+                   "--label", "unit torus", "--out", out) == 0
+        s = load_spectrum(out)
+        assert s.label == "unit torus"
+        assert s.generator == {"kind": "torus", "lambda_max": 10.0}
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "s.json"
         run("generate", "--shape", "interval", "--length", 1, "--count", 5, "--out", out)
@@ -199,6 +207,26 @@ class TestThinWrappers:
                    "--c", 0.8, "--height", 400, "--step", 0.01, "--out", out) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert abs(float(row[1]) - 1.0) < 0.05
+
+    def test_invert_overflowing_contour_is_an_error_row(self, tmp_path):
+        # the auto abscissa of this file spectrum puts c*lam near 887 at lam = 1
+        spectrum = tmp_path / "file.json"
+        entries = [{"value": 0.0, "multiplicity": 27}, {"value": 0.0078125, "multiplicity": 5}]
+        spectrum.write_text(json.dumps({"entries": entries}))
+        out = tmp_path / "i.csv"
+        assert run("invert", "--spectrum", spectrum, "--lambda", 1, "--out", out) == 0
+        assert ",error: e^(c*lam) overflows" in out.read_text().splitlines()[1]
+
+    def test_manifest_params_are_the_parsed_arguments(self, tmp_path, interval_file):
+        out = tmp_path / "i.csv"
+        run("invert", "--spectrum", interval_file, "--lambda", "2.5",
+            "--c", 0.8, "--height", 400, "--step", 0.01, "--out", out)
+        manifest = json.loads((tmp_path / "i.csv.manifest.json").read_text())
+        assert manifest["command"] == "invert"
+        assert manifest["params"] == {
+            "spectrum": str(interval_file), "lam": "2.5", "contour_c": 0.8,
+            "height": 400.0, "step": 0.01, "out": str(out),
+        }
 
     def test_weyl_csv(self, tmp_path, const_file):
         out = tmp_path / "w.csv"

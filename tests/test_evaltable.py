@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from heatcount import EvalTable
@@ -19,17 +17,6 @@ def test_csv_formatting_17_significant_digits(tmp_path):
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.1
     assert float(cells[1]) == 1.0 / 3.0
-
-
-def test_json_serialization(tmp_path):
-    table = EvalTable(("beta", "value"), metadata={"lambda": 12.0})
-    table.append(1.0, 2.5)
-    path = tmp_path / "t.json"
-    table.write_json(path)
-    payload = json.loads(path.read_text())
-    assert payload["columns"] == ["beta", "value"]
-    assert payload["rows"] == [[1.0, 2.5]]
-    assert payload["metadata"] == {"lambda": 12.0}
 
 
 def test_append_arity_checked():

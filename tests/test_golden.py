@@ -1,0 +1,59 @@
+"""Golden-bytes check of the CLI data files.
+
+Each case reruns one subcommand on the generated acceptance spectra and
+compares the CSV it writes, byte for byte, with the file of the same name
+under ``tests/golden/``.  A refactor must leave every file unchanged; a
+change that means to alter an output regenerates its golden file and
+says so.  The bytes depend on the floating-point results of numpy and
+its BLAS; the files were produced on x86-64 with numpy 2.4.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from heatcount.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SPECTRA = {
+    "interval-10k": ["--shape", "interval", "--length", repr(math.pi), "--count", "10000"],
+    "interval-200": ["--shape", "interval", "--length", repr(math.pi), "--count", "200"],
+    "const-10k": ["--shape", "constant-density", "--density", "1", "--count", "10000"],
+}
+
+# golden file stem -> (spectrum, subcommand and its flags)
+CASES = {
+    "verify-1": ("interval-10k", ["verify", "--theorem", "1", "--t", "0.01,0.1,1,10"]),
+    "verify-2": ("interval-200", ["verify", "--theorem", "2", "--lambda", "2.5,6.5,12.5,20.5"]),
+    "verify-3": ("interval-10k", ["verify", "--theorem", "3", "--lambda", "12",
+                                  "--beta", "1,2,5,10,20"]),
+    "verify-4": ("const-10k", ["verify", "--theorem", "4", "--t", "1e-3,1e-2"]),
+    "invert": ("interval-200", ["invert", "--lambda", "0.5,2.5,9,12,380.5"]),
+    "smooth": ("interval-10k", ["smooth", "--lambda", "12"]),
+    "weyl": ("const-10k", ["weyl", "--t", "0.001:0.01:0.001"]),
+    "tauber": ("const-10k", ["tauber", "--t-lo", "0.001", "--t-hi", "0.01", "--probe", "500"]),
+    "density": ("const-10k", ["density", "--bin-width", "100", "--range", "0,10000"]),
+}
+
+
+def run_case(name: str, spectra: Path, out: Path) -> int:
+    spectrum, (command, *flags) = CASES[name]
+    return main([command, "--spectrum", str(spectra / f"{spectrum}.json"), *flags,
+                 "--out", str(out / f"{name}.csv")])
+
+
+@pytest.fixture(scope="module")
+def spectra(tmp_path_factory):
+    root = tmp_path_factory.mktemp("spectra")
+    for name, flags in SPECTRA.items():
+        assert main(["generate", *flags, "--out", str(root / f"{name}.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_matches_golden_bytes(name, spectra, tmp_path):
+    assert run_case(name, spectra, tmp_path) == 0
+    got = (tmp_path / f"{name}.csv").read_bytes()
+    assert got == (GOLDEN / f"{name}.csv").read_bytes()

@@ -14,7 +14,6 @@ from heatcount import (
     InversionConfig,
     Spectrum,
     abscissa_estimate,
-    abscissa_report,
     bromwich_invert,
     counting,
     generate_interval,
@@ -37,13 +36,6 @@ class TestAbscissaEstimate:
         n = np.arange(1, 100_001, dtype=float)
         s = Spectrum.from_entries(np.log(n + 1.0), generator={"kind": "file"})
         assert abscissa_estimate(s) == pytest.approx(1.0, abs=0.05)
-
-    def test_report_carries_trend(self, interval_pi_10k):
-        report = abscissa_report(interval_pi_10k)
-        assert report.estimate < 1e-3
-        assert report.tail_size > 0
-        # (ln n)/n^2 is eventually decreasing, so the tail should agree
-        assert report.nonincreasing_fraction > 0.99
 
     def test_too_few_entries(self):
         s = generate_interval(math.pi, 31)
@@ -111,6 +103,14 @@ class TestBromwichInvert:
             bromwich_invert(
                 interval_pi_200, 12.0, InversionConfig(c=100.0, T=200.0, h=0.01, auto=False)
             )
+
+    def test_overflowing_auto_contour_rejected(self):
+        # tail estimate ln(32)/0.0078125 puts the auto abscissa at c*lam ~ 887 for lam = 1
+        s = Spectrum.from_entries([0.0, 0.0078125], [27, 5])
+        with pytest.raises(ConfigurationError, match="overflow"):
+            bromwich_invert(s, 1.0)
+        match = invert_profile(s, [1.0]).column("match")[0]
+        assert match.startswith("error: e^(c*lam) overflows")
 
 
 class TestInvertProfile:
@@ -242,10 +242,12 @@ class TestContourKernel:
         s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
         try:
             cfg = _resolve_config(s, lam, InversionConfig())
-        except OverflowError:
-            assume(False)  # e^(c lam) overflows in _auto_truncation: a known defect
-        # bromwich_invert rejects c * lam > 700; the node cap bounds the oracle's cost
-        assume(cfg.c * lam <= 700.0 and cfg.T / cfg.h <= 100_000)
+        except ConfigurationError as exc:
+            # the one refusal of an auto contour: e^(c lam) above e^700
+            assert "overflows" in str(exc)
+            return
+        assert cfg.c * lam <= 700.0
+        assume(cfg.T / cfg.h <= 100_000)  # the node cap bounds the oracle's cost
         assert_matches_direct_trapezoid(s, lam)
 
     def test_torus_2000_memory_bounded(self):

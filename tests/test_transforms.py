@@ -20,6 +20,7 @@ from heatcount import (
     heat_trace,
     laplace_of_counting,
     partial_exponential_sum,
+    transforms,
     truncation_correction,
 )
 
@@ -221,14 +222,19 @@ class TestLaplaceOfCounting:
         with pytest.raises(DomainError):
             laplace_of_counting(interval_pi_100, 0.0)
 
-    def test_unaligned_panels_raise_accuracy_error(self):
-        # above the alignment limit the eigenvalue jumps sit inside panels
-        # and adaptive Simpson cannot reach its tolerance
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6])
+    def test_quadrature_converges_above_ten_thousand_values(self, t):
+        # panels stay aligned with the eigenvalue jumps at any spectrum size
         s = generate_interval(math.pi, 10_001)
-        step = laplace_of_counting(s, 1.0, "step_exact")
+        k_val = heat_trace(s, t).value
+        assert abs(laplace_of_counting(s, t, "quadrature") - k_val) <= 1e-8 * k_val
+
+    def test_subdivision_cap_raises_accuracy_error(self, interval_pi_200, monkeypatch):
+        monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", 2)
+        step = laplace_of_counting(interval_pi_200, 1.0, "step_exact")
         with pytest.raises(AccuracyError) as info:
-            laplace_of_counting(s, 1.0, "quadrature")
-        assert info.value.estimate == pytest.approx(step, rel=1e-3)
+            laplace_of_counting(interval_pi_200, 1.0, "quadrature")
+        assert info.value.estimate == pytest.approx(step, rel=1e-4)
         assert info.value.error_estimate > 0
 
 
