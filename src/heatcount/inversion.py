@@ -22,20 +22,28 @@ e^(c lam) amplification of the truncated-tail error small, and T is
 chosen from a per-term bound on that tail so the truncation error stays
 below AUTO_TRUNCATION_TOL.
 
-Cost model: K(c + i w) is needed at every node w_j = j h of a contour
-segment of `nodes` points, for the `terms` spectral values kept.  The
-nodes form an arithmetic progression, so with B = ceil(sqrt(nodes)) and
-j = j0 + q B + r,
+Cost model: K(c + i w) e^(i lam w) is needed at every node w_j = j h of a
+contour segment of `nodes` points, for the `terms` spectral values kept.
+The nodes form an arithmetic progression, so with B = ceil(sqrt(nodes))
+and j = j0 + q B + r,
 
-    e^(-i lam_n w_j) = e^(-i lam_n (j0 + q B) h) * e^(-i lam_n r h),
+    e^(i (lam - lam_n) w_j) = e^(i (lam - lam_n) (j0 + q B) h) * e^(i (lam - lam_n) r h),
 
 and the trace on the grid is one complex matrix product P @ E of a
-(nodes/B) x terms table P[q, n] = a_n e^(-i lam_n (j0 + q B) h) with a
-terms x B table E[n, r] = e^(-i lam_n r h).  That costs about
-2 sqrt(nodes) * terms complex exponentials and nodes * terms complex
-multiply-adds in one GEMM.  P is built and multiplied in row groups of
-at most BLOCK_BYTES of working arrays, so the transient memory of one
-call is BLOCK_BYTES plus the table E, whatever the height T.
+(nodes/B) x terms table P[q, n] = a_n e^(i (lam - lam_n) (j0 + q B) h)
+with a terms x B table E[n, r] = e^(i (lam - lam_n) r h).  That costs
+about 2 sqrt(nodes) * terms complex exponentials and nodes * terms
+complex multiply-adds in one GEMM.  P is built and multiplied in row
+groups of at most BLOCK_BYTES of working arrays, so the transient memory
+of one call is BLOCK_BYTES plus the table E, whatever the height T.
+
+Phases: (lam - lam_n) j h reaches thousands of radians, and rounding it
+to a double moves it by about 1e-13 rad.  Near a resonance (lam_n close
+to lam) the real part of the integrand is only c/w of its modulus, so
+that error is amplified by up to T/c.  The phase is therefore carried in
+turns as a double-double, (lam - lam_n) h / (2 pi) = g_hi + g_lo, and
+reduced modulo one turn before the exponential, which leaves an absolute
+phase error of a few 1e-16 rad whatever j.
 """
 
 from __future__ import annotations
@@ -55,6 +63,10 @@ AUTO_TRUNCATION_TOL = 2e-3   # absolute truncation-error budget for auto T
 T_CAP_FACTOR = 1e5           # hard cap T <= T_CAP_FACTOR * c
 TERM_DROP_EXPONENT = 46.0    # drop spectral terms with c*(lam_n - lam) beyond this
 BLOCK_BYTES = 1 << 24       # working-array budget of one row group of the contour kernel
+
+# 1/(2 pi) as the unevaluated sum of two doubles
+_INV_2PI_HI = 0.15915494309189535
+_INV_2PI_LO = -9.839338337591243e-18
 
 
 @dataclass(frozen=True)
@@ -183,9 +195,8 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
         # Trapezoid sum over nodes j0 .. j0 + count - 1: weight first_weight
         # at the first node, 1/2 at the last.
         acc = 0.0
-        for j, trace in _trace_on_grid(values, coeffs, h, j0, count):
-            omega = j * h
-            integrand = np.real(trace * np.exp(1j * lam * omega) / (c + 1j * omega))
+        for j, trace in _trace_on_grid(values, coeffs, h, j0, count, lam):
+            integrand = np.real(trace / (c + 1j * (j * h)))
             weights = np.ones(j.size)
             if j[0] == j0:
                 weights[0] = first_weight
@@ -204,26 +215,73 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
     return InversionResult(value, oscillation, cfg)
 
 
-def _trace_on_grid(values, coeffs, h, j0, count):
-    """Yield (j, sum_n coeffs_n e^(-i values_n j h)) in blocks covering j0 .. j0 + count - 1.
+def _trace_on_grid(values, coeffs, h, j0, count, lam=0.0):
+    """Yield (j, sum_n coeffs_n e^(i (lam - values_n) j h)) in blocks covering j0 .. j0 + count - 1.
 
     Node j = j0 + q B + r with B = ceil(sqrt(count)): the trace is the
-    product of a row group of P[q, n] = coeffs_n e^(-i values_n (j0 + q B) h)
-    with E[n, r] = e^(-i values_n r h), row groups sized by BLOCK_BYTES.
+    product of a row group of P[q, n] = coeffs_n e^(i (lam - values_n) (j0 + q B) h)
+    with E[n, r] = e^(i (lam - values_n) r h), row groups sized by BLOCK_BYTES.
     """
     width = math.isqrt(count - 1) + 1
     rows = -(-count // width)
-    table = np.exp(-1j * np.outer(values, h * np.arange(width)))
-    # bytes per row of P: phases, exponentials and P itself per term;
-    # trace, node indices and integrand temporaries per column
-    row_bytes = 40 * values.size + 112 * width
+    g_hi, g_lo = _turns_per_step(lam, values, h)
+    table = _unit_phasors(g_hi, g_lo, np.arange(width, dtype=np.float64)).T
+    # bytes per row of P: phase arithmetic, exponentials and P itself per
+    # term; trace, node indices and integrand temporaries per column
+    row_bytes = 96 * values.size + 112 * width
     group = max(BLOCK_BYTES // row_bytes, 1)
     stop = j0 + count
     for q0 in range(0, rows, group):
         starts = j0 + width * np.arange(q0, min(q0 + group, rows))
-        trace = (coeffs * np.exp(-1j * np.outer(h * starts, values))) @ table
+        trace = (coeffs * _unit_phasors(g_hi, g_lo, starts.astype(np.float64))) @ table
         j = np.arange(starts[0], min(starts[-1] + width, stop))
         yield j, trace.ravel()[: j.size]
+
+
+def _split(a):
+    """Dekker split: a = hi + lo exactly, each half with at most 26 significant bits."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _turns_per_step(lam, values, h):
+    """(lam - values_n) h / (2 pi) as a double-double (hi, lo), relative error about 1e-31."""
+    d = lam - values
+    b = d - lam
+    d_lo = (lam - (d - b)) + (-values - b)  # two-sum: lam - values_n = d + d_lo exactly
+    d_hi_h, d_hi_l = _split(d)
+    h_h, h_l = _split(h)
+    p = d * h
+    e = ((d_hi_h * h_h - p) + d_hi_h * h_l + d_hi_l * h_h) + d_hi_l * h_l + d_lo * h
+    p_hi = p + e
+    p_lo = e - (p_hi - p)
+    p_h, p_l = _split(p_hi)
+    c_h, c_l = _split(_INV_2PI_HI)
+    q = p_hi * _INV_2PI_HI
+    e = ((p_h * c_h - q) + p_h * c_l + p_l * c_h) + p_l * c_l
+    e += p_hi * _INV_2PI_LO + p_lo * _INV_2PI_HI
+    g_hi = q + e
+    return g_hi, e - (g_hi - q)
+
+
+def _unit_phasors(g_hi, g_lo, k):
+    """e^(2 pi i (g_hi + g_lo) k) as a len(k) x len(g) array, for integer-valued k.
+
+    The product g_hi k is split exactly into a double and its rounding
+    error, and its whole turns are removed before the exponential.
+    """
+    g_h, g_l = _split(g_hi)
+    k_h, k_l = _split(k)
+    p = np.multiply.outer(k, g_hi)
+    e = np.multiply.outer(k_h, g_h) - p
+    e += np.multiply.outer(k_l, g_h)
+    e += np.multiply.outer(k_h, g_l)
+    e += np.multiply.outer(k_l, g_l)
+    e += np.multiply.outer(k, g_lo)
+    p -= np.round(p)
+    p += e
+    return np.exp((2j * math.pi) * p)
 
 
 def invert_profile(s: Spectrum, grid, cfg: InversionConfig | None = None) -> EvalTable:

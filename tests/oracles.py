@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,11 +60,49 @@ def pairs(spectrum):
     return [(float(v), int(m)) for v, m in zip(spectrum.values, spectrum.multiplicities)]
 
 
+# round(2^160 / (2 pi)), from 120 significant digits of pi
+_TURNS_2_160 = 232605209918111709774537830547806037080859518310
+
+
+def _fixed_point_turns(values, lam, h):
+    """(lam - values_n) h / (2 pi) modulo one turn, as integers G_n in units of 2^-96 turn.
+
+    Exact rational differences and products of the doubles, times
+    2^160 / (2 pi) in integers, rounded to the nearest unit.
+    """
+    out = []
+    for v in values:
+        x = (Fraction(float(lam)) - Fraction(float(v))) * Fraction(float(h)) * _TURNS_2_160
+        den = x.denominator << 64
+        out.append(((2 * x.numerator + den) // (2 * den)) % 2**96)
+    return out
+
+
+def phases_on_nodes(values, lam, h, j):
+    """e^(i (lam - values_n) j h) as a terms x nodes array for integer nodes 0 <= j < 2^21.
+
+    G_n j is reduced modulo 2^96 in 32-bit limbs of G_n, so every product
+    stays below 2^53 and the fractional turn is exact to about 2^-76
+    before its one rounding to a double.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    assert j.size == 0 or (j.min() >= 0 and j.max() < 2**21)
+    limbs = np.array(
+        [[(g >> shift) & 0xFFFFFFFF for shift in (64, 32, 0)] for g in _fixed_point_turns(values, lam, h)],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    top = (np.multiply.outer(limbs[:, 0], j) & 0xFFFFFFFF).astype(np.float64) * 2.0**-32
+    mid = np.multiply.outer(limbs[:, 1], j).astype(np.float64) * 2.0**-64
+    low = np.multiply.outer(limbs[:, 2], j).astype(np.float64) * 2.0**-96
+    turns = np.mod(top + mid + low, 1.0)
+    return np.cos(2.0 * math.pi * turns) + 1j * np.sin(2.0 * math.pi * turns)
+
+
 def bromwich_trapezoid(values, mults, lam, c, T, h, drop_exponent):
     """Direct trapezoid sum for the contour inversion: (value, oscillation_estimate).
 
-    One complex exponential per kept term per node, e^(-i lam_n w) from
-    np.outer(values, omega), nodes w = j h for j = 0..ceil(T/h) with half
+    One complex exponential per kept term per node, e^(i (lam - lam_n) w)
+    from `phases_on_nodes`, nodes w = j h for j = 0..ceil(T/h) with half
     weight at both ends; the oscillation estimate is the same sum over the
     last period 2 pi/lam (half weight at its last node only), floored at
     2^-40 (1 + |value|).
@@ -76,9 +115,8 @@ def bromwich_trapezoid(values, mults, lam, c, T, h, drop_exponent):
     prefactor = math.exp(c * lam) / math.pi
 
     def integrand(j):
-        omega = j * h
-        trace = coeffs @ np.exp(-1j * np.outer(values, omega))
-        return np.real(trace * np.exp(1j * lam * omega) / (c + 1j * omega))
+        trace = coeffs @ phases_on_nodes(values, lam, h, j)
+        return np.real(trace / (c + 1j * (j * h)))
 
     m_steps = int(math.ceil(T / h))
     f = np.concatenate(

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -236,6 +236,13 @@ class TestContourKernel:
             max_size=30,
         ),
         st.floats(min_value=0.2, max_value=45.0),
+    )
+    # points where rounding lam_n * w and lam * w to doubles moved the result
+    # by more than 1e-10 relative: lam at an eigenvalue, and near resonances
+    @example(entries=[(25.076185206023172, 3), (25.076185206023172, 3)], lam=25.076185206023172)
+    @example(entries=[(24.0, 1), (23.5, 3)], lam=22.75)
+    @example(
+        entries=[(9.0, 2), (11.0, 1), (13.0, 1), (10.0625, 3), (10.09375, 3)], lam=9.38671875
     )
     @settings(deadline=None)
     def test_random_file_spectra(self, entries, lam):
