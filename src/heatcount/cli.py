@@ -37,9 +37,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-TOL_DEFAULTS = {1: 1e-12, 2: 0.1, 4: 0.01}
-
-
 def parse_grid(text: str) -> list[float]:
     """Comma list ("0.01,0.1,1") or inclusive range ("1:3:0.5")."""
     text = text.strip()
@@ -138,126 +135,101 @@ def _generate(_, args):
     return s, message, True
 
 
-def _verify_theorem_1(s, args):
-    ts = parse_grid(args.t or "0.01,0.1,1,10")
-    tol = args.tol if args.tol is not None else TOL_DEFAULTS[1]
-    quad_tol = 1e-8
+def _laplace_identity(s, args):
+    """Theorem 1: K(t) against t times the Laplace transform of N, two ways."""
     table = EvalTable(
-        (
-            "t",
-            "heat_trace",
-            "step_exact",
-            "quadrature",
-            "correction",
-            "step_rel_dev",
-            "quad_rel_dev",
-            "pass",
-        ),
-        metadata={"tolerance": tol, "quad_tolerance": quad_tol},
+        ("t", "heat_trace", "step_exact", "quadrature", "correction", "step_rel_dev", "quad_rel_dev")
     )
-    all_ok = True
-    for t in sorted(ts):
+    for t in sorted(parse_grid(args.t)):
         k_val = heat_trace(s, t).value
         step = laplace_of_counting(s, t, "step_exact")
         corr = truncation_correction(s, t)
         try:
             quad = laplace_of_counting(s, t, "quadrature")
+            quad_dev = abs(quad - k_val) / k_val
         except AccuracyError as exc:
-            quad = exc.estimate
-        step_dev = abs(step + corr - k_val) / k_val
-        quad_dev = abs(quad - k_val) / k_val
-        ok = step_dev <= tol and quad_dev <= quad_tol
-        all_ok &= ok
-        table.append(t, k_val, step, quad, corr, step_dev, quad_dev, "yes" if ok else "no")
-    return table, all_ok
+            # keep the estimate; a quadrature that did not converge has no deviation to pass
+            quad, quad_dev = exc.estimate, math.nan
+        table.append(t, k_val, step, quad, corr, abs(step + corr - k_val) / k_val, quad_dev)
+    return table
 
 
-def _verify_theorem_2(s, args):
-    if not args.lam:
-        raise InvalidParameterError("lambda", "a lambda grid is required for theorem 2")
-    grid = parse_grid(args.lam)
-    tol = args.tol if args.tol is not None else TOL_DEFAULTS[2]
-    profile = invert_profile(s, grid)
-    table = EvalTable(
-        profile.columns + ("pass",),
-        metadata={"tolerance": tol},
-    )
-    all_ok = True
-    for row in profile.rows:
-        lam, value, osc, rounded, oracle, match = row
-        ok = match == "yes" and abs(value - oracle) <= tol
-        all_ok &= ok
-        table.append(*row, "yes" if ok else "no")
-    return table, all_ok
+def _laplace_ok(row, s, args):
+    t, k_val, step, quad, corr, step_dev, quad_dev = row
+    # --tol sets the step-exact tolerance; the quadrature is held to 1e-8 relative
+    return step_dev <= args.tol and quad_dev <= 1e-8
 
 
-def _verify_theorem_3(s, args):
-    if not args.lam:
-        raise InvalidParameterError("lambda", "a lambda value is required for theorem 3")
+def _inverted_ok(row, s, args):
+    lam, value, osc, rounded, oracle, match = row
+    return match == "yes" and abs(value - oracle) <= args.tol
+
+
+def _sweep(s, args):
     lams = parse_grid(args.lam)
     if len(lams) != 1:
         raise InvalidParameterError("lambda", "theorem 3 verifies a single lambda")
-    lam = lams[0]
-    betas = parse_grid(args.beta) if args.beta else [1.0, 2.0, 5.0, 10.0, 20.0]
-    sweep = beta_sweep(s, lam, betas)
-    table = EvalTable(sweep.columns + ("pass",), metadata=dict(sweep.metadata))
-    all_ok = True
-    # machine slack: the measured deviation carries ~eps per summed term
+    return beta_sweep(s, lams[0], parse_grid(args.beta))
+
+
+def _within_bound(row, s, args):
+    beta, value, deviation, bound = row
+    # the deviation may not exceed its own bound, up to ~eps per summed term
     slack = 64 * 2.3e-16 * s.total_count
-    for beta, value, deviation, bound in sweep.rows:
-        # bound-based row tolerance: the deviation may not exceed its own bound
-        ok = not math.isnan(bound) and deviation <= bound * (1 + 1e-12) + slack
-        all_ok &= ok
-        table.append(beta, value, deviation, bound, "yes" if ok else "no")
-    return table, all_ok
+    return not math.isnan(bound) and deviation <= bound * (1 + 1e-12) + slack
 
 
-def _verify_theorem_4(s, args):
-    ts = parse_grid(args.t or "0.001,0.01")
-    tol = args.tol if args.tol is not None else TOL_DEFAULTS[4]
-    report = weyl_check(s, ts)
-    table = EvalTable(
-        ("t", "K", "N_inv", "ratio", "flag", "pass"),
-        metadata={"tolerance": tol, "density_constant": report.density_constant},
-    )
-    all_ok = True
-    smallest = report.t_grid[0]
-    for t, k_val, n_val, ratio, flag in zip(
-        report.t_grid, report.heat_values, report.counts, report.ratios, report.flags
-    ):
-        if flag != "ok":
-            ok = False
-        elif t == smallest:
-            # the regime tolerance binds at the smallest t; larger t only
-            # need a well-defined ratio
-            ok = abs(ratio - 1.0) <= tol
-        else:
-            ok = True
-        all_ok &= ok
-        table.append(t, k_val, n_val, ratio, flag, "yes" if ok else "no")
-    return table, all_ok
+def _in_regime(row, s, args):
+    t, k_val, n_val, ratio, flag = row
+    # the regime tolerance binds at the smallest t; larger t only need a well-defined ratio
+    return flag == "ok" and (t != min(parse_grid(args.t)) or abs(ratio - 1.0) <= args.tol)
+
+
+# theorem -> (the flags it reads and their defaults, None where required;
+#             its table, the same as the direct subcommand's for 2, 3 and 4;
+#             the pass rule for one row of that table)
+THEOREMS = {
+    1: ({"t": "0.01,0.1,1,10", "tol": 1e-12}, _laplace_identity, _laplace_ok),
+    2: ({"lam": None, "tol": 0.1}, lambda s, a: invert_profile(s, parse_grid(a.lam)), _inverted_ok),
+    3: ({"lam": None, "beta": "1,2,5,10,20"}, _sweep, _within_bound),
+    4: ({"t": "0.001,0.01", "tol": 0.01}, lambda s, a: weyl_check(s, parse_grid(a.t)).to_table(),
+        _in_regime),
+}
 
 
 def _verify(s, args):
-    runners = {1: _verify_theorem_1, 2: _verify_theorem_2, 3: _verify_theorem_3, 4: _verify_theorem_4}
-    table, all_ok = runners[args.theorem](s, args)
-    n_pass = sum(1 for row in table.rows if row[-1] == "yes")
-    message = f"theorem {args.theorem}: {n_pass}/{len(table.rows)} rows passed -> {args.out}"
-    return table, message, all_ok
+    reads, rows, passes = THEOREMS[args.theorem]
+    # resolve the flags in args, so the manifest records what ran
+    for dest in ("t", "lam", "beta", "tol"):
+        flag = "lambda" if dest == "lam" else dest
+        if dest not in reads:
+            if getattr(args, dest) is not None:
+                raise InvalidParameterError(flag, f"not read by theorem {args.theorem}")
+            delattr(args, dest)
+        elif getattr(args, dest) is None:
+            if reads[dest] is None:
+                raise InvalidParameterError(flag, f"required for theorem {args.theorem}")
+            setattr(args, dest, reads[dest])
+    table = rows(s, args)
+    checked = EvalTable(
+        table.columns + ("pass",),
+        [row + ("yes" if passes(row, s, args) else "no",) for row in table.rows],
+    )
+    n_pass = sum(row[-1] == "yes" for row in checked.rows)
+    message = f"theorem {args.theorem}: {n_pass}/{len(checked.rows)} rows passed -> {args.out}"
+    return checked, message, n_pass == len(checked.rows)
 
 
 def _smooth(s, args):
-    betas = parse_grid(args.beta) if args.beta else [default_beta(s, args.lam)]
+    if args.beta is None:
+        args.beta = repr(default_beta(s, args.lam))  # recorded in the manifest
+    betas = parse_grid(args.beta)
     message = f"smoothed counting at lambda={args.lam:g} over {len(betas)} beta values -> {args.out}"
     return beta_sweep(s, args.lam, betas), message, True
 
 
 def _invert(s, args):
-    manual = (args.contour_c, args.height, args.step)
-    if any(v is not None for v in manual):
-        cfg = InversionConfig(*manual, auto=False)
-    else:
-        cfg = InversionConfig()
+    cfg = InversionConfig(args.contour_c, args.height, args.step)
     table = invert_profile(s, parse_grid(args.lam), cfg)
     mismatches = sum(1 for row in table.rows if row[-1] != "yes")
     message = (
@@ -308,8 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", required=True)
+    writes.add_argument("--manifest", default=None)
+    reads = argparse.ArgumentParser(add_help=False, parents=[writes])
+    reads.add_argument("--spectrum", required=True)
 
-    gen = sub.add_parser("generate", help="Generate a spectrum file from a closed-form family.")
+    gen = sub.add_parser("generate", parents=[writes],
+                         help="Generate a spectrum file from a closed-form family.")
     gen.add_argument("--shape", required=True,
                      choices=["interval", "rectangle", "torus", "constant-density", "constant_density"])
     gen.add_argument("--length", type=float, default=None, help="interval length")
@@ -319,63 +297,46 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=None, help="number of eigenvalues")
     gen.add_argument("--lambda-max", type=float, default=None, help="eigenvalue cutoff")
     gen.add_argument("--label", default=None)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--manifest", default=None)
     gen.set_defaults(func=_generate)
 
-    ver = sub.add_parser("verify", help="Run one of the four identity checks over a grid.")
-    ver.add_argument("--spectrum", required=True)
+    ver = sub.add_parser("verify", parents=[reads],
+                         help="Run one of the four identity checks over a grid.")
     ver.add_argument("--theorem", type=int, required=True, choices=[1, 2, 3, 4])
-    ver.add_argument("--t", default=None, help="t grid (comma list or start:stop:step)")
-    ver.add_argument("--lambda", dest="lam", default=None, help="lambda grid")
-    ver.add_argument("--beta", default=None, help="beta grid (theorem 3)")
+    ver.add_argument("--t", default=None, help="t grid, theorems 1 and 4 (a,b,c or start:stop:step)")
+    ver.add_argument("--lambda", dest="lam", default=None, help="lambda grid, theorems 2 and 3")
+    ver.add_argument("--beta", default=None, help="beta grid, theorem 3")
     ver.add_argument("--tol", type=float, default=None,
-                     help="row tolerance (defaults: 1e-12 rel, 0.1 abs, bound-based, 0.01)")
-    ver.add_argument("--out", required=True)
-    ver.add_argument("--manifest", default=None)
+                     help="row tolerance, theorems 1, 2 and 4 (defaults: 1e-12 rel, 0.1 abs, 0.01)")
     ver.set_defaults(func=_verify)
 
-    smo = sub.add_parser("smooth", help="Sharpness sweep of the smoothed counting function.")
-    smo.add_argument("--spectrum", required=True)
+    smo = sub.add_parser("smooth", parents=[reads],
+                         help="Sharpness sweep of the smoothed counting function.")
     smo.add_argument("--lambda", dest="lam", type=float, required=True)
     smo.add_argument("--beta", default=None, help="beta grid; default 50/(nearest gap)")
-    smo.add_argument("--out", required=True)
-    smo.add_argument("--manifest", default=None)
     smo.set_defaults(func=_smooth)
 
-    inv = sub.add_parser("invert", help="Contour-invert the heat trace back to counts.")
-    inv.add_argument("--spectrum", required=True)
+    inv = sub.add_parser("invert", parents=[reads], help="Contour-invert the heat trace back to counts.")
     inv.add_argument("--lambda", dest="lam", required=True, help="lambda grid")
     inv.add_argument("--c", dest="contour_c", type=float, default=None, help="contour abscissa")
     inv.add_argument("--height", type=float, default=None, help="contour truncation T")
     inv.add_argument("--step", type=float, default=None, help="trapezoid step h")
-    inv.add_argument("--out", required=True)
-    inv.add_argument("--manifest", default=None)
     inv.set_defaults(func=_invert)
 
-    wey = sub.add_parser("weyl", help="Constant-density regime check K(t) vs N(1/t).")
-    wey.add_argument("--spectrum", required=True)
+    wey = sub.add_parser("weyl", parents=[reads], help="Constant-density regime check K(t) vs N(1/t).")
     wey.add_argument("--t", required=True, help="t grid")
-    wey.add_argument("--out", required=True)
-    wey.add_argument("--manifest", default=None)
     wey.set_defaults(func=_weyl)
 
-    tau = sub.add_parser("tauber", help="Power-law fit of K(t) and first-term count prediction.")
-    tau.add_argument("--spectrum", required=True)
+    tau = sub.add_parser("tauber", parents=[reads],
+                         help="Power-law fit of K(t) and first-term count prediction.")
     tau.add_argument("--t-lo", type=float, required=True)
     tau.add_argument("--t-hi", type=float, required=True)
     tau.add_argument("--probe", type=float, required=True, help="lambda at which to predict N")
     tau.add_argument("--points", type=int, default=16)
-    tau.add_argument("--out", required=True)
-    tau.add_argument("--manifest", default=None)
     tau.set_defaults(func=_tauber)
 
-    den = sub.add_parser("density", help="Binned eigenvalue density over a range.")
-    den.add_argument("--spectrum", required=True)
+    den = sub.add_parser("density", parents=[reads], help="Binned eigenvalue density over a range.")
     den.add_argument("--bin-width", type=float, required=True)
     den.add_argument("--range", required=True, help="lo,hi")
-    den.add_argument("--out", required=True)
-    den.add_argument("--manifest", default=None)
     den.set_defaults(func=_density)
 
     return parser
@@ -386,10 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except HeatcountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (HeatcountError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -73,14 +73,13 @@ _INV_2PI_LO = -9.839338337591243e-18
 class InversionConfig:
     """Contour abscissa c, truncation height T, and trapezoid step h.
 
-    With ``auto`` (the default) all three are derived from the evaluation
+    Left all None (the default), the three are derived from the evaluation
     point and the spectrum; a manual configuration must supply them all.
     """
 
     c: float | None = None
     T: float | None = None
     h: float | None = None
-    auto: bool = True
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ def abscissa_estimate(s: Spectrum) -> float:
 
 
 def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionConfig:
-    if cfg.auto:
+    auto = cfg.c is None and cfg.T is None and cfg.h is None
+    if auto:
         try:
             est = abscissa_estimate(s)
         except InsufficientDataError:
@@ -143,13 +143,13 @@ def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionC
         raise ConfigurationError(
             f"e^(c*lam) overflows for c*lam = {c * lam:g}; choose a smaller contour abscissa"
         )
-    if not cfg.auto:
+    if not auto:
         return cfg
     below = s.values[(s.values < lam) & (s.values > 0)]
     lam_ref = float(below[-1]) if below.size else lam
     h = min(math.pi / (8.0 * lam), math.pi / (8.0 * lam_ref))
     T = _auto_truncation(s, lam, c, h)
-    return InversionConfig(c=c, T=T, h=h, auto=True)
+    return InversionConfig(c=c, T=T, h=h)
 
 
 def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:

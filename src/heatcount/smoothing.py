@@ -19,38 +19,30 @@ from .evaltable import EvalTable
 from .spectrum import Spectrum
 from .transforms import CountingMode, _sum, counting
 
-DEFAULT_EXPONENT_CAP = 700.0  # e^709 overflows a double; saturated terms are exact to e^-700
+SHARPNESS = 50.0  # default_beta: beta times the distance to the nearest other eigenvalue
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Sharpness beta (inverse eigenvalue units) and the saturation cap."""
+    """Sharpness beta (inverse eigenvalue units)."""
 
     beta: float
-    exponent_cap: float = DEFAULT_EXPONENT_CAP
 
     def __post_init__(self):
         if not (self.beta > 0):
             raise DomainError(f"beta must be positive, got {self.beta!r}")
-        if not (0 < self.exponent_cap <= 709.0):
-            raise DomainError(f"exponent cap must lie in (0, 709], got {self.exponent_cap!r}")
 
 
-def _occupation(x: np.ndarray, cap: float) -> np.ndarray:
-    """1/(e^x + 1) with saturation: exactly 0 above +cap, exactly 1 below -cap."""
-    xc = np.clip(x, -cap, cap)
-    positive = xc > 0
-    expneg = np.exp(-np.abs(xc))
-    out = np.where(positive, expneg / (1.0 + expneg), 1.0 / (1.0 + expneg))
-    out = np.where(x > cap, 0.0, out)
-    out = np.where(x < -cap, 1.0, out)
-    return out
+def _occupation(x: np.ndarray) -> np.ndarray:
+    """1/(e^x + 1) without overflow: exactly 1 below x ~ -37, exactly 0 beyond x ~ 745."""
+    e = np.exp(-np.abs(x))
+    return np.where(x > 0, e, 1.0) / (1.0 + e)
 
 
 def smoothed_counting(s: Spectrum, lam: float, cfg: SmoothingConfig) -> float:
     """sum_n mult_n / (e^(beta(lam_n - lam)) + 1), in [0, total count]."""
     x = cfg.beta * (s.values - lam)
-    return _sum(s.multiplicities * _occupation(x, cfg.exponent_cap))
+    return _sum(s.multiplicities * _occupation(x))
 
 
 def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
@@ -71,16 +63,16 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
     return _sum(s.multiplicities * (t / (1.0 + t)))
 
 
-def default_beta(s: Spectrum, lam: float, sharpness: float = 50.0) -> float:
-    """sharpness / (distance from lam to the nearest eigenvalue other than lam)."""
+def default_beta(s: Spectrum, lam: float) -> float:
+    """SHARPNESS / (distance from lam to the nearest eigenvalue other than lam)."""
     dist = np.abs(s.values - lam)
     dist = dist[dist > 0]
     if dist.size == 0:
-        return sharpness  # single-point spectrum at lam: no gap scale available
-    return sharpness / float(np.min(dist))
+        return SHARPNESS  # single-point spectrum at lam: no gap scale available
+    return SHARPNESS / float(np.min(dist))
 
 
-def beta_sweep(s: Spectrum, lam: float, beta_list, cap: float = DEFAULT_EXPONENT_CAP) -> EvalTable:
+def beta_sweep(s: Spectrum, lam: float, beta_list) -> EvalTable:
     """Convergence study: one row (beta, value, deviation, bound) per beta.
 
     Deviation is measured against the strict counting function; for lam
@@ -96,7 +88,7 @@ def beta_sweep(s: Spectrum, lam: float, beta_list, cap: float = DEFAULT_EXPONENT
         metadata={"lambda": lam, "oracle": oracle},
     )
     for beta in betas:
-        value = smoothed_counting(s, lam, SmoothingConfig(beta=beta, exponent_cap=cap))
+        value = smoothed_counting(s, lam, SmoothingConfig(beta=beta))
         try:
             bound = smoothing_error_bound(s, lam, beta)
         except DomainError:

@@ -171,6 +171,65 @@ class TestVerify:
                        *extra, "--out", out2) in (0, 1)
             assert out1.read_bytes() == out2.read_bytes()
 
+    def test_unconverged_quadrature_fails_its_row(self, tmp_path, monkeypatch):
+        from heatcount import AccuracyError, transforms
+
+        spectrum = tmp_path / "interval2000.json"
+        run("generate", "--shape", "interval", "--length", math.pi, "--count", 2000,
+            "--out", spectrum)
+        s = load_spectrum(spectrum)
+        monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", 3)
+        out = tmp_path / "t1.csv"
+        code = run("verify", "--spectrum", spectrum, "--theorem", 1, "--out", out)
+        assert code == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0.01", "0.10000000000000001", "1", "10"]
+        for row in rows:
+            # the quadrature column keeps the estimate of the raised AccuracyError
+            with pytest.raises(AccuracyError) as info:
+                transforms.laplace_of_counting(s, float(row[0]), "quadrature")
+            assert float(row[3]) == info.value.estimate
+            assert row[-1] == "no"
+
+    @pytest.mark.parametrize("theorem, given", [
+        (1, ["--beta", "1"]), (1, ["--lambda", "2.5"]), (2, ["--beta", "1"]),
+        (2, ["--t", "0.1"]), (3, ["--tol", "0.1"]), (3, ["--t", "0.1"]),
+        (4, ["--beta", "1"]), (4, ["--lambda", "2.5"]),
+    ])
+    def test_flag_the_theorem_does_not_read_exits_2(self, tmp_path, interval_file, capsys,
+                                                    theorem, given):
+        needed = {1: [], 2: ["--lambda", "2.5"], 3: ["--lambda", "12"], 4: []}[theorem]
+        out = tmp_path / "x.csv"
+        code = run("verify", "--spectrum", interval_file, "--theorem", theorem, *needed, *given,
+                   "--out", out)
+        assert code == 2
+        assert f"{given[0][2:]}: not read by theorem {theorem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem, direct, flags", [
+        (2, "invert", ["--lambda", "0.5,2.5,9,12,380.5"]),
+        (3, "smooth", ["--lambda", "12", "--beta", "0.5,1,2,5,10,20"]),
+        (4, "weyl", ["--t", "0.001:0.01:0.001"]),
+    ])
+    def test_table_is_the_direct_subcommand_plus_pass(self, tmp_path, interval_file, const_file,
+                                                      theorem, direct, flags):
+        spectrum = const_file if theorem == 4 else interval_file
+        checked, plain = tmp_path / "verify.csv", tmp_path / "direct.csv"
+        run("verify", "--spectrum", spectrum, "--theorem", theorem, *flags, "--out", checked)
+        assert run(direct, "--spectrum", spectrum, *flags, "--out", plain) == 0
+        lines = checked.read_text().splitlines()
+        assert lines[0].endswith(",pass")
+        assert [line.rsplit(",", 1)[0] for line in lines] == plain.read_text().splitlines()
+
+    def test_manifest_records_resolved_defaults(self, tmp_path, interval_file):
+        out = tmp_path / "t1.csv"
+        assert run("verify", "--spectrum", interval_file, "--theorem", 1, "--out", out) == 0
+        manifest = json.loads((tmp_path / "t1.csv.manifest.json").read_text())
+        assert manifest["params"] == {
+            "spectrum": str(interval_file), "theorem": 1, "t": "0.01,0.1,1,10", "tol": 1e-12,
+            "out": str(out),
+        }
+
     def test_rerun_from_manifest_params_reproduces(self, tmp_path, interval_file):
         out1 = tmp_path / "a.csv"
         run("verify", "--spectrum", interval_file, "--theorem", 1, "--t", "0.5,1", "--out", out1)
@@ -193,6 +252,12 @@ class TestThinWrappers:
         lines = out.read_text().splitlines()
         assert lines[0] == "beta,value,deviation,bound"
         assert len(lines) == 2
+
+    def test_smooth_manifest_records_default_beta(self, tmp_path, interval_file):
+        out = tmp_path / "s.csv"
+        assert run("smooth", "--spectrum", interval_file, "--lambda", 12, "--out", out) == 0
+        beta = json.loads((tmp_path / "s.csv.manifest.json").read_text())["params"]["beta"]
+        assert float(beta) == float(out.read_text().splitlines()[1].split(",")[0])
 
     def test_invert_profile_csv(self, tmp_path, interval_file):
         out = tmp_path / "i.csv"

@@ -68,7 +68,7 @@ class TestBromwichInvert:
         halved = bromwich_invert(
             interval_pi_200,
             12.0,
-            InversionConfig(c=cfg.c, T=cfg.T, h=cfg.h / 2.0, auto=False),
+            InversionConfig(c=cfg.c, T=cfg.T, h=cfg.h / 2.0),
         )
         assert abs(halved.value - base.value) < base.oscillation_estimate
 
@@ -78,16 +78,16 @@ class TestBromwichInvert:
 
     def test_manual_config_requires_all_fields(self, interval_pi_200):
         with pytest.raises(ConfigurationError):
-            bromwich_invert(interval_pi_200, 12.0, InversionConfig(c=1.0, auto=False))
+            bromwich_invert(interval_pi_200, 12.0, InversionConfig(c=1.0))
 
     def test_manual_config_validates_shape(self, interval_pi_200):
         with pytest.raises(ConfigurationError):
             bromwich_invert(
-                interval_pi_200, 12.0, InversionConfig(c=-1.0, T=10.0, h=0.1, auto=False)
+                interval_pi_200, 12.0, InversionConfig(c=-1.0, T=10.0, h=0.1)
             )
         with pytest.raises(ConfigurationError):
             bromwich_invert(
-                interval_pi_200, 12.0, InversionConfig(c=1.0, T=1.0, h=2.0, auto=False)
+                interval_pi_200, 12.0, InversionConfig(c=1.0, T=1.0, h=2.0)
             )
 
     def test_contour_below_abscissa_rejected(self, const_density_200):
@@ -95,13 +95,13 @@ class TestBromwichInvert:
         assert est > 0.01
         with pytest.raises(ConfigurationError, match="abscissa"):
             bromwich_invert(
-                const_density_200, 5.5, InversionConfig(c=0.01, T=100.0, h=0.01, auto=False)
+                const_density_200, 5.5, InversionConfig(c=0.01, T=100.0, h=0.01)
             )
 
     def test_overflowing_damping_rejected(self, interval_pi_200):
         with pytest.raises(ConfigurationError, match="overflow"):
             bromwich_invert(
-                interval_pi_200, 12.0, InversionConfig(c=100.0, T=200.0, h=0.01, auto=False)
+                interval_pi_200, 12.0, InversionConfig(c=100.0, T=200.0, h=0.01)
             )
 
     def test_overflowing_auto_contour_rejected(self):
@@ -141,7 +141,7 @@ class TestInvertProfile:
 
     def test_per_row_errors_do_not_abort(self, interval_pi_200):
         # c*lam overflows only for the second row
-        cfg = InversionConfig(c=100.0, T=10.0, h=0.01, auto=False)
+        cfg = InversionConfig(c=100.0, T=10.0, h=0.01)
         table = invert_profile(interval_pi_200, [5.0, 10.0], cfg)
         matches = table.column("match")
         assert matches[1].startswith("error")
@@ -169,7 +169,6 @@ def assert_matches_direct_trapezoid(s, lam, cfg=None):
     res = bromwich_invert(s, lam, cfg)
     expected_cfg = _resolve_config(s, lam, cfg or InversionConfig())
     used = res.config_used
-    assert used.auto == expected_cfg.auto
     assert [used.c.hex(), used.T.hex(), used.h.hex()] == [
         expected_cfg.c.hex(),
         expected_cfg.T.hex(),
@@ -225,7 +224,7 @@ class TestContourKernel:
     )
     def test_manual_contours(self, interval_pi_200, const_density_200, family, lam, c, T, h):
         s = interval_pi_200 if family == "interval" else const_density_200
-        assert_matches_direct_trapezoid(s, lam, InversionConfig(c=c, T=T, h=h, auto=False))
+        assert_matches_direct_trapezoid(s, lam, InversionConfig(c=c, T=T, h=h))
 
     @given(
         st.lists(
