@@ -74,12 +74,24 @@ class InversionConfig:
     """Contour abscissa c, truncation height T, and trapezoid step h.
 
     Left all None (the default), the three are derived from the evaluation
-    point and the spectrum; a manual configuration must supply them all.
+    point and the spectrum; a manual configuration must supply them all,
+    with c > 0 and 0 < h < T.
     """
 
     c: float | None = None
     T: float | None = None
     h: float | None = None
+
+    def __post_init__(self):
+        given = [x is not None for x in (self.c, self.T, self.h)]
+        if not any(given):
+            return
+        if not all(given):
+            raise ConfigurationError("manual inversion config requires c, T and h")
+        if not (self.c > 0):
+            raise ConfigurationError(f"contour abscissa c must be positive, got {self.c!r}")
+        if not (0 < self.h < self.T):
+            raise ConfigurationError(f"need 0 < h < T, got h={self.h!r}, T={self.T!r}")
 
 
 @dataclass(frozen=True)
@@ -116,40 +128,27 @@ def abscissa_estimate(s: Spectrum) -> float:
 
 
 def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionConfig:
-    auto = cfg.c is None and cfg.T is None and cfg.h is None
-    if auto:
-        try:
-            est = abscissa_estimate(s)
-        except InsufficientDataError:
-            est = 0.0  # small spectra: fall back to the pure damping target
+    try:
+        est = abscissa_estimate(s)
+    except InsufficientDataError:
+        est = 0.0  # small spectra: fall back to the pure damping target
+    if cfg.c is None:
         c = max(2.0 * est, KAPPA / lam)
+    elif cfg.c <= est:
+        raise ConfigurationError(
+            f"contour abscissa c={cfg.c!r} does not exceed the convergence abscissa estimate {est!r}"
+        )
     else:
-        if cfg.c is None or cfg.T is None or cfg.h is None:
-            raise ConfigurationError("manual inversion config requires c, T and h")
-        if not (cfg.c > 0):
-            raise ConfigurationError(f"contour abscissa c must be positive, got {cfg.c!r}")
-        if not (0 < cfg.h < cfg.T):
-            raise ConfigurationError(f"need 0 < h < T, got h={cfg.h!r}, T={cfg.T!r}")
-        if s.total_count >= 32:
-            est = abscissa_estimate(s)
-            if cfg.c <= est:
-                raise ConfigurationError(
-                    f"contour abscissa c={cfg.c!r} does not exceed the convergence "
-                    f"abscissa estimate {est!r}"
-                )
         c = cfg.c
     # checked before _auto_truncation, which evaluates e^(c lam) itself
     if c * lam > 700.0:
         raise ConfigurationError(
             f"e^(c*lam) overflows for c*lam = {c * lam:g}; choose a smaller contour abscissa"
         )
-    if not auto:
+    if cfg.c is not None:
         return cfg
-    below = s.values[(s.values < lam) & (s.values > 0)]
-    lam_ref = float(below[-1]) if below.size else lam
-    h = min(math.pi / (8.0 * lam), math.pi / (8.0 * lam_ref))
-    T = _auto_truncation(s, lam, c, h)
-    return InversionConfig(c=c, T=T, h=h)
+    h = math.pi / (8.0 * lam)
+    return InversionConfig(c=c, T=_auto_truncation(s, lam, c, h), h=h)
 
 
 def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:

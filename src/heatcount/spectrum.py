@@ -63,9 +63,10 @@ class Spectrum:
             raise ValidationError("eigenvalues must be strictly increasing; merge duplicates first")
         if np.any(mults < 1):
             raise ValidationError("multiplicities must be >= 1")
-        if self.cutoff is not None and self.cutoff < values[-1]:
+        if self.cutoff is not None and not (values[-1] <= self.cutoff < math.inf):
             raise ValidationError(
-                f"cutoff {self.cutoff!r} below largest stored eigenvalue {values[-1]!r}"
+                f"cutoff {self.cutoff!r} must be finite and at least the largest stored "
+                f"eigenvalue {float(values[-1])!r}"
             )
         values.flags.writeable = False
         mults.flags.writeable = False
@@ -124,47 +125,38 @@ class Spectrum:
     ) -> "Spectrum":
         """Build a spectrum from possibly unsorted, possibly repeated values.
 
-        Equal values are merged into multiplicities; with ``merge_rtol > 0``
-        values within that relative distance merge too (file inputs carry
-        rounding noise, generator output does not).
+        Every entry is checked before merging: values must be finite and
+        non-negative, multiplicities at least 1; the error names the first
+        bad ``entries[i]`` in input order.  Sorted values merge into one
+        distinct value while each gap is at most ``merge_rtol`` times the
+        larger neighbour, so ``merge_rtol = 0`` merges exactly equal values
+        only (file inputs carry rounding noise, generator output does not).
         """
         values = np.asarray(values, dtype=np.float64)
         if multiplicities is None:
             mults = np.ones(values.shape, dtype=np.int64)
         else:
             mults = np.asarray(multiplicities, dtype=np.int64)
-        if values.size and np.any(values < 0):
-            bad = int(np.argmax(values < 0))
-            raise ValidationError(f"entries[{bad}].value: negative eigenvalue {values[bad]!r}")
+        bad = ~np.isfinite(values) | (values < 0) | (mults < 1)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            value = float(values[i])
+            if not math.isfinite(value):
+                raise ValidationError(f"entries[{i}].value: must be finite, got {value!r}")
+            if value < 0:
+                raise ValidationError(f"entries[{i}].value: negative eigenvalue {value!r}")
+            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1, got {int(mults[i])}")
         order = np.argsort(values, kind="stable")
         values = values[order]
         mults = mults[order]
-        merged_v, merged_m = _merge_sorted(values, mults, merge_rtol)
+        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > merge_rtol * values)
         return cls(
-            merged_v,
-            merged_m,
+            values[starts],
+            np.add.reduceat(mults, starts),
             label=label,
             generator=dict(generator or {}),
             cutoff=cutoff,
         )
-
-
-def _merge_sorted(values: np.ndarray, mults: np.ndarray, rtol: float):
-    """Collapse sorted values into distinct ones, summing multiplicities."""
-    if values.size == 0:
-        return values, mults
-    if rtol > 0.0:
-        gaps = np.diff(values)
-        scale = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
-        new_group = gaps > rtol * scale
-    else:
-        new_group = values[1:] != values[:-1]
-    starts = np.concatenate(([0], np.nonzero(new_group)[0] + 1))
-    out_v = values[starts]
-    ends = np.concatenate((starts[1:], [values.size]))
-    cum = np.concatenate(([0], np.cumsum(mults)))
-    out_m = cum[ends] - cum[starts]
-    return out_v, out_m
 
 
 # -- closed-form generators ---------------------------------------------
@@ -190,39 +182,28 @@ def generate_interval(length: float, count: int) -> Spectrum:
 def generate_rectangle(a: float, b: float, lam_max: float) -> Spectrum:
     """Dirichlet spectrum of the a x b rectangle up to lam_max.
 
-    lam_{m,n} = (m*pi/a)^2 + (n*pi/b)^2 with m, n >= 1; equal eigenvalues
-    merge into multiplicities.
+    lam_{m,n} = (m*pi/a)^2 + (n*pi/b)^2 with m, n >= 1; every sum <= lam_max
+    is kept, equal eigenvalues merge into multiplicities.
     """
     if not (a > 0):
         raise InvalidParameterError("a", f"must be positive, got {a!r}")
     if not (b > 0):
         raise InvalidParameterError("b", f"must be positive, got {b!r}")
-    lam_11 = (math.pi / a) ** 2 + (math.pi / b) ** 2
-    if not (lam_max > 0):
-        raise InvalidParameterError("lambda_max", f"must be positive, got {lam_max!r}")
-    if lam_max < lam_11:
-        raise EmptySpectrumError(
-            f"lambda_max={lam_max!r} is below the smallest eigenvalue {lam_11!r}"
-        )
+    if not (0 < lam_max < math.inf):
+        raise InvalidParameterError("lambda_max", f"must be positive and finite, got {lam_max!r}")
     ka = math.pi / a
     kb = math.pi / b
-    chunks = []
-    m = 1
-    while (m * ka) ** 2 + kb**2 <= lam_max:
-        rem = lam_max - (m * ka) ** 2
-        n_max = int(math.floor(math.sqrt(rem) / kb))
-        while ((n_max + 1) * kb) ** 2 <= rem:  # guard floor against roundoff
-            n_max += 1
-        while n_max >= 1 and (n_max * kb) ** 2 > rem:
-            n_max -= 1
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        chunks.append((m * ka) ** 2 + (n * kb) ** 2)
-        m += 1
-    values = np.concatenate(chunks)
-    distinct, mults = np.unique(values, return_counts=True)
+    # one more mode per side than sqrt(lam_max) allows, so rounding cannot cut the box short
+    first = (np.arange(1, int(math.sqrt(lam_max) / ka) + 2) * ka) ** 2
+    second = (np.arange(1, int(math.sqrt(lam_max) / kb) + 2) * kb) ** 2
+    distinct, mults = _lattice(first, second, lam_max)
+    if distinct.size == 0:
+        raise EmptySpectrumError(
+            f"lambda_max={lam_max!r} is below the smallest eigenvalue {float(first[0] + second[0])!r}"
+        )
     return Spectrum(
         distinct,
-        mults.astype(np.int64),
+        mults,
         label=f"rectangle {a:g}x{b:g}",
         generator={"kind": "rectangle", "a": float(a), "b": float(b), "lambda_max": float(lam_max)},
         cutoff=float(lam_max),
@@ -235,22 +216,25 @@ def generate_torus(lam_max: float) -> Spectrum:
     Multiplicity of k is the number of lattice points on the circle of
     squared radius k; the zero mode is included with multiplicity 1.
     """
-    if lam_max < 0:
-        raise InvalidParameterError("lambda_max", f"must be >= 0, got {lam_max!r}")
+    if not (0 <= lam_max < math.inf):
+        raise InvalidParameterError("lambda_max", f"must be finite and >= 0, got {lam_max!r}")
     side = int(math.floor(math.sqrt(lam_max)))
-    coords = np.arange(-side, side + 1, dtype=np.int64)
-    squared = coords**2
-    grid = squared[:, None] + squared[None, :]
-    flat = grid.ravel()
-    flat = flat[flat <= lam_max]
-    distinct, mults = np.unique(flat, return_counts=True)
+    squared = np.arange(-side, side + 1, dtype=np.int64) ** 2
+    distinct, mults = _lattice(squared, squared, lam_max)
     return Spectrum(
-        distinct.astype(np.float64),
-        mults.astype(np.int64),
+        distinct,
+        mults,
         label="flat torus",
         generator={"kind": "torus", "lambda_max": float(lam_max)},
         cutoff=float(lam_max),
     )
+
+
+def _lattice(first: np.ndarray, second: np.ndarray, lam_max: float):
+    """Distinct values and counts of the sums first_i + second_j that are <= lam_max."""
+    sums = first[:, None] + second[None, :]
+    sums = sums[sums <= lam_max]  # frees the box before np.unique sorts a copy
+    return np.unique(sums, return_counts=True)
 
 
 def generate_constant_density(c: float, count: int) -> Spectrum:
@@ -298,21 +282,23 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
         value = entry["value"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SpectrumFormatError(f"entries[{i}].value: expected a number, got {value!r}")
-        if value < 0:
-            raise ValidationError(f"entries[{i}].value: negative eigenvalue {value!r}")
+        try:
+            values[i] = value
+        except OverflowError:  # an integer beyond the double range
+            raise ValidationError(f"entries[{i}].value: must be finite, got {value!r}") from None
         mult = entry.get("multiplicity", 1)
         if isinstance(mult, bool) or not isinstance(mult, int):
             raise SpectrumFormatError(f"entries[{i}].multiplicity: expected an integer, got {mult!r}")
-        if mult < 1:
-            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1, got {mult!r}")
-        values[i] = value
+        if not -(2**63) <= mult < 2**63:
+            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1 and < 2**63, got {mult!r}")
         mults[i] = mult
-    sorted_strictly = bool(np.all(values[1:] > values[:-1]))
-    if not sorted_strictly:
-        warnings.warn("spectrum entries not strictly increasing; sorting and merging", stacklevel=3)
     cutoff = payload.get("cutoff")
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, (int, float))):
         raise SpectrumFormatError(f"cutoff: expected a number, got {cutoff!r}")
+    try:
+        cutoff = None if cutoff is None else float(cutoff)
+    except OverflowError:  # an integer beyond the double range
+        raise ValidationError(f"cutoff: must be finite, got {cutoff!r}") from None
     generator = payload.get("generator")
     if generator is None:
         generator = {"kind": "file"}
@@ -321,10 +307,12 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
         mults,
         label=str(payload.get("label", "")),
         generator=generator,
-        cutoff=None if cutoff is None else float(cutoff),
+        cutoff=cutoff,
         merge_rtol=FILE_MERGE_RTOL,
     )
-    if sorted_strictly and s.values.size < values.size:
+    if not np.all(values[1:] > values[:-1]):
+        warnings.warn("spectrum entries not strictly increasing; sorting and merging", stacklevel=3)
+    elif s.values.size < values.size:
         warnings.warn(
             f"merged {values.size - s.values.size} near-duplicate entries "
             f"(relative tolerance {FILE_MERGE_RTOL:g})",

@@ -27,15 +27,20 @@ def torus_multiplicities(lam_max: float) -> dict[int, int]:
 
 
 def rectangle_eigenvalues(a: float, b: float, lam_max: float) -> list[float]:
+    """Every sum x_m + y_n <= lam_max over m, n >= 1, with multiplicity, sorted.
+
+    x_m = (m pi/a) * (m pi/a) and y_n = (n pi/b) * (n pi/b): squares as
+    products, the rounding numpy gives an array squared.  Rounding is
+    monotone, so the sums grow with m and n and each loop ends at the
+    first sum above lam_max.
+    """
+    ka, kb = math.pi / a, math.pi / b
     out = []
     m = 1
-    while (m * math.pi / a) ** 2 <= lam_max:
+    while (m * ka) * (m * ka) + kb * kb <= lam_max:
         n = 1
-        while True:
-            lam = (m * math.pi / a) ** 2 + (n * math.pi / b) ** 2
-            if lam > lam_max:
-                break
-            out.append(lam)
+        while (m * ka) * (m * ka) + (n * kb) * (n * kb) <= lam_max:
+            out.append((m * ka) * (m * ka) + (n * kb) * (n * kb))
             n += 1
         m += 1
     return sorted(out)

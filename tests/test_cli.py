@@ -273,6 +273,15 @@ class TestThinWrappers:
         row = out.read_text().splitlines()[1].split(",")
         assert abs(float(row[1]) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("contour", [["--c", 0.8], ["--height", 400, "--step", 0.01],
+                                         ["--c", -1, "--height", 400, "--step", 0.01]])
+    def test_invert_bad_manual_contour_exits_2(self, tmp_path, interval_file, capsys, contour):
+        out = tmp_path / "i.csv"
+        assert run("invert", "--spectrum", interval_file, "--lambda", "2.5,6.5", *contour,
+                   "--out", out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invert_overflowing_contour_is_an_error_row(self, tmp_path):
         # the auto abscissa of this file spectrum puts c*lam near 887 at lam = 1
         spectrum = tmp_path / "file.json"

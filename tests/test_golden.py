@@ -2,12 +2,15 @@
 
 Each case reruns one subcommand on the generated acceptance spectra and
 compares the CSV it writes, byte for byte, with the file of the same name
-under ``tests/golden/``.  A refactor must leave every file unchanged; a
-change that means to alter an output regenerates its golden file and
-says so.  The bytes depend on the floating-point results of numpy and
-its BLAS; the files were produced on x86-64 with numpy 2.4.
+under ``tests/golden/``; the spectrum JSON that ``generate`` writes is held
+to a pinned sha256 the same way.  A refactor must leave every file
+unchanged; a change that means to alter an output regenerates its golden
+file or digest and says so.  The bytes depend on the floating-point
+results of numpy and its BLAS; the files were produced on x86-64 with
+numpy 2.4.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -21,6 +24,18 @@ SPECTRA = {
     "interval-10k": ["--shape", "interval", "--length", repr(math.pi), "--count", "10000"],
     "interval-200": ["--shape", "interval", "--length", repr(math.pi), "--count", "200"],
     "const-10k": ["--shape", "constant-density", "--density", "1", "--count", "10000"],
+    "rectangle-10k": ["--shape", "rectangle", "--a", repr(math.pi), "--b", repr(math.pi),
+                      "--lambda-max", "10000"],
+    "torus-10k": ["--shape", "torus", "--lambda-max", "10000"],
+}
+
+# sha256 of the spectrum JSON that `generate` writes
+SPECTRUM_SHA256 = {
+    "interval-10k": "5010871357cfdbaaa32a6213f363da531ba5cffbd9a5e5ae9dc8bda8a65be468",
+    "interval-200": "9422f123f8171e79947d857ac1b9a162e84e9ed56a98c806b0668ce7aa1835ef",
+    "const-10k": "d5801bfa2ae1d5911e3c9d179e54d37470cd45e191098996a86c318e812ceaed",
+    "rectangle-10k": "b7a9d85840957486d8ea10274607debc5a3dddea273e704a334055c5b5be4542",
+    "torus-10k": "0d9b0eaa8645d86b5b7af9159185519b0e7ae3f88a294c2ee024115eb2509a06",
 }
 
 # golden file stem -> (spectrum, subcommand and its flags)
@@ -57,3 +72,9 @@ def test_csv_matches_golden_bytes(name, spectra, tmp_path):
     assert run_case(name, spectra, tmp_path) == 0
     got = (tmp_path / f"{name}.csv").read_bytes()
     assert got == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_spectrum_matches_pinned_digest(name, spectra):
+    digest = hashlib.sha256((spectra / f"{name}.json").read_bytes()).hexdigest()
+    assert digest == SPECTRUM_SHA256[name]

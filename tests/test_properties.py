@@ -15,6 +15,7 @@ from heatcount import (
     InversionConfig,
     SmoothingConfig,
     Spectrum,
+    ValidationError,
     counting,
     generate_constant_density,
     generate_interval,
@@ -150,6 +151,26 @@ def test_json_dict_round_trip_exact(entries):
             v, s.multiplicities, cutoff=s.coverage, merge_rtol=FILE_MERGE_RTOL
         )
         assert clone == merged
+
+
+bad_entries = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]).map(lambda v: {"value": v}),
+    st.floats(max_value=0.0, exclude_max=True).map(lambda v: {"value": v, "multiplicity": 1}),
+    st.integers(max_value=0).map(lambda m: {"value": 1.0, "multiplicity": m}),
+)
+
+
+@given(entry_lists, bad_entries, st.data())
+def test_bad_entry_rejected_by_index(entries, bad, data):
+    """One bad entry anywhere in an otherwise valid file, sorted or not, is named
+    by its index, and no sorting or merging warning comes first."""
+    payload = {"entries": [{"value": v, "multiplicity": m} for v, m in entries]}
+    i = data.draw(st.integers(min_value=0, max_value=len(entries) - 1), label="i")
+    payload["entries"][i] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=rf"^entries\[{i}\]\.(value|multiplicity): "):
+            spectrum_from_dict(payload)
 
 
 FAMILIES = {

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from heatcount import (
@@ -76,6 +78,23 @@ class TestRectangleGenerator:
         assert s.total_count == len(brute)
         flat = np.repeat(s.values, s.multiplicities)
         assert flat == pytest.approx(brute, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(1.3, 0.7), (2.2, 1.9), (0.9, 3.1)])
+    def test_keeps_eigenvalue_equal_to_lambda_max(self, a, b):
+        for lam in sorted(set(oracles.rectangle_eigenvalues(a, b, 5000.0)))[-50:]:
+            assert generate_rectangle(a, b, lam).values[-1] == lam
+
+    @given(
+        st.floats(min_value=0.8, max_value=3.0),
+        st.floats(min_value=0.8, max_value=3.0),
+        st.floats(min_value=50.0, max_value=2000.0),
+    )
+    @settings(max_examples=50)
+    def test_random_sides_match_brute_loop(self, a, b, lam_max):
+        s = generate_rectangle(a, b, lam_max)
+        assert np.repeat(s.values, s.multiplicities).tolist() == oracles.rectangle_eigenvalues(
+            a, b, lam_max
+        )
 
     def test_cutoff_below_ground_state(self):
         with pytest.raises(EmptySpectrumError):
@@ -163,6 +182,11 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError):
             Spectrum(np.array([1.0]), np.array([0]))
 
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+    def test_rejects_non_finite_cutoff(self, cutoff):
+        with pytest.raises(ValidationError, match="cutoff"):
+            Spectrum(np.array([1.0]), np.array([1]), cutoff=cutoff)
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             Spectrum(np.array([]), np.array([]))
@@ -176,6 +200,10 @@ class TestConstructionInvariants:
         s = Spectrum.from_entries([4.0, 1.0, 1.0])
         assert s.values.tolist() == [1.0, 4.0]
         assert s.multiplicities.tolist() == [2, 1]
+
+    def test_from_entries_rejects_zero_multiplicity_before_merging(self):
+        with pytest.raises(ValidationError, match=r"^entries\[0\].multiplicity"):
+            Spectrum.from_entries([1.0, 1.0], [0, 1])
 
     def test_from_entries_merge_tolerance(self):
         v = 100.0
@@ -224,6 +252,34 @@ class TestPersistence:
         payload = {"entries": [{"value": 1.0, "multiplicity": 0}]}
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=r"entries\[0\].multiplicity"):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize("cutoff", ["NaN", "Infinity"])
+    def test_non_finite_cutoff_rejected(self, tmp_path, cutoff):
+        path = tmp_path / "c.json"
+        path.write_text('{"cutoff": %s, "entries": [{"value": 1.0, "multiplicity": 1}]}' % cutoff)
+        with pytest.raises(ValidationError, match="cutoff"):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            ('{"value": 1%s}' % ("0" * 400), r"entries\[0\]\.value"),
+            ('{"value": 1.0, "multiplicity": %d}' % 2**63, r"entries\[0\]\.multiplicity"),
+            ('{"value": 1.0, "multiplicity": %d}' % -(2**63 + 1), r"entries\[0\]\.multiplicity"),
+        ],
+        ids=["value-10**400", "multiplicity-2**63", "multiplicity-below-int64"],
+    )
+    def test_integer_beyond_storage_range_rejected(self, tmp_path, entry, where):
+        path = tmp_path / "big.json"
+        path.write_text('{"entries": [%s]}' % entry)
+        with pytest.raises(ValidationError, match="^" + where):
+            load_spectrum(path)
+
+    def test_cutoff_beyond_double_range_rejected(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"cutoff": 1%s, "entries": [{"value": 1.0}]}' % ("0" * 400))
+        with pytest.raises(ValidationError, match="^cutoff"):
             load_spectrum(path)
 
     def test_parse_error_reports_line(self, tmp_path):
