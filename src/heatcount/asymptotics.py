@@ -112,8 +112,6 @@ class PowerLawFit:
     amplitude: float
     exponent: float
     fit_residual: float
-    t_window: tuple[float, float]
-    n_points: int
     poor_fit: bool
 
 
@@ -183,8 +181,6 @@ def tauberian_first_term(
         amplitude=amplitude,
         exponent=exponent,
         fit_residual=residual,
-        t_window=(t_lo, t_hi),
-        n_points=n_points,
         poor_fit=residual > POOR_FIT_RESIDUAL,
     )
     if exponent <= -1.0:

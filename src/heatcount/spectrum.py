@@ -28,6 +28,10 @@ from .errors import (
 # Generator output merges on exact equality instead.
 FILE_MERGE_RTOL = 1e-12
 
+# Entries save_spectrum formats and writes at a time, so no copy of the whole
+# file is held in memory.
+SAVE_CHUNK = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -137,6 +141,10 @@ class Spectrum:
             mults = np.ones(values.shape, dtype=np.int64)
         else:
             mults = np.asarray(multiplicities, dtype=np.int64)
+        if mults.shape != values.shape:
+            raise ValidationError(
+                f"{values.size} values but {mults.size} multiplicities; the lengths must match"
+            )
         bad = ~np.isfinite(values) | (values < 0) | (mults < 1)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -256,42 +264,13 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
 # -- persistence ----------------------------------------------------------
 
 
-def spectrum_to_dict(s: Spectrum) -> dict:
-    return {
-        "label": s.label,
-        "generator": s.generator,
-        "cutoff": s.coverage,
-        "entries": [
-            {"value": float(v), "multiplicity": int(m)}
-            for v, m in zip(s.values, s.multiplicities)
-        ],
-    }
-
-
 def spectrum_from_dict(payload: dict) -> Spectrum:
     if not isinstance(payload, dict):
         raise SpectrumFormatError("top-level JSON value must be an object")
     entries = payload.get("entries")
     if not isinstance(entries, list) or not entries:
         raise SpectrumFormatError("entries: must be a non-empty list")
-    values = np.empty(len(entries), dtype=np.float64)
-    mults = np.empty(len(entries), dtype=np.int64)
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "value" not in entry:
-            raise SpectrumFormatError(f"entries[{i}]: expected an object with a 'value' field")
-        value = entry["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SpectrumFormatError(f"entries[{i}].value: expected a number, got {value!r}")
-        try:
-            values[i] = value
-        except OverflowError:  # an integer beyond the double range
-            raise ValidationError(f"entries[{i}].value: must be finite, got {value!r}") from None
-        mult = entry.get("multiplicity", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise SpectrumFormatError(f"entries[{i}].multiplicity: expected an integer, got {mult!r}")
-        if not -(2**63) <= mult < 2**63:
-            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1 and < 2**63, got {mult!r}")
-        mults[i] = mult
+    values, mults = _entry_arrays(entries) or _checked_entry_arrays(entries)
     cutoff = payload.get("cutoff")
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, (int, float))):
         raise SpectrumFormatError(f"cutoff: expected a number, got {cutoff!r}")
@@ -321,13 +300,77 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
     return s
 
 
+def _entry_arrays(entries: list):
+    """Value and multiplicity arrays when every entry is well typed, else None.
+
+    One type test per column instead of per entry; anything it does not
+    accept goes to ``_checked_entry_arrays``, which names the bad entry.
+    """
+    if set(map(type, entries)) != {dict}:
+        return None
+    try:
+        values = [entry["value"] for entry in entries]
+    except KeyError:
+        return None
+    mults = [entry.get("multiplicity", 1) for entry in entries]
+    # exact types: bool, an int subclass, fails both tests
+    if not set(map(type, values)) <= {float, int} or set(map(type, mults)) != {int}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64), np.array(mults, dtype=np.int64)
+    except OverflowError:  # an integer beyond the storage range
+        return None
+
+
+def _checked_entry_arrays(entries: list):
+    """Value and multiplicity arrays, checking one entry at a time."""
+    values = np.empty(len(entries), dtype=np.float64)
+    mults = np.empty(len(entries), dtype=np.int64)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "value" not in entry:
+            raise SpectrumFormatError(f"entries[{i}]: expected an object with a 'value' field")
+        value = entry["value"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SpectrumFormatError(f"entries[{i}].value: expected a number, got {value!r}")
+        try:
+            values[i] = value
+        except OverflowError:  # an integer beyond the double range
+            raise ValidationError(f"entries[{i}].value: must be finite, got {value!r}") from None
+        mult = entry.get("multiplicity", 1)
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise SpectrumFormatError(f"entries[{i}].multiplicity: expected an integer, got {mult!r}")
+        if not -(2**63) <= mult < 2**63:
+            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1 and < 2**63, got {mult!r}")
+        mults[i] = mult
+    return values, mults
+
+
 def save_spectrum(s: Spectrum, path) -> None:
-    """Write a spectrum as JSON; values round-trip exactly (repr precision)."""
+    """Write a spectrum as JSON; values round-trip exactly (repr precision).
+
+    The bytes are those of ``json.dump(..., indent=1)`` plus a newline, with
+    the entries formatted directly: the stdlib encoder is pure Python
+    whenever ``indent`` is set.
+    """
+    header = json.dumps(
+        {"label": s.label, "generator": s.generator, "cutoff": s.coverage}, indent=1
+    )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(spectrum_to_dict(s), handle, indent=1)
-        handle.write("\n")
+        # the header object without its closing "\n}", then the entries list
+        handle.write(header[:-2] + ',\n "entries": [\n')
+        for start in range(0, s.values.size, SAVE_CHUNK):
+            chunk = slice(start, start + SAVE_CHUNK)
+            if start:
+                handle.write(",\n")
+            handle.write(
+                ",\n".join(
+                    '  {\n   "value": ' + repr(v) + ',\n   "multiplicity": ' + str(m) + "\n  }"
+                    for v, m in zip(s.values[chunk].tolist(), s.multiplicities[chunk].tolist())
+                )
+            )
+        handle.write("\n ]\n}\n")
 
 
 def load_spectrum(path) -> Spectrum:

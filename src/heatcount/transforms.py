@@ -46,9 +46,8 @@ class CountingMode(Enum):
 
 @dataclass(frozen=True)
 class TailBound:
-    """Bound on the heat-trace mass lost to truncation at ``truncation_cutoff``."""
+    """Bound on the heat-trace mass lost to truncation at the spectrum's coverage."""
 
-    truncation_cutoff: float
     bound_value: float
     valid: bool
 
@@ -108,19 +107,19 @@ def _tail_bound(s: Spectrum, t: float) -> TailBound:
         nxt = ((count + 1) * k) ** 2
         gap = ((count + 2) * k) ** 2 - nxt
         denom = -math.expm1(-gap * t)
-        return TailBound(cutoff, math.exp(-nxt * t) / denom, True)
+        return TailBound(math.exp(-nxt * t) / denom, True)
     if kind == "constant_density":
         c = float(s.generator["density"])
         nxt = (s.total_count + 1) / c
         denom = -math.expm1(-t / c)
-        return TailBound(cutoff, math.exp(-nxt * t) / denom, True)
+        return TailBound(math.exp(-nxt * t) / denom, True)
     if kind == "rectangle":
         a = float(s.generator["a"])
         b = float(s.generator["b"])
         # Elementary lattice-box bound N(lam) <= (a*b/pi^2) * lam.
         alpha = a * b / math.pi**2
         bound = math.exp(-cutoff * t) * (alpha * (cutoff + 1.0 / t) - s.total_count)
-        return TailBound(cutoff, max(bound, 0.0), True)
+        return TailBound(max(bound, 0.0), True)
     if kind == "torus":
         # Lattice points in the disk of squared radius lam fit in a square:
         # N(lam) <= (2 sqrt(lam) + 1)^2 <= (4 + 4/sqrt(L)) lam + 1 for lam >= L >= 1.
@@ -129,8 +128,8 @@ def _tail_bound(s: Spectrum, t: float) -> TailBound:
         start = max(cutoff, 1.0)
         alpha = 4.0 + 4.0 / math.sqrt(start)
         bound = math.exp(-start * t) * (alpha * (start + 1.0 / t) + 1.0 - s.total_count)
-        return TailBound(cutoff, max(bound, 0.0), True)
-    return TailBound(cutoff, 0.0, False)
+        return TailBound(max(bound, 0.0), True)
+    return TailBound(0.0, False)
 
 
 def partial_exponential_sum(s: Spectrum, u: float, t: float) -> float:

@@ -65,6 +65,16 @@ def pairs(spectrum):
     return [(float(v), int(m)) for v, m in zip(spectrum.values, spectrum.multiplicities)]
 
 
+def spectrum_to_dict(spectrum) -> dict:
+    """The JSON object a saved spectrum holds, for the stdlib encoder to write."""
+    return {
+        "label": spectrum.label,
+        "generator": spectrum.generator,
+        "cutoff": spectrum.coverage,
+        "entries": [{"value": v, "multiplicity": m} for v, m in pairs(spectrum)],
+    }
+
+
 # round(2^160 / (2 pi)), from 120 significant digits of pi
 _TURNS_2_160 = 232605209918111709774537830547806037080859518310
 

@@ -1,14 +1,17 @@
 """Property tests for the structural invariants."""
 
 import cmath
+import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from heatcount import (
     ConfigurationError,
     CountingMode,
@@ -23,10 +26,11 @@ from heatcount import (
     generate_torus,
     heat_trace,
     partial_exponential_sum,
+    save_spectrum,
     smoothed_counting,
 )
 from heatcount.inversion import TERM_DROP_EXPONENT, _resolve_config
-from heatcount.spectrum import FILE_MERGE_RTOL, spectrum_from_dict, spectrum_to_dict
+from heatcount.spectrum import FILE_MERGE_RTOL, SAVE_CHUNK, _entry_arrays, spectrum_from_dict
 
 # eigenvalues are 0 or >= 1e-3: below ~1e-16, e^(-lam t) rounds to exactly 1.0
 # and strict monotonicity statements stop being float-meaningful
@@ -134,7 +138,7 @@ def test_json_dict_round_trip_exact(entries):
     """Exact and silent, unless two values sit within FILE_MERGE_RTOL of each other:
     file loading merges those, with a warning."""
     s = build(entries)
-    payload = spectrum_to_dict(s)
+    payload = oracles.spectrum_to_dict(s)
     v = s.values
     separated = np.all(np.diff(v) > FILE_MERGE_RTOL * np.maximum(v[:-1], v[1:]))
     if separated:
@@ -171,6 +175,132 @@ def test_bad_entry_rejected_by_index(entries, bad, data):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=rf"^entries\[{i}\]\.(value|multiplicity): "):
             spectrum_from_dict(payload)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+)
+# nested generator parameters; text covers quotes, backslashes, control
+# characters and non-ASCII, which the encoder escapes
+generator_dicts = st.dictionaries(
+    st.text(),
+    st.recursive(
+        json_scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+extreme_values = [0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308]
+saved_entries = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(extreme_values),
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        ),
+        st.one_of(st.just(2**63 - 1), st.integers(min_value=1, max_value=2**63 - 1)),
+    ),
+    min_size=1,
+    max_size=30,
+    unique_by=lambda entry: entry[0],  # merging could overflow the summed multiplicity
+)
+
+
+def assert_saves_oracle_bytes(s, path):
+    save_spectrum(s, path)
+    expected = json.dumps(oracles.spectrum_to_dict(s), indent=1) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@given(st.text(), generator_dicts, saved_entries)
+@example('"\\\x00\x1f\x7f é ☃ \U0001f600', {"kind": "x", "nested": {"a": [1, None]}}, [(5e-324, 1)])
+@example("", {}, [(v, 2**63 - 1) for v in extreme_values])
+@settings(max_examples=60, deadline=None)
+def test_save_writes_json_dump_bytes(tmp_path_factory, label, generator, entries):
+    s = Spectrum.from_entries(
+        [v for v, _ in entries], [m for _, m in entries], label=label, generator=generator
+    )
+    assert_saves_oracle_bytes(s, tmp_path_factory.mktemp("save") / "s.json")
+
+
+def test_save_writes_json_dump_bytes_across_chunks(tmp_path):
+    s = Spectrum.from_entries(
+        np.arange(1, 2 * SAVE_CHUNK + 2) / 7.0, np.arange(2 * SAVE_CHUNK + 1) % 5 + 1
+    )
+    assert_saves_oracle_bytes(s, tmp_path / "s.json")
+
+
+def load_outcome(payload):
+    """The spectrum and warnings spectrum_from_dict gives, or the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = spectrum_from_dict(payload)
+        except Exception as exc:  # compared between the two paths
+            return type(exc), str(exc)
+    return s, s.values.tolist(), s.multiplicities.tolist(), [
+        (w.category, str(w.message)) for w in caught
+    ]
+
+
+file_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    st.integers(min_value=0, max_value=2**80),
+)
+
+
+# entries only the per-entry checks accept or name, each with whether the
+# column types still fit the fast path (a NaN does; from_entries rejects it)
+odd_entries = [
+    (None, False),
+    ({}, False),
+    ([1.0], False),
+    ({"value": True}, False),
+    ({"value": "1"}, False),
+    ({"value": 10**400}, False),
+    ({"value": 1.0, "multiplicity": 2.0}, False),
+    ({"value": 1.0, "multiplicity": False}, False),
+    ({"value": 1.0, "multiplicity": 2**63}, False),
+    ({"value": math.nan}, True),
+]
+
+
+@st.composite
+def file_payloads(draw):
+    """Sorted or unsorted values, ints and floats mixed, some near-duplicates,
+    sometimes one odd entry; returns the payload and whether the fast path fits."""
+    values = draw(st.lists(file_values, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        values.sort()
+    for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=3)):
+        values.insert(i + 1, float(values[i]) * (1 + draw(st.sampled_from([1e-13, 5e-13, 1e-11]))))
+    entries = []
+    for v in values:
+        entry = {"value": v}
+        if draw(st.booleans()):
+            entry["multiplicity"] = draw(st.integers(min_value=1, max_value=9))
+        entries.append(entry)
+    fits = True
+    if draw(st.booleans()):
+        odd, fits = draw(st.sampled_from(odd_entries))
+        entries.insert(draw(st.integers(0, len(entries))), odd)
+    return {"label": "p", "entries": entries}, fits
+
+
+@given(file_payloads())
+@example(({"entries": [{"value": 3}, {"value": 1.5, "multiplicity": 2}, {"value": 3.0}]}, True))
+@settings(max_examples=200, deadline=None)
+def test_fast_load_matches_per_entry_loop(case):
+    payload, fits = case
+    assert (_entry_arrays(payload["entries"]) is not None) == fits
+    fast = load_outcome(payload)
+    with mock.patch("heatcount.spectrum._entry_arrays", return_value=None):
+        checked = load_outcome(payload)
+    assert fast == checked
 
 
 FAMILIES = {

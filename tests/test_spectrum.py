@@ -205,6 +205,14 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError, match=r"^entries\[0\].multiplicity"):
             Spectrum.from_entries([1.0, 1.0], [0, 1])
 
+    @pytest.mark.parametrize(
+        "values, mults", [([1.0, 2.0], [1]), ([1.0, 2.0, 3.0], [1, 1])], ids=["2-1", "3-2"]
+    )
+    def test_from_entries_rejects_mismatched_lengths(self, values, mults):
+        expected = rf"^{len(values)} values but {len(mults)} multiplicities"
+        with pytest.raises(ValidationError, match=expected):
+            Spectrum.from_entries(values, mults)
+
     def test_from_entries_merge_tolerance(self):
         v = 100.0
         s = Spectrum.from_entries([v, v * (1 + 5e-13)], merge_rtol=1e-12)
