@@ -67,6 +67,11 @@ class Spectrum:
             raise ValidationError("eigenvalues must be strictly increasing; merge duplicates first")
         if np.any(mults < 1):
             raise ValidationError("multiplicities must be >= 1")
+        over = _overflow_index(mults)
+        if over is not None:
+            raise ValidationError(
+                f"multiplicities add up past 2**63 - 1 at value {float(values[over])!r}"
+            )
         if self.cutoff is not None and not (values[-1] <= self.cutoff < math.inf):
             raise ValidationError(
                 f"cutoff {self.cutoff!r} must be finite and at least the largest stored "
@@ -158,6 +163,11 @@ class Spectrum:
         values = values[order]
         mults = mults[order]
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > merge_rtol * values)
+        # checked before merging: np.add.reduceat would wrap a merged multiplicity
+        over = _overflow_index(mults)
+        if over is not None:
+            merged = float(values[starts[np.searchsorted(starts, over, side="right") - 1]])
+            raise ValidationError(f"multiplicities add up past 2**63 - 1 at value {merged!r}")
         return cls(
             values[starts],
             np.add.reduceat(mults, starts),
@@ -165,6 +175,17 @@ class Spectrum:
             generator=dict(generator or {}),
             cutoff=cutoff,
         )
+
+
+def _overflow_index(mults: np.ndarray) -> int | None:
+    """First index where the running sum of mults (each >= 1) passes 2**63 - 1.
+
+    int64 sums wrap silently; the first wrapped prefix sum is the first one
+    below its predecessor.
+    """
+    cum = np.cumsum(mults)
+    wrapped = np.flatnonzero(cum[1:] <= cum[:-1])
+    return int(wrapped[0]) + 1 if wrapped.size else None
 
 
 # -- closed-form generators ---------------------------------------------

@@ -33,8 +33,12 @@ QUAD_MAX_DEPTH = 30           # hard subdivision cap
 QUAD_MAX_PANELS = 1 << 21
 BOUNDARY_DROP = 1e-12         # quadrature extends domain until boundary term < this * result
 
-# Compensated accumulation kicks in above this many distinct entries.
+# Sums over more than this many terms are correctly rounded (equal to
+# math.fsum); smaller ones use numpy's pairwise sum.
 FSUM_THRESHOLD = 100_000
+# Terms per pass of _exact_sum: keeps its transient arrays small and every
+# per-exponent bucket sum below 2**44, so float64 holds it exactly.
+SUM_CHUNK = 1 << 16
 
 
 class CountingMode(Enum):
@@ -74,10 +78,44 @@ def counting(s: Spectrum, lam: float, mode: CountingMode = CountingMode.STRICT) 
 
 
 def _sum(terms: np.ndarray) -> float:
-    """Sum of the terms, compensated (math.fsum) above FSUM_THRESHOLD entries."""
+    """Sum of the terms: above FSUM_THRESHOLD entries correctly rounded and
+    bit-identical to math.fsum, at or below it numpy's pairwise sum."""
     if terms.size > FSUM_THRESHOLD:
-        return math.fsum(terms)
+        return _exact_sum(terms)
     return float(np.sum(terms))
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms), computed with numpy over exponent buckets.
+
+    Each term is q * 2**(e - 53) with q a signed 53-bit integer (np.frexp).
+    Chunk by chunk, the high and low 26-bit halves of q are summed per
+    exponent with np.bincount (exact: each bucket stays below 2**44), and
+    the buckets are added into one Python int.  Dividing that int by
+    2**1126 rounds correctly, subnormals included (R. M. Neal, "Fast exact
+    summation using small and large superaccumulators", 2015).  Non-finite
+    terms, sums that could overflow inside math.fsum and exact zeros, whose
+    sign math.fsum decides, are left to math.fsum itself.
+    """
+    # below this, sum |term| < 2**1020 and no partial sum inside math.fsum overflows
+    limit = math.ldexp(1.0, 1020) / max(terms.size, 1)
+    total = 0
+    for start in range(0, terms.size, SUM_CHUNK):
+        chunk = terms[start : start + SUM_CHUNK]
+        if not max(-chunk.min(), chunk.max()) < limit:  # also false on nan
+            return math.fsum(terms)
+        mant, exp = np.frexp(chunk)
+        hi = np.floor(mant * 2.0**27)  # q >> 26
+        lo = mant * 2.0**53 - hi * 2.0**26  # q & (2**26 - 1)
+        bucket = exp.astype(np.intp) + 1073  # frexp exponents lie in [-1073, 1024]
+        sums = np.bincount(bucket, weights=lo, minlength=2098 + 26)
+        sums[26:] += np.bincount(bucket, weights=hi, minlength=2098)
+        shifts = np.flatnonzero(sums)
+        for shift, q in zip(shifts.tolist(), sums[shifts].astype(np.int64).tolist()):
+            total += q << shift
+    if not total:
+        return math.fsum(terms)
+    return total / (1 << 1126)
 
 
 def _exp_sum(values: np.ndarray, mults: np.ndarray, t: float) -> float:

@@ -213,6 +213,23 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError, match=expected):
             Spectrum.from_entries(values, mults)
 
+    def test_from_entries_rejects_merged_multiplicity_overflow(self):
+        with pytest.raises(ValidationError, match=r"past 2\*\*63 - 1 at value 1\.0$"):
+            Spectrum.from_entries([1.0, 1.0, 1.0], [2**63 - 1] * 3)
+
+    def test_from_entries_rejects_total_count_overflow(self):
+        with pytest.raises(ValidationError, match=r"past 2\*\*63 - 1 at value 2\.0$"):
+            Spectrum.from_entries([1.0, 2.0], [2**63 - 1] * 2)
+
+    def test_constructor_rejects_total_count_overflow(self):
+        with pytest.raises(ValidationError, match=r"past 2\*\*63 - 1 at value 3\.0$"):
+            Spectrum([1.0, 2.0, 3.0], [2**62, 2**62 - 1, 1])
+
+    def test_total_count_at_int64_max_is_kept(self):
+        s = Spectrum.from_entries([2.0, 1.0, 1.0], [1, 2**62, 2**62 - 2])
+        assert s.multiplicities.tolist() == [2**63 - 2, 1]
+        assert s.total_count == 2**63 - 1
+
     def test_from_entries_merge_tolerance(self):
         v = 100.0
         s = Spectrum.from_entries([v, v * (1 + 5e-13)], merge_rtol=1e-12)
