@@ -46,10 +46,7 @@ class WeylCheckReport:
     density_constant: float
 
     def to_table(self) -> EvalTable:
-        table = EvalTable(
-            ("t", "K", "N_inv", "ratio", "flag"),
-            metadata={"density_constant": self.density_constant},
-        )
+        table = EvalTable(("t", "K", "N_inv", "ratio", "flag"))
         for row in zip(self.t_grid, self.heat_values, self.counts, self.ratios, self.flags):
             table.append(*row)
         return table

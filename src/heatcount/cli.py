@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, spectrum
 from .asymptotics import tauberian_first_term, weyl_check
-from .errors import AccuracyError, HeatcountError, InvalidParameterError
+from .errors import AccuracyError, ConfigurationError, HeatcountError, InvalidParameterError
 from .evaltable import EvalTable
 from .inversion import InversionConfig, invert_profile
 from .smoothing import beta_sweep, default_beta
@@ -40,29 +40,30 @@ EXIT_USAGE = 2
 def parse_grid(text: str) -> list[float]:
     """Comma list ("0.01,0.1,1") or inclusive range ("1:3:0.5")."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidParameterError("grid", f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise InvalidParameterError("grid", f"bad range {text!r}")
-        out = []
-        k = 0
-        while True:
-            value = start + k * step
-            if value > stop + 1e-9 * step:
-                break
-            out.append(value)
-            k += 1
-        return out
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
     try:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise InvalidParameterError("grid", f"could not parse {text!r}: {exc}") from exc
-    if not values:
-        raise InvalidParameterError("grid", f"empty grid {text!r}")
-    return values
+    if not ranged:
+        if not values:
+            raise InvalidParameterError("grid", f"empty grid {text!r}")
+        return values
+    if len(values) != 3:
+        raise InvalidParameterError("grid", f"range must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if not (0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
+        raise InvalidParameterError("grid", f"bad range {text!r}")
+    out = []
+    k = 0
+    while True:
+        value = start + k * step
+        if value > stop + 1e-9 * step:
+            break
+        out.append(value)
+        k += 1
+    return out
 
 
 def _sha256(path: Path) -> str:
@@ -144,13 +145,14 @@ def _laplace_identity(s, args):
         k_val = heat_trace(s, t).value
         step = laplace_of_counting(s, t, "step_exact")
         corr = truncation_correction(s, t)
+        scale = k_val or math.nan  # a trace that underflows to 0 has no relative deviation
         try:
             quad = laplace_of_counting(s, t, "quadrature")
-            quad_dev = abs(quad - k_val) / k_val
+            quad_dev = abs(quad - k_val) / scale
         except AccuracyError as exc:
             # keep the estimate; a quadrature that did not converge has no deviation to pass
             quad, quad_dev = exc.estimate, math.nan
-        table.append(t, k_val, step, quad, corr, abs(step + corr - k_val) / k_val, quad_dev)
+        table.append(t, k_val, step, quad, corr, abs(step + corr - k_val) / scale, quad_dev)
     return table
 
 
@@ -229,7 +231,10 @@ def _smooth(s, args):
 
 
 def _invert(s, args):
-    cfg = InversionConfig(args.contour_c, args.height, args.step)
+    try:
+        cfg = InversionConfig(args.contour_c, args.height, args.step)
+    except ConfigurationError as exc:
+        raise InvalidParameterError("c/height/step", str(exc)) from exc
     table = invert_profile(s, parse_grid(args.lam), cfg)
     mismatches = sum(1 for row in table.rows if row[-1] != "yes")
     message = (
@@ -261,7 +266,10 @@ def _tauber(s, args):
 
 
 def _density(s, args):
-    lo, hi = (float(x) for x in args.range.split(","))
+    try:
+        lo, hi = (float(x) for x in args.range.split(","))
+    except ValueError as exc:
+        raise InvalidParameterError("range", f"expected lo,hi, got {args.range!r}") from exc
     result = density_estimate(s, args.bin_width, (lo, hi))
     message = (
         f"mean density {result.mean_density:.17g}, "

@@ -129,8 +129,8 @@ def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
     Returns the truncated sum together with a bound on the missing tail,
     derived from the generator metadata (no bound for file spectra).
     """
-    if not (t > 0):
-        raise DomainError(f"heat trace requires t > 0, got {t!r}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"heat trace requires finite t > 0, got {t!r}")
     value = _exp_sum(s.values, s.multiplicities, t)
     return HeatTraceResult(value, _tail_bound(s, t))
 
@@ -176,8 +176,8 @@ def partial_exponential_sum(s: Spectrum, u: float, t: float) -> float:
     A(lam, 0) is the inclusive counting function; A(max value, t) equals
     the heat trace bit for bit (same summation path).
     """
-    if t < 0:
-        raise DomainError(f"partial exponential sum requires t >= 0, got {t!r}")
+    if not (0 <= t < math.inf):
+        raise DomainError(f"partial exponential sum requires finite t >= 0, got {t!r}")
     idx = int(np.searchsorted(s.values, u, side="right"))
     if idx == 0:
         return 0.0
@@ -186,8 +186,8 @@ def partial_exponential_sum(s: Spectrum, u: float, t: float) -> float:
 
 def truncation_correction(s: Spectrum, t: float) -> float:
     """The boundary term N(L) e^(-L t) dropped by the step-exact transform."""
-    if not (t > 0):
-        raise DomainError(f"truncation correction requires t > 0, got {t!r}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"truncation correction requires finite t > 0, got {t!r}")
     return s.total_count * math.exp(-s.coverage * t)
 
 
@@ -200,8 +200,8 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     same integrand, with panels aligned to the eigenvalue jumps and the
     domain extended until the boundary term is below 1e-12 of the result.
     """
-    if not (t > 0):
-        raise DomainError(f"laplace transform requires t > 0, got {t!r}")
+    if not (0 < t < math.inf):
+        raise DomainError(f"laplace transform requires finite t > 0, got {t!r}")
     if method == "step_exact":
         big = math.exp(-s.coverage * t)
         return _sum(s.multiplicities * (np.exp(-s.values * t) - big))
@@ -212,8 +212,11 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
     scale = max(_exp_sum(s.values, s.multiplicities, t), 5e-324)
-    # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible.
-    needed = (math.log(s.total_count) - math.log(BOUNDARY_DROP * scale)) / t
+    # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
+    # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.
+    drop = BOUNDARY_DROP * scale
+    log_drop = math.log(drop) if drop > 0 else math.log(BOUNDARY_DROP) + math.log(scale)
+    needed = (math.log(s.total_count) - log_drop) / t
     lam_hi = max(s.coverage, needed)
 
     values = s.values
@@ -338,10 +341,7 @@ def density_estimate(s: Spectrum, bin_width: float, lam_range: tuple[float, floa
         constancy = float(np.max(deviations) / mean)
     else:
         constancy = 0.0
-    table = EvalTable(
-        ("abscissa", "value", "error_estimate"),
-        metadata={"bin_width": bin_width, "range": [lo, hi], "mean_density": mean},
-    )
+    table = EvalTable(("abscissa", "value", "error_estimate"))
     centers = 0.5 * (edges[:-1] + edges[1:])
     for center, dens, dev in zip(centers, densities, deviations):
         table.append(float(center), float(dens), float(dev))

@@ -53,6 +53,10 @@ class TestParseGrid:
             parse_grid("2:1:0.5")
         with pytest.raises(InvalidParameterError):
             parse_grid("a,b")
+        # a non-finite bound or step would never end the range loop
+        for text in ("0:inf:1", "-inf:0:1", "inf:inf:1", "nan:1:1", "0:1:nan", "0:1:inf"):
+            with pytest.raises(InvalidParameterError):
+                parse_grid(text)
 
 
 class TestGenerate:
@@ -190,6 +194,16 @@ class TestVerify:
                 transforms.laplace_of_counting(s, float(row[0]), "quadrature")
             assert float(row[3]) == info.value.estimate
             assert row[-1] == "no"
+
+    def test_theorem_1_trace_underflowing_to_zero_fails_its_row(self, tmp_path, interval_file):
+        # K(1000) = e^-1000 + ... rounds to 0, so no relative deviation exists
+        out = tmp_path / "t1.csv"
+        code = run("verify", "--spectrum", interval_file, "--theorem", 1,
+                   "--t", "1,1000", "--out", out)
+        assert code == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows[0][-1] == "yes"
+        assert rows[1] == ["1000", "0", "0", "0", "0", "nan", "nan", "no"]
 
     @pytest.mark.parametrize("theorem, given", [
         (1, ["--beta", "1"]), (1, ["--lambda", "2.5"]), (2, ["--beta", "1"]),
@@ -345,6 +359,20 @@ class TestExitCodeContract:
     def test_usage_error_is_two(self, tmp_path, interval_file):
         assert run("verify", "--spectrum", interval_file, "--theorem", 2,
                    "--lambda", "not-a-grid", "--out", tmp_path / "x.csv") == 2
+
+    @pytest.mark.parametrize("flags, field", [
+        (["verify", "--theorem", 2, "--lambda", "1:x:1"], "grid"),
+        (["density", "--bin-width", 1, "--range", "0,x"], "range"),
+        (["density", "--bin-width", 1, "--range", "0,10,20"], "range"),
+        (["invert", "--lambda", 2.5, "--c", 0.8, "--height", "inf", "--step", 0.01],
+         "c/height/step"),
+    ], ids=["lambda-unparsable", "range-unparsable", "range-three-values", "height-inf"])
+    def test_unparsable_flag_is_two_and_named(self, tmp_path, interval_file, capsys, flags, field):
+        command, *rest = flags
+        out = tmp_path / "x.csv"
+        assert run(command, "--spectrum", interval_file, *rest, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
 
     def test_argparse_usage_error_is_two(self):
         with pytest.raises(SystemExit) as info:

@@ -6,12 +6,16 @@ under ``tests/golden/``; the spectrum JSON that ``generate`` writes is held
 to a pinned sha256 the same way.  A refactor must leave every file
 unchanged; a change that means to alter an output regenerates its golden
 file or digest and says so.  The bytes depend on the floating-point
-results of numpy and its BLAS; the files were produced on x86-64 with
-numpy 2.4.
+results of numpy and its BLAS, but not on the number of BLAS threads:
+every case is also rerun in a fresh interpreter with one OpenBLAS thread.
+The files were produced on x86-64 with numpy 2.4.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +76,20 @@ def test_csv_matches_golden_bytes(name, spectra, tmp_path):
     assert run_case(name, spectra, tmp_path) == 0
     got = (tmp_path / f"{name}.csv").read_bytes()
     assert got == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_csv_bytes_at_one_blas_thread(spectra, tmp_path):
+    # OpenBLAS reads its thread count once, when it loads, so this takes a new process
+    script = (
+        "import sys; from pathlib import Path; from test_golden import CASES, run_case\n"
+        "for name in CASES: assert run_case(name, Path(sys.argv[1]), Path(sys.argv[2])) == 0"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script, str(spectra), str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    differ = [name for name in sorted(CASES)
+              if (tmp_path / f"{name}.csv").read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()]
+    assert differ == []
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRA))

@@ -103,6 +103,16 @@ class TestHeatTrace:
         with pytest.raises(DomainError):
             heat_trace(interval_pi_100, -1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    @pytest.mark.parametrize("op", [
+        heat_trace, truncation_correction, laplace_of_counting,
+        lambda s, t: partial_exponential_sum(s, 10.0, t),
+    ])
+    def test_nonfinite_t_rejected(self, torus_400, op, t):
+        # the zero mode would give 0 * inf = nan at t = inf
+        with pytest.raises(DomainError):
+            op(torus_400, t)
+
 
 class TestTailBounds:
     def test_interval_bound_dominates_true_tail(self):
@@ -221,6 +231,11 @@ class TestLaplaceOfCounting:
     def test_nonpositive_t(self, interval_pi_100):
         with pytest.raises(DomainError):
             laplace_of_counting(interval_pi_100, 0.0)
+
+    def test_quadrature_of_an_underflowing_trace(self, interval_pi_200):
+        # K(1000) rounds to 0; so does 1e-12 of its floor, whose log sets the domain
+        assert heat_trace(interval_pi_200, 1000.0).value == 0.0
+        assert laplace_of_counting(interval_pi_200, 1000.0, "quadrature") == 0.0
 
     @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6])
     def test_quadrature_converges_above_ten_thousand_values(self, t):
