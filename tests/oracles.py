@@ -77,6 +77,10 @@ def spectrum_to_dict(spectrum) -> dict:
 
 # round(2^160 / (2 pi)), from 120 significant digits of pi
 _TURNS_2_160 = 232605209918111709774537830547806037080859518310
+# 2 pi to 48 significant digits, read at the platform's long double precision
+_TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900576839433879875")
+# e^(i pi k / 2) for k = 0..3; multiplying by one of them is exact
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)
 
 
 def _fixed_point_turns(values, lam, h):
@@ -94,23 +98,42 @@ def _fixed_point_turns(values, lam, h):
 
 
 def phases_on_nodes(values, lam, h, j):
-    """e^(i (lam - values_n) j h) as a terms x nodes array for integer nodes 0 <= j < 2^21.
+    """e^(i (lam - values_n) j h) as a terms x nodes long double array, integer nodes 0 <= j < 2^21.
 
     G_n j is reduced modulo 2^96 in 32-bit limbs of G_n, so every product
-    stays below 2^53 and the fractional turn is exact to about 2^-76
-    before its one rounding to a double.
+    stays below 2^53.  The top two limbs give the turn modulo one exactly
+    in units of 2^-64, by wrapping unsigned 64-bit sums, and its nearest
+    quarter turn is split off exactly.  The low limb, the angle left (at
+    most pi/4) and its cosine and sine are taken in long double, which on
+    x86-64 carries 64 significant bits, so the phasors are within about
+    half an ulp of a double.
     """
-    j = np.asarray(j, dtype=np.int64)
-    assert j.size == 0 or (j.min() >= 0 and j.max() < 2**21)
+    j = np.asarray(j, dtype=np.uint64)
+    assert j.size == 0 or j.max() < 2**21
     limbs = np.array(
         [[(g >> shift) & 0xFFFFFFFF for shift in (64, 32, 0)] for g in _fixed_point_turns(values, lam, h)],
-        dtype=np.int64,
+        dtype=np.uint64,
     ).reshape(-1, 3)
-    top = (np.multiply.outer(limbs[:, 0], j) & 0xFFFFFFFF).astype(np.float64) * 2.0**-32
-    mid = np.multiply.outer(limbs[:, 1], j).astype(np.float64) * 2.0**-64
-    low = np.multiply.outer(limbs[:, 2], j).astype(np.float64) * 2.0**-96
-    turns = np.mod(top + mid + low, 1.0)
-    return np.cos(2.0 * math.pi * turns) + 1j * np.sin(2.0 * math.pi * turns)
+    ld = np.longdouble
+    turn = (np.multiply.outer(limbs[:, 0], j) << np.uint64(32)) + np.multiply.outer(limbs[:, 1], j)
+    quarter = (turn + np.uint64(2**61)) >> np.uint64(62)
+    rest = (turn - (quarter << np.uint64(62))).view(np.int64)
+    low = np.multiply.outer(limbs[:, 2], j).astype(ld) * ld(2.0**-96)
+    angle = _TWO_PI_LD * (rest.astype(ld) * ld(2.0**-64) + low)
+    return _QUARTER_TURNS[quarter] * (np.cos(angle) + 1j * np.sin(angle))
+
+
+def _exact_total(parts) -> float:
+    """The sum of long double arrays, rounded once to a double.
+
+    Each entry x splits exactly into the double nearest x and the double
+    x minus it, and math.fsum adds all the halves exactly.
+    """
+    halves = []
+    for x in parts:
+        hi = x.astype(np.float64)
+        halves += [hi, (x - hi).astype(np.float64)]
+    return math.fsum(np.concatenate(halves))
 
 
 def bromwich_trapezoid(values, mults, lam, c, T, h, drop_exponent):
@@ -120,7 +143,9 @@ def bromwich_trapezoid(values, mults, lam, c, T, h, drop_exponent):
     from `phases_on_nodes`, nodes w = j h for j = 0..ceil(T/h) with half
     weight at both ends; the oscillation estimate is the same sum over the
     last period 2 pi/lam (half weight at its last node only), floored at
-    2^-40 (1 + |value|).
+    2^-40 (1 + |value|).  The integrand is formed in long double and its
+    sums are exact, so only the integrand's own rounding and the final
+    products by e^(c lam) h / pi remain when the sum cancels.
     """
     values = np.asarray(values, dtype=np.float64)
     mults = np.asarray(mults, dtype=np.float64)
@@ -128,19 +153,21 @@ def bromwich_trapezoid(values, mults, lam, c, T, h, drop_exponent):
     values = values[keep]
     coeffs = mults[keep] * np.exp(-values * c)
     prefactor = math.exp(c * lam) / math.pi
+    c_ld = np.longdouble(c)
 
     def integrand(j):
         trace = coeffs @ phases_on_nodes(values, lam, h, j)
-        return np.real(trace / (c + 1j * (j * h)))
+        w = (j * h).astype(np.longdouble)
+        return (trace.real * c_ld + trace.imag * w) / (c_ld * c_ld + w * w)
 
     m_steps = int(math.ceil(T / h))
     f = np.concatenate(
         [integrand(np.arange(a, min(a + 4096, m_steps + 1))) for a in range(0, m_steps + 1, 4096)]
     )
-    value = prefactor * h * (math.fsum(f) - 0.5 * (f[0] + f[-1]))
+    value = prefactor * h * _exact_total([f, -0.5 * f[:1], -0.5 * f[-1:]])
     n_tail = max(int(math.ceil(2.0 * math.pi / (lam * h))), 2)
     tail = f[max(m_steps + 1 - n_tail, 0) :]
-    osc = abs(prefactor * h * (math.fsum(tail) - 0.5 * tail[-1]))
+    osc = abs(prefactor * h * _exact_total([tail, -0.5 * tail[-1:]]))
     return value, max(osc, 2.0**-40 * (1.0 + abs(value)))
 
 

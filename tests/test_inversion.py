@@ -255,9 +255,11 @@ class TestContourKernel:
     @example(
         entries=[(9.0, 2), (11.0, 1), (13.0, 1), (10.0625, 3), (10.09375, 3)], lam=9.38671875
     )
-    # below the only eigenvalue the value cancels to -5.1e-14; the kernel's
-    # reduction order sets its relative error (9.5e-11 with np.sum)
+    # below the only eigenvalue the trapezoid cancels, to -5.1e-14 from terms
+    # summing to 5.6e-8 in magnitude and to 8.2e-7 from 2.0; the kernel's own
+    # rounding leaves relative errors of 6.1e-11 and 9.2e-11 here
     @example(entries=[(9.890625, 1)], lam=1.09765625)
+    @example(entries=[(36.64810740122483, 2)], lam=31.019026072892323)
     @settings(deadline=None)
     def test_random_file_spectra(self, entries, lam):
         s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
