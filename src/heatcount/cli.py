@@ -38,7 +38,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 def parse_grid(text: str) -> list[float]:
-    """Comma list ("0.01,0.1,1") or inclusive range ("1:3:0.5")."""
+    """Comma list ("0.01,0.1,1") or inclusive range ("1:3:0.5") of at most a million points."""
     text = text.strip()
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
@@ -55,15 +55,18 @@ def parse_grid(text: str) -> list[float]:
     start, stop, step = values
     if not (0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
         raise InvalidParameterError("grid", f"bad range {text!r}")
-    out = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > stop + 1e-9 * step:
-            break
-        out.append(value)
-        k += 1
-    return out
+    end = stop + 1e-9 * step
+    span = (end - start) / step
+    if not span < 1e6:
+        raise InvalidParameterError("grid", f"range {text!r} has more than 1000000 points")
+    # start + k * step rounds monotonically in k, so the points kept are
+    # k = 0 .. count - 1; the quotient gives count up to its rounding
+    count = int(span) + 1
+    while start + count * step <= end:
+        count += 1
+    while start + (count - 1) * step > end:
+        count -= 1
+    return [start + k * step for k in range(count)]
 
 
 def _sha256(path: Path) -> str:

@@ -11,16 +11,54 @@ the contour onto [0, T]:
 
     N(lam) = (e^(c lam) / pi) * integral_0^T Re[K(c + i w) e^(i lam w) / (c + i w)] dw,
 
-computed by the trapezoidal rule with step h.  At a jump the limit is
-the midpoint N(lam-) + mult/2.
+computed by the trapezoidal rule with step h, plus the tail of each
+term past T.  At a jump the limit is the midpoint N(lam-) + mult/2.
 
 Contour selection: the trapezoid discretization with step h reproduces
 the counting function plus aliased copies N(lam + 2 pi k / h) damped by
 e^(-2 pi c k / h); with h = pi/(8 lam) and c = kappa/lam the damping is
 e^(-16 kappa k).  kappa = 2 keeps aliases below 1e-12 while keeping the
 e^(c lam) amplification of the truncated-tail error small, and T is
-chosen from a per-term bound on that tail so the truncation error stays
-below AUTO_TRUNCATION_TOL.
+the smallest height whose predicted error after the tail correction
+stays below AUTO_TRUNCATION_TOL.
+
+Tail correction: with a_n = mult_n e^(-c lam_n), z_n = e^(i (lam - lam_n) h)
+and g_j = 1/(c + i j h), node j carries Re sum_n a_n z_n^j g_j.  Stopping
+at node M = ceil(T/h) with half weight there leaves out, per term,
+tau = sum_(j>M) z^j g_j + z^M g_M / 2.  Summation by parts gives
+
+    tau = z^M g_M (1/(1 - z) - 1/2) + z^(M+1) (g_(M+1) - g_M) / (1 - z)^2
+          + z^2 / (1 - z)^2 * sum_(j>=M) z^j (g_(j+2) - 2 g_(j+1) + g_j),
+
+and the first two terms are added.  |1 - z| = mu_eff h, where
+mu_eff = 2 |sin((lam - lam_n) h / 2)| / h is the term's frequency as the
+grid sees it, and |g_(M+2) - 2 g_(M+1) + g_M| is about 2 h^2 / T^3, so
+the remainder costs about 2 e^(c lam) a_n / (pi (mu_eff T)^3) of the
+value, where the uncorrected sum misses e^(c lam) a_n / (pi mu_eff T).
+A resonant term, z = 1 exactly (lam_n = lam), has
+Re tau = atan(c / (M h)) / h by Euler-Maclaurin.  A term near resonance
+but not in it keeps its 1 / (mu_eff T) size until T reaches a few
+1 / mu_eff, which for lam within a rounding error of lam_n is the cap.
+So does an alias, lam_n within a rounding error of lam + 2 pi k / h,
+but its weight carries e^(-32 k) and raises T only a little.
+
+The expansion runs in powers of 1/(mu_eff T): its k-th term is about
+(k-1)! / (mu_eff T)^(k-1) times the first, so the remainder is smaller
+than the last term kept only where mu_eff T > 2, and its estimate
+2 / (mu_eff T)^3 is below the uncorrected 1 / (mu_eff T) only where
+mu_eff T > sqrt(2).  TAIL_EXPANSION_MIN = 4 keeps the remainder at most
+half the second-order term and its estimate at most 1/8 of the
+uncorrected size.  Terms below it, resonant ones included, are counted
+at the uncorrected size, 1/(mu_eff T) or c/T in resonance; those that
+are not resonant get no correction.  Each term's estimate thus falls as
+T passes TAIL_EXPANSION_MIN / mu_eff, and so does their sum: between
+those breakpoints it is p / T^3 + q / T, and the smallest T within
+budget is the root of a cubic in the first interval where the budget is
+met.  T then stays between t_min = max(20 c, 4 pi / lam, 8 h) and the
+cap T_CAP_FACTOR * c.  Where the uncorrected rule needed T ~ 1/tol, the
+corrected one needs T ~ tol^(-1/3).  The model leaves rounding out: the
+value is a count left by terms up to e^(c lam) a_n / (c pi) in size, so
+near c lam = 30 and above, double rounding alone can pass the budget.
 
 Cost model: K(c + i w) e^(i lam w) is needed at every node w_j = j h,
 j = 0 .. ceil(T/h), for the `terms` spectral values kept.  The nodes
@@ -37,7 +75,9 @@ multiply-adds in one GEMM.  P is built and multiplied in row groups of
 at most BLOCK_BYTES of working arrays, so the transient memory of one
 call is BLOCK_BYTES plus the table E, whatever the height T.  One sweep
 gives both the trapezoid sum and the last period's sum, each reduced by
-np.sum, so no result depends on the number of BLAS threads.
+np.sum, so no result depends on the number of BLAS threads.  The tail
+correction takes z_n^M and e^(i pi g_n) from two more phasor rows, 2 *
+terms exponentials, and choosing T sorts the terms once.
 
 Phases: (lam - lam_n) j h reaches thousands of radians, and rounding it
 to a double moves it by about 1e-13 rad.  Near a resonance (lam_n close
@@ -65,6 +105,7 @@ AUTO_TRUNCATION_TOL = 2e-3   # absolute truncation-error budget for auto T
 T_CAP_FACTOR = 1e5           # hard cap T <= T_CAP_FACTOR * c
 TERM_DROP_EXPONENT = 46.0    # drop spectral terms with c*(lam_n - lam) beyond this
 BLOCK_BYTES = 1 << 24       # working-array budget of one row group of the contour kernel
+TAIL_EXPANSION_MIN = 4.0     # least mu_eff * T at which a term's tail is expanded
 
 # 1/(2 pi) as the unevaluated sum of two doubles
 _INV_2PI_HI = 0.15915494309189535
@@ -150,34 +191,75 @@ def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionC
 
 
 def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:
-    """Pick T so the estimated contour-truncation error is below budget.
+    """The smallest T in [t_min, T_CAP_FACTOR c] whose predicted tail error is within budget.
 
-    The tail of the folded integral past T contributes, per spectral term,
-    about a_n e^(c lam) / (pi mu T) with mu the term's oscillation
-    frequency |lam - lam_n| as seen by the trapezoid grid (wrapped at the
-    sampling frequency); a term in resonance (mu = 0) leaves a c/(pi T)
-    tail instead.
+    Per unit of a_n e^(c lam) / pi, a term of wrapped frequency mu_eff
+    leaves 2 / (mu_eff T)^3 once its tail is expanded (mu_eff T >=
+    TAIL_EXPANSION_MIN), 1 / (mu_eff T) before that, and c / T in
+    resonance.  Past its breakpoint TAIL_EXPANSION_MIN / mu_eff a term
+    moves from the second kind to the first, so the predicted error
+    decreases with T; between breakpoints it is p / T^3 + q / T.
     """
     a_n = s.multiplicities * np.exp(-np.minimum(c * s.values, 745.0))
-    mu = lam - s.values
-    mu_eff = np.abs(2.0 * np.sin(0.5 * mu * h)) / h
-    weights = np.where(mu_eff < 1e-9 * lam, c, 1.0 / np.maximum(mu_eff, 1e-300))
-    t_req = math.exp(c * lam) * float(np.sum(a_n * weights)) / (math.pi * AUTO_TRUNCATION_TOL)
+    a_n *= math.exp(c * lam) / (math.pi * AUTO_TRUNCATION_TOL)  # budget 1
+    mu_eff = np.abs(2.0 * np.sin(0.5 * (lam - s.values) * h)) / h
+    resonant = mu_eff == 0.0
+    q_resonant = c * float(np.sum(a_n[resonant]))
+    order = np.argsort(-mu_eff[~resonant], kind="stable")
+    a, mu = a_n[~resonant][order], mu_eff[~resonant][order]
+    breaks = TAIL_EXPANSION_MIN / mu  # ascending
+    # p[k], q[k]: the coefficients once the first k terms are expanded
+    p = np.concatenate(([0.0], np.cumsum(2.0 * a / mu**3)))
+    q = q_resonant + np.concatenate((np.cumsum((a / mu)[::-1])[::-1], [0.0]))
+    # the first breakpoint at which the budget is met; the root lies below it
+    met = p[1:] / breaks**3 + q[1:] / breaks <= 1.0
+    k = int(np.argmax(met)) if met.any() else breaks.size
+    t_req = _cubic_root(float(p[k]), float(q[k]))
+    if k < breaks.size:
+        t_req = min(t_req, float(breaks[k]))
     t_min = max(20.0 * c, 4.0 * math.pi / lam, 8.0 * h)
     return float(min(max(t_req, t_min), T_CAP_FACTOR * c))
 
 
+def _cubic_root(p: float, q: float) -> float:
+    """The positive root of T = q + p / T^2 (p, q >= 0, not both 0), by Newton from below.
+
+    T - q - p / T^2 increases and is concave in T, so the iterates rise
+    monotonically from max(q, p^(1/3)), which is at most the root.
+    """
+    if p == 0.0:
+        return q
+    t = max(q, p ** (1.0 / 3.0))
+    while True:
+        step = (q + p / (t * t) - t) / (1.0 + 2.0 * p / t**3)
+        if not (step > 0.0 and t + step > t):
+            return t
+        t += step
+
+
 def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None) -> InversionResult:
-    """Evaluate the contour integral for N(lam) by the trapezoidal rule.
+    """Evaluate the contour integral for N(lam) by the tail-corrected trapezoidal rule.
 
     Away from eigenvalues the value converges to the counting function;
     at an eigenvalue it converges to the jump midpoint.  The oscillation
     estimate is the magnitude of the last contour segment's contribution
-    (one oscillation period), a proxy for the truncated-tail size.
+    to the uncorrected sum (one oscillation period), a loose upper proxy
+    for the truncation error that remains.
     """
     if not (0 < lam < math.inf):
         raise DomainError(f"inversion point must be positive and finite, got {lam!r}")
     cfg = _resolve_config(s, lam, cfg or InversionConfig())
+    trapezoid, tail, oscillation = _contour_sums(s, lam, cfg)
+    return InversionResult(trapezoid + tail, oscillation, cfg)
+
+
+def _contour_sums(s: Spectrum, lam: float, cfg: InversionConfig):
+    """(trapezoid, tail, oscillation) on a resolved contour, each scaled by e^(c lam) h / pi.
+
+    trapezoid is the trapezoid sum over nodes 0 .. M = ceil(T/h), tail the
+    kept terms' sums past M, and oscillation the sum over the last
+    period of trapezoid, floored at 2^-40 (1 + |trapezoid|).
+    """
     c, T, h = cfg.c, cfg.T, cfg.h
 
     # Terms too far above lam are damped below resolution; drop them.
@@ -186,24 +268,52 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
     coeffs = s.multiplicities[keep] * np.exp(-values * c)
 
     m_steps = int(math.ceil(T / h))
-    prefactor = math.exp(c * lam) / math.pi
+    scale = math.exp(c * lam) / math.pi * h
     # the last full oscillation period of e^(i lam w): nodes j_tail .. m_steps
     n_tail = max(int(math.ceil(2.0 * math.pi / (lam * h))), 2)
     j_tail = max(m_steps + 1 - n_tail, 0)
 
     # one sweep: each node at weight 1, then half of each end node taken back
-    total = tail = 0.0
+    total = last_period = 0.0
     for j, trace in _trace_on_grid(values, coeffs, h, m_steps + 1, lam):
         f = np.real(trace / (c + 1j * (j * h)))
         if j[0] == 0:
             f_first = f[0]
         total += float(np.sum(f))
-        tail += float(np.sum(f[j >= j_tail]))
+        last_period += float(np.sum(f[j >= j_tail]))
     f_last = f[-1]
-    value = prefactor * h * (total - 0.5 * (f_first + f_last))
-    osc_raw = abs(prefactor * h * (tail - 0.5 * f_last))
-    oscillation = max(osc_raw, 2.0**-40 * (1.0 + abs(value)))
-    return InversionResult(value, oscillation, cfg)
+    trapezoid = scale * (total - 0.5 * (f_first + f_last))
+    osc_raw = abs(scale * (last_period - 0.5 * f_last))
+    oscillation = max(osc_raw, 2.0**-40 * (1.0 + abs(trapezoid)))
+    tail = scale * _tail_sum(values, coeffs, lam, c, T, h, m_steps)
+    return trapezoid, tail, oscillation
+
+
+def _tail_sum(values, coeffs, lam, c, T, h, m):
+    """sum_n coeffs_n Re tau_n, tau_n the trapezoid tail of term n past node m, half end weight included.
+
+    With z = e^(2 pi i g), g = (lam - values_n) h / (2 pi), and
+    g_j = 1/(c + i j h), summation by parts gives, to second order,
+
+        tau = z^m g_m (1/(1 - z) - 1/2) + z^(m+1) (g_(m+1) - g_m) / (1 - z)^2
+            = z^m (g_m (i/2) cot(pi g) - (g_(m+1) - g_m) / (4 sin(pi g)^2)),
+
+    for terms with mu_eff T >= TAIL_EXPANSION_MIN, mu_eff = 2 |sin(pi g)| / h.
+    A resonant term (z = 1) has Re tau = atan(c/(m h)) / h by
+    Euler-Maclaurin; the terms in between get no correction.
+    """
+    g_hi, g_lo = _turns_per_step(lam, values, h)
+    half = _unit_phasors(0.5 * g_hi, 0.5 * g_lo, np.ones(1))[0]  # e^(i pi g)
+    sin, cos = half.imag, half.real
+    mu_eff = 2.0 * np.abs(sin) / h
+    expanded = mu_eff * T >= TAIL_EXPANSION_MIN
+    resonant = sin == 0.0
+    g_m = 1.0 / (c + 1j * (m * h))
+    dg = -1j * h * g_m / (c + 1j * ((m + 1) * h))  # g_(m+1) - g_m
+    sin, cos = sin[expanded], cos[expanded]
+    z_m = coeffs[expanded] * _unit_phasors(g_hi[expanded], g_lo[expanded], np.array([float(m)]))[0]
+    tau = z_m * ((0.5j * g_m) * (cos / sin) - dg / (4.0 * sin * sin))
+    return float(np.sum(tau.real)) + math.atan(c / (m * h)) / h * float(np.sum(coeffs[resonant]))
 
 
 def _trace_on_grid(values, coeffs, h, count, lam):

@@ -229,13 +229,16 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     panel_n = left_counts.astype(np.float64)
 
     try:
-        integral, _ = _adaptive_simpson_exp(edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t)
+        integral, error = _adaptive_simpson_exp(edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t)
     except AccuracyError as exc:
         raise AccuracyError(
             "laplace quadrature did not converge",
             estimate=t * exc.estimate,
             error_estimate=t * exc.error_estimate,
         ) from exc
+    if not math.isfinite(integral):
+        # below t ~ 1e-306 the integral, about K(t) / t, passes the double range
+        raise AccuracyError("laplace quadrature overflowed", estimate=t * integral, error_estimate=t * error)
     return t * integral
 
 
@@ -273,8 +276,10 @@ def _adaptive_simpson_exp(edges, n_const, t, tol):
         s2 = s_left + s_right
         err = np.abs(s2 - s_whole) / 15.0
         # length-proportional budget with a roundoff floor: panels whose
-        # Simpson correction is at machine noise cannot refine further
-        ok = err <= np.maximum(tol * (b - a) / total_len, 32.0 * 2.3e-16 * np.abs(s2))
+        # Simpson correction is at machine noise cannot refine further.
+        # The length fraction is taken first: at tiny t both tol and b - a
+        # are near the top of the double range, and their product overflows.
+        ok = err <= np.maximum(tol * ((b - a) / total_len), 32.0 * 2.3e-16 * np.abs(s2))
         result += float(np.sum(np.where(ok, s2 + (s2 - s_whole) / 15.0, 0.0)))
         err_accum += float(np.sum(np.where(ok, err, 0.0)))
         if bool(np.all(ok)):

@@ -179,3 +179,73 @@ def trace_on_nodes(values, coeffs, h, j0, count):
         terms = [a * cmath.exp(-1j * v * omega) for v, a in zip(values, coeffs)]
         out.append(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
     return out
+
+
+def trapezoid_tail(values, mults, lam, c, T, h, drop_exponent, expand_min):
+    """The tail correction of the contour trapezoid from its defining formula: (tail, magnitude).
+
+    For each kept term, z = e^(i (lam - lam_n) h) and g_j = 1/(c + i j h),
+    past the last node M = ceil(T/h):
+
+        tau = z^M g_M (1/(1 - z) - 1/2) + z^(M+1) (g_(M+1) - g_M) / (1 - z)^2
+
+    where mu_eff T >= expand_min, mu_eff = |1 - z| / h; atan(c/(M h)) / h
+    in resonance, z = 1; nothing in between.  z^M, z^(M+1)
+    and z come from `phases_on_nodes` and everything is formed in long
+    double.  Both results are scaled by e^(c lam) h / pi: the tail is the
+    sum of coeffs_n Re tau_n, the magnitude the sum of coeffs_n times the
+    sizes of the parts of tau_n, |g_M| (1/|1 - z| + 1/2) + |g_(M+1) - g_M| / |1 - z|^2,
+    which may cancel to far less than their sum (for z near -1, 1/(1 - z)
+    is near 1/2).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    mults = np.asarray(mults, dtype=np.float64)
+    keep = c * (values - lam) <= drop_exponent
+    values = values[keep]
+    coeffs = (mults[keep] * np.exp(-values * c)).astype(np.longdouble)
+    m = int(math.ceil(T / h))
+    z, z_m, z_m1 = phases_on_nodes(values, lam, h, [1, m, m + 1]).T
+    c_ld, h_ld = np.longdouble(c), np.longdouble(h)
+    g_m = 1 / (c_ld + 1j * (m * h_ld))
+    g_m1 = 1 / (c_ld + 1j * ((m + 1) * h_ld))
+    mu_eff = np.abs(1 - z) / h_ld
+    expanded = mu_eff * np.longdouble(T) >= expand_min
+    resonant = mu_eff == 0
+    one_minus_z = np.where(expanded, 1 - z, 1)
+    first = z_m * g_m * (1 / one_minus_z - 0.5)
+    second = z_m1 * (g_m1 - g_m) / one_minus_z**2
+    size = np.abs(g_m) * (1 / np.abs(one_minus_z) + 0.5) + np.abs(second)
+    tau = np.where(expanded, first + second, 0)
+    size = np.where(expanded, size, 0)
+    tau = np.where(resonant, np.arctan(c_ld / (m * h_ld)) / h_ld, tau)
+    size = np.where(resonant, tau.real, size)
+    scale = math.exp(c * lam) / math.pi * h
+    return scale * _exact_total([coeffs * tau.real]), scale * float(np.sum(coeffs * size))
+
+
+def trapezoid_limit(values, mults, lam, c, h, drop_exponent):
+    """The limit T -> inf of the contour trapezoid with step h, by Poisson summation.
+
+    sum_{k >= 0} e^(-2 pi c k / h) N_mid(lam + 2 pi k / h) over the kept
+    terms, N_mid counting half the multiplicity at a jump; k < 0 adds
+    nothing, as no eigenvalue is negative.  Past the largest kept value
+    every alias counts all kept terms, a geometric series in closed form.
+    """
+    pairs = [
+        (float(v), int(m)) for v, m in zip(values, mults) if c * (float(v) - lam) <= drop_exponent
+    ]
+    if not pairs:
+        return 0.0
+    period = 2.0 * math.pi / h
+    damping = math.exp(-c * period)
+    total = sum(m for _, m in pairs)
+    terms = []
+    k = 0
+    top = max(v for v, _ in pairs)
+    while lam + k * period <= top:
+        x = lam + k * period
+        mid = math.fsum(m if v < x else 0.5 * m for v, m in pairs if v <= x)
+        terms.append(math.exp(-c * period * k) * mid)
+        k += 1
+    terms.append(total * math.exp(-c * period * k) / (1.0 - damping))
+    return math.fsum(terms)

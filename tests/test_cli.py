@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,27 @@ class TestParseGrid:
         for text in ("0:inf:1", "-inf:0:1", "inf:inf:1", "nan:1:1", "0:1:nan", "0:1:inf"):
             with pytest.raises(InvalidParameterError):
                 parse_grid(text)
+
+    def test_range_of_a_million_points_at_most(self):
+        from heatcount import InvalidParameterError
+
+        assert len(parse_grid("0:999999:1")) == 1_000_000
+        with pytest.raises(InvalidParameterError, match="grid"):
+            parse_grid("0:1000000:1")
+
+    def test_huge_range_rejected_before_building(self, tmp_path, interval_file, capsys):
+        # a billion points would take tens of gigabytes: the count comes first
+        tracemalloc.start()
+        try:
+            code = run("weyl", "--spectrum", interval_file, "--t", "0:1e9:1",
+                       "--out", tmp_path / "w.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "error: grid: range '0:1e9:1' has more than 1000000 points" in capsys.readouterr().err
+        assert peak < 4 * 2**20
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestGenerate:

@@ -21,7 +21,7 @@ from heatcount import (
     invert_profile,
     inversion,
 )
-from heatcount.inversion import _resolve_config, _trace_on_grid
+from heatcount.inversion import _contour_sums, _resolve_config, _trace_on_grid
 
 
 class TestAbscissaEstimate:
@@ -174,8 +174,22 @@ class TestRoundTripSweep:
             assert abs(value - oracle) <= 0.1
 
 
+# The kernel forms each term's tail from double phasors: the phase in turns
+# is reduced with a double-double and rounded once, then the exponential,
+# cot, sin^2 and the products and quotients of the formula each round
+# once, about ten roundings of 2^-53 in all.  The oracle's long double
+# rounding is 2^11 times smaller, so the difference stays below 1e-14 of
+# the sum of the terms' magnitudes.
+TAIL_RTOL = 1e-14
+
+
 def assert_matches_direct_trapezoid(s, lam, cfg=None):
-    """bromwich_invert agrees with the direct trapezoid on the contour _resolve_config picks."""
+    """bromwich_invert is the direct trapezoid plus the tails, on the contour _resolve_config picks.
+
+    The trapezoid sum the kernel adds is held to the direct trapezoid at
+    1e-10 relative, and the tail correction to its formula at TAIL_RTOL
+    of its magnitude.
+    """
     res = bromwich_invert(s, lam, cfg)
     expected_cfg = _resolve_config(s, lam, cfg or InversionConfig())
     used = res.config_used
@@ -184,11 +198,15 @@ def assert_matches_direct_trapezoid(s, lam, cfg=None):
         expected_cfg.T.hex(),
         expected_cfg.h.hex(),
     ]
-    value, oscillation = oracles.bromwich_trapezoid(
-        s.values, s.multiplicities, lam, used.c, used.T, used.h, inversion.TERM_DROP_EXPONENT
-    )
-    assert res.value == pytest.approx(value, rel=1e-10, abs=0.0)
-    assert res.oscillation_estimate == pytest.approx(oscillation, rel=1e-10, abs=0.0)
+    trapezoid, tail, oscillation = _contour_sums(s, lam, used)
+    assert res.value == trapezoid + tail
+    assert res.oscillation_estimate == oscillation
+    args = (s.values, s.multiplicities, lam, used.c, used.T, used.h, inversion.TERM_DROP_EXPONENT)
+    value, expected_oscillation = oracles.bromwich_trapezoid(*args)
+    assert trapezoid == pytest.approx(value, rel=1e-10, abs=0.0)
+    assert oscillation == pytest.approx(expected_oscillation, rel=1e-10, abs=0.0)
+    expected_tail, magnitude = oracles.trapezoid_tail(*args, inversion.TAIL_EXPANSION_MIN)
+    assert abs(tail - expected_tail) <= TAIL_RTOL * magnitude
 
 
 class TestContourKernel:
@@ -249,15 +267,17 @@ class TestContourKernel:
         st.floats(min_value=0.2, max_value=45.0),
     )
     # points where rounding lam_n * w and lam * w to doubles moved the result
-    # by more than 1e-10 relative: lam at an eigenvalue, and near resonances
+    # by more than 1e-10 relative: lam at an eigenvalue, and near resonances;
+    # the kernel meets them to 1.5e-16, 1.3e-15 and 4.2e-16 relative
     @example(entries=[(25.076185206023172, 3), (25.076185206023172, 3)], lam=25.076185206023172)
     @example(entries=[(24.0, 1), (23.5, 3)], lam=22.75)
     @example(
         entries=[(9.0, 2), (11.0, 1), (13.0, 1), (10.0625, 3), (10.09375, 3)], lam=9.38671875
     )
-    # below the only eigenvalue the trapezoid cancels, to -5.1e-14 from terms
-    # summing to 5.6e-8 in magnitude and to 8.2e-7 from 2.0; the kernel's own
-    # rounding leaves relative errors of 6.1e-11 and 9.2e-11 here
+    # below the only eigenvalue: the first trapezoid cancels to -5.1e-14 from
+    # terms summing to 5.6e-8 in magnitude, which leaves the kernel's rounding
+    # at 6.1e-11 relative; the second cancelled to 8.2e-7 from 2.0 on a
+    # longer contour and now sums to 2.2e-2 over 108 nodes (1.6e-16)
     @example(entries=[(9.890625, 1)], lam=1.09765625)
     @example(entries=[(36.64810740122483, 2)], lam=31.019026072892323)
     @settings(deadline=None)
@@ -284,3 +304,92 @@ class TestContourKernel:
             tracemalloc.stop()
         assert abs(res.value - counting(s, 263.0)) <= 0.1
         assert peak < 128 * 2**20
+
+
+def rounding_allowance(s, lam, cfg):
+    """2^-52 e^(c lam) / pi * sum_n a_n * sum_(j <= M) h |g_j|: the size of the kernel's rounding.
+
+    Node j sums terms a_n z_n^j g_j, g_j = 1/(c + i j h), each formed with
+    a few roundings of 2^-53 of its size, and the tail adds terms no
+    larger; sum_j h |g_j| is at most h/c + asinh(M h/c).  With c lam near
+    30, as file spectra with a large abscissa estimate give, the value is
+    a count left by terms up to e^(c lam) times larger, and this allowance
+    passes AUTO_TRUNCATION_TOL.
+    """
+    keep = cfg.c * (s.values - lam) <= inversion.TERM_DROP_EXPONENT
+    a_sum = float(np.sum(s.multiplicities[keep] * np.exp(-s.values[keep] * cfg.c)))
+    nodes_h = math.ceil(cfg.T / cfg.h) * cfg.h
+    return 2.0**-52 * math.exp(cfg.c * lam) / math.pi * a_sum * (cfg.h / cfg.c + math.asinh(nodes_h / cfg.c))
+
+
+def assert_within_budget_of_limit(s, lam):
+    """An auto contour below the cap lands within its budget of its trapezoid's limit.
+
+    The budget is AUTO_TRUNCATION_TOL for the truncation plus the
+    rounding allowance.  Returns False, checking nothing, for a capped
+    contour, whose error the budget does not cover.
+    """
+    res = bromwich_invert(s, lam)
+    cfg = res.config_used
+    if cfg.T >= inversion.T_CAP_FACTOR * cfg.c:
+        return False
+    limit = oracles.trapezoid_limit(
+        s.values, s.multiplicities, lam, cfg.c, cfg.h, inversion.TERM_DROP_EXPONENT
+    )
+    budget = inversion.AUTO_TRUNCATION_TOL + rounding_allowance(s, lam, cfg)
+    assert abs(res.value - limit) <= budget, (lam, res.value, limit)
+    return True
+
+
+def grid_of(s, n_mid, n_jump):
+    """The first n_mid midpoints between distinct values and the first n_jump values."""
+    v = [float(x) for x in s.values[: n_mid + 1]]
+    return [0.5 * (a + b) for a, b in zip(v[:-1], v[1:])] + v[:n_jump]
+
+
+class TestPoissonLimit:
+    @pytest.mark.parametrize("ratio, first_alias", [(3.0, 1), (20.0, 2)])
+    @pytest.mark.parametrize("lam", [0.5, 12.0, 380.5])
+    def test_aliases_damped_by_e_minus_32k(self, lam, ratio, first_alias):
+        # one value v = ratio * lam above lam: N(lam) = 0, and the alias at
+        # lam + 2 pi k/h = (1 + 16 k) lam counts v from k = first_alias on,
+        # each damped by e^(-2 pi c k/h) = e^(-32 k) on the auto contour
+        s = Spectrum.from_entries([ratio * lam], [3])
+        cfg = _resolve_config(s, lam, InversionConfig())
+        assert cfg.c == inversion.KAPPA / lam
+        assert 2.0 * math.pi * cfg.c / cfg.h == pytest.approx(32.0, rel=1e-14)
+        limit = oracles.trapezoid_limit(
+            s.values, s.multiplicities, lam, cfg.c, cfg.h, inversion.TERM_DROP_EXPONENT
+        )
+        expected = 3.0 * math.exp(-32.0 * first_alias) / (1.0 - math.exp(-32.0))
+        assert limit == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["interval", "constant"])
+    def test_acceptance_grids(self, family, interval_pi_200, const_density_200):
+        s = interval_pi_200 if family == "interval" else const_density_200
+        checked = [assert_within_budget_of_limit(s, lam) for lam in grid_of(s, 19, 5)]
+        assert all(checked)
+
+    @pytest.mark.parametrize("family", ["torus", "rectangle"])
+    def test_benchmark_midpoints(self, family, torus_400, rectangle_pi_2000):
+        s = torus_400 if family == "torus" else rectangle_pi_2000
+        checked = [assert_within_budget_of_limit(s, lam) for lam in grid_of(s, 7, 0)]
+        assert all(checked)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.5, max_value=40.0), st.integers(min_value=1, max_value=3)
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.floats(min_value=0.2, max_value=45.0),
+    )
+    @settings(deadline=None)
+    def test_random_file_spectra(self, entries, lam):
+        s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
+        try:
+            assume(assert_within_budget_of_limit(s, lam))
+        except ConfigurationError as exc:
+            assert "overflows" in str(exc)

@@ -244,6 +244,18 @@ class TestLaplaceOfCounting:
         k_val = heat_trace(s, t).value
         assert abs(laplace_of_counting(s, t, "quadrature") - k_val) <= 1e-8 * k_val
 
+    @pytest.mark.parametrize("t", [1e-30, 1e-200, 1e-300, 1e-305, 1e-306, 1e-307, 5e-324])
+    def test_quadrature_at_tiny_t_is_right_or_raises(self, interval_pi_200, t):
+        # the domain end is about 28 / t: near the top of the double range the
+        # panel budget must not overflow, and an overflowing integral must raise
+        k_val = heat_trace(interval_pi_200, t).value
+        try:
+            quad = laplace_of_counting(interval_pi_200, t, "quadrature")
+        except AccuracyError:
+            assert t < 1e-305
+            return
+        assert abs(quad - k_val) <= 1e-8 * k_val
+
     def test_subdivision_cap_raises_accuracy_error(self, interval_pi_200, monkeypatch):
         monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", 2)
         step = laplace_of_counting(interval_pi_200, 1.0, "step_exact")
