@@ -159,13 +159,13 @@ def _laplace_identity(s, args):
     return table
 
 
-def _laplace_ok(row, s, args):
+def _laplace_ok(row, table, s, args):
     t, k_val, step, quad, corr, step_dev, quad_dev = row
     # --tol sets the step-exact tolerance; the quadrature is held to 1e-8 relative
     return step_dev <= args.tol and quad_dev <= 1e-8
 
 
-def _inverted_ok(row, s, args):
+def _inverted_ok(row, table, s, args):
     lam, value, osc, rounded, oracle, match = row
     return match == "yes" and abs(value - oracle) <= args.tol
 
@@ -177,22 +177,23 @@ def _sweep(s, args):
     return beta_sweep(s, lams[0], parse_grid(args.beta))
 
 
-def _within_bound(row, s, args):
+def _within_bound(row, table, s, args):
     beta, value, deviation, bound = row
     # the deviation may not exceed its own bound, up to ~eps per summed term
     slack = 64 * 2.3e-16 * s.total_count
     return not math.isnan(bound) and deviation <= bound * (1 + 1e-12) + slack
 
 
-def _in_regime(row, s, args):
+def _in_regime(row, table, s, args):
     t, k_val, n_val, ratio, flag = row
-    # the regime tolerance binds at the smallest t; larger t only need a well-defined ratio
-    return flag == "ok" and (t != min(parse_grid(args.t)) or abs(ratio - 1.0) <= args.tol)
+    # the regime tolerance binds at the smallest t, the first row of weyl_check's
+    # sorted table; larger t only need a well-defined ratio
+    return flag == "ok" and (t != table.rows[0][0] or abs(ratio - 1.0) <= args.tol)
 
 
 # theorem -> (the flags it reads and their defaults, None where required;
 #             its table, the same as the direct subcommand's for 2, 3 and 4;
-#             the pass rule for one row of that table)
+#             the pass rule for one row of that table, given the table)
 THEOREMS = {
     1: ({"t": "0.01,0.1,1,10", "tol": 1e-12}, _laplace_identity, _laplace_ok),
     2: ({"lam": None, "tol": 0.1}, lambda s, a: invert_profile(s, parse_grid(a.lam)), _inverted_ok),
@@ -218,7 +219,7 @@ def _verify(s, args):
     table = rows(s, args)
     checked = EvalTable(
         table.columns + ("pass",),
-        [row + ("yes" if passes(row, s, args) else "no",) for row in table.rows],
+        [row + ("yes" if passes(row, table, s, args) else "no",) for row in table.rows],
     )
     n_pass = sum(row[-1] == "yes" for row in checked.rows)
     message = f"theorem {args.theorem}: {n_pass}/{len(checked.rows)} rows passed -> {args.out}"

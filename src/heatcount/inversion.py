@@ -38,9 +38,11 @@ value, where the uncorrected sum misses e^(c lam) a_n / (pi mu_eff T).
 A resonant term, z = 1 exactly (lam_n = lam), has
 Re tau = atan(c / (M h)) / h by Euler-Maclaurin.  A term near resonance
 but not in it keeps its 1 / (mu_eff T) size until T reaches a few
-1 / mu_eff, which for lam within a rounding error of lam_n is the cap.
-So does an alias, lam_n within a rounding error of lam + 2 pi k / h,
-but its weight carries e^(-32 k) and raises T only a little.
+1 / mu_eff.  Where even the cap is below 1 / (2 mu_eff), as for lam
+within a rounding error of lam_n or of an alias lam_n - 2 pi k / h, the
+size is bounded by 2 instead: pi/2 from the sine integral plus c/T and
+h/T.  Near lam_n that bound alone passes the budget and T is the cap;
+an alias carries e^(-32 k) in its weight, so it leaves T as it is.
 
 The expansion runs in powers of 1/(mu_eff T): its k-th term is about
 (k-1)! / (mu_eff T)^(k-1) times the first, so the remainder is smaller
@@ -49,16 +51,17 @@ than the last term kept only where mu_eff T > 2, and its estimate
 mu_eff T > sqrt(2).  TAIL_EXPANSION_MIN = 4 keeps the remainder at most
 half the second-order term and its estimate at most 1/8 of the
 uncorrected size.  Terms below it, resonant ones included, are counted
-at the uncorrected size, 1/(mu_eff T) or c/T in resonance; those that
-are not resonant get no correction.  Each term's estimate thus falls as
-T passes TAIL_EXPANSION_MIN / mu_eff, and so does their sum: between
-those breakpoints it is p / T^3 + q / T, and the smallest T within
-budget is the root of a cubic in the first interval where the budget is
-met.  T then stays between t_min = max(20 c, 4 pi / lam, 8 h) and the
-cap T_CAP_FACTOR * c.  Where the uncorrected rule needed T ~ 1/tol, the
-corrected one needs T ~ tol^(-1/3).  The model leaves rounding out: the
-value is a count left by terms up to e^(c lam) a_n / (c pi) in size, so
-near c lam = 30 and above, double rounding alone can pass the budget.
+at the uncorrected size, 1/(mu_eff T), 2 below 1/(2 mu_eff) at the cap
+or c/T in resonance; those that are not resonant get no correction.
+Each term's estimate thus falls as T passes TAIL_EXPANSION_MIN / mu_eff,
+and so does their sum: between those breakpoints it is p / T^3 + q / T,
+and the smallest T within budget is the root of a cubic in the first
+interval where the budget is met.  T then stays between
+t_min = max(20 c, 4 pi / lam, 8 h) and the cap T_CAP_FACTOR * c.  Where
+the uncorrected rule needed T ~ 1/tol, the corrected one needs
+T ~ tol^(-1/3).  The model leaves rounding out: the value is a count
+left by terms up to e^(c lam) a_n / (c pi) in size, so near c lam = 30
+and above, double rounding alone can pass the budget.
 
 Cost model: K(c + i w) e^(i lam w) is needed at every node w_j = j h,
 j = 0 .. ceil(T/h), for the `terms` spectral values kept.  The nodes
@@ -75,9 +78,12 @@ multiply-adds in one GEMM.  P is built and multiplied in row groups of
 at most BLOCK_BYTES of working arrays, so the transient memory of one
 call is BLOCK_BYTES plus the table E, whatever the height T.  One sweep
 gives both the trapezoid sum and the last period's sum, each reduced by
-np.sum, so no result depends on the number of BLAS threads.  The tail
-correction takes z_n^M and e^(i pi g_n) from two more phasor rows, 2 *
-terms exponentials, and choosing T sorts the terms once.
+np.sum, so no result depends on the number of BLAS threads.  The kept
+terms, their coefficients a_n, phases g_n and frequencies mu_eff are
+derived once per call and shared by the choice of T, the trace and the
+tail.  Choosing T sorts the terms once; the tail takes e^(i pi g_n) and
+z_n^M from one two-row phasor table of the expanded terms, at most 2 *
+terms exponentials.
 
 Phases: (lam - lam_n) j h reaches thousands of radians, and rounding it
 to a double moves it by about 1e-13 rad.  Near a resonance (lam_n close
@@ -166,7 +172,8 @@ def abscissa_estimate(s: Spectrum) -> float:
     return float(np.max(np.log(n_k) / lam))
 
 
-def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionConfig:
+def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig):
+    """The contour for N(lam), and the _terms state of the spectral terms it keeps."""
     try:
         est = abscissa_estimate(s)
     except InsufficientDataError:
@@ -184,13 +191,29 @@ def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig) -> InversionC
         raise ConfigurationError(
             f"e^(c*lam) overflows for c*lam = {c * lam:g}; choose a smaller contour abscissa"
         )
-    if cfg.c is not None:
-        return cfg
-    h = math.pi / (8.0 * lam)
-    return InversionConfig(c=c, T=_auto_truncation(s, lam, c, h), h=h)
+    h = math.pi / (8.0 * lam) if cfg.h is None else cfg.h
+    terms = _terms(s, lam, c, h)
+    if cfg.c is None:
+        cfg = InversionConfig(c=c, T=_auto_truncation(terms, lam, c, h), h=h)
+    return cfg, terms
 
 
-def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:
+def _terms(s: Spectrum, lam: float, c: float, h: float):
+    """(coeffs, g_hi, g_lo, mu_eff) of the terms with c (lam_n - lam) <= TERM_DROP_EXPONENT.
+
+    coeffs_n = mult_n e^(-c lam_n); g_hi + g_lo = (lam - lam_n) h / (2 pi),
+    the phase per step in turns as a double-double; mu_eff = 2 |sin((lam -
+    lam_n) h / 2)| / h, the frequency as the grid sees it, 0 in resonance.
+    Terms further above lam are damped below resolution and dropped.
+    """
+    keep = c * (s.values - lam) <= TERM_DROP_EXPONENT
+    values = s.values[keep]
+    coeffs = s.multiplicities[keep] * np.exp(-values * c)
+    mu_eff = np.abs(2.0 * np.sin(0.5 * (lam - values) * h)) / h
+    return (coeffs, *_turns_per_step(lam, values, h), mu_eff)
+
+
+def _auto_truncation(terms, lam: float, c: float, h: float) -> float:
     """The smallest T in [t_min, T_CAP_FACTOR c] whose predicted tail error is within budget.
 
     Per unit of a_n e^(c lam) / pi, a term of wrapped frequency mu_eff
@@ -198,15 +221,26 @@ def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:
     TAIL_EXPANSION_MIN), 1 / (mu_eff T) before that, and c / T in
     resonance.  Past its breakpoint TAIL_EXPANSION_MIN / mu_eff a term
     moves from the second kind to the first, so the predicted error
-    decreases with T; between breakpoints it is p / T^3 + q / T.
+    decreases with T; between breakpoints it is p / T^3 + q / T.  A term
+    with mu_eff T < 1/2 even at the cap (mu_eff is rounding noise near an
+    alias, or lam is within it of lam_n) leaves at most 2 instead: pi/2
+    from the sine integral, plus c/T <= 1/20 and h/T <= 1/8 for T >=
+    t_min.  These terms take a fixed share r of the budget, the cubic is
+    solved in the 1 - r left, and T is the cap if r >= 1.
     """
-    a_n = s.multiplicities * np.exp(-np.minimum(c * s.values, 745.0))
-    a_n *= math.exp(c * lam) / (math.pi * AUTO_TRUNCATION_TOL)  # budget 1
-    mu_eff = np.abs(2.0 * np.sin(0.5 * (lam - s.values) * h)) / h
+    coeffs, _, _, mu_eff = terms
+    t_cap = T_CAP_FACTOR * c
+    a_n = coeffs * (math.exp(c * lam) / (math.pi * AUTO_TRUNCATION_TOL))  # budget 1
     resonant = mu_eff == 0.0
+    bounded = ~resonant & (mu_eff * t_cap < 0.5)
+    slack = 1.0 - 2.0 * float(np.sum(a_n[bounded]))
+    if not slack > 0.0:
+        return t_cap
+    a_n /= slack  # the other terms' sizes in units of the budget they have left
     q_resonant = c * float(np.sum(a_n[resonant]))
-    order = np.argsort(-mu_eff[~resonant], kind="stable")
-    a, mu = a_n[~resonant][order], mu_eff[~resonant][order]
+    live = ~(resonant | bounded)
+    order = np.argsort(-mu_eff[live], kind="stable")
+    a, mu = a_n[live][order], mu_eff[live][order]
     breaks = TAIL_EXPANSION_MIN / mu  # ascending
     # p[k], q[k]: the coefficients once the first k terms are expanded
     p = np.concatenate(([0.0], np.cumsum(2.0 * a / mu**3)))
@@ -218,7 +252,7 @@ def _auto_truncation(s: Spectrum, lam: float, c: float, h: float) -> float:
     if k < breaks.size:
         t_req = min(t_req, float(breaks[k]))
     t_min = max(20.0 * c, 4.0 * math.pi / lam, 8.0 * h)
-    return float(min(max(t_req, t_min), T_CAP_FACTOR * c))
+    return float(min(max(t_req, t_min), t_cap))
 
 
 def _cubic_root(p: float, q: float) -> float:
@@ -248,25 +282,19 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
     """
     if not (0 < lam < math.inf):
         raise DomainError(f"inversion point must be positive and finite, got {lam!r}")
-    cfg = _resolve_config(s, lam, cfg or InversionConfig())
-    trapezoid, tail, oscillation = _contour_sums(s, lam, cfg)
+    cfg, terms = _resolve_config(s, lam, cfg or InversionConfig())
+    trapezoid, tail, oscillation = _contour_sums(terms, lam, cfg)
     return InversionResult(trapezoid + tail, oscillation, cfg)
 
 
-def _contour_sums(s: Spectrum, lam: float, cfg: InversionConfig):
+def _contour_sums(terms, lam: float, cfg: InversionConfig):
     """(trapezoid, tail, oscillation) on a resolved contour, each scaled by e^(c lam) h / pi.
 
-    trapezoid is the trapezoid sum over nodes 0 .. M = ceil(T/h), tail the
-    kept terms' sums past M, and oscillation the sum over the last
-    period of trapezoid, floored at 2^-40 (1 + |trapezoid|).
+    trapezoid is the trapezoid sum of the _terms state over nodes 0 .. M =
+    ceil(T/h), tail the terms' sums past M, and oscillation the sum over
+    the last period of trapezoid, floored at 2^-40 (1 + |trapezoid|).
     """
     c, T, h = cfg.c, cfg.T, cfg.h
-
-    # Terms too far above lam are damped below resolution; drop them.
-    keep = c * (s.values - lam) <= TERM_DROP_EXPONENT
-    values = s.values[keep]
-    coeffs = s.multiplicities[keep] * np.exp(-values * c)
-
     m_steps = int(math.ceil(T / h))
     scale = math.exp(c * lam) / math.pi * h
     # the last full oscillation period of e^(i lam w): nodes j_tail .. m_steps
@@ -275,7 +303,7 @@ def _contour_sums(s: Spectrum, lam: float, cfg: InversionConfig):
 
     # one sweep: each node at weight 1, then half of each end node taken back
     total = last_period = 0.0
-    for j, trace in _trace_on_grid(values, coeffs, h, m_steps + 1, lam):
+    for j, trace in _trace_on_grid(terms, m_steps + 1):
         f = np.real(trace / (c + 1j * (j * h)))
         if j[0] == 0:
             f_first = f[0]
@@ -285,51 +313,48 @@ def _contour_sums(s: Spectrum, lam: float, cfg: InversionConfig):
     trapezoid = scale * (total - 0.5 * (f_first + f_last))
     osc_raw = abs(scale * (last_period - 0.5 * f_last))
     oscillation = max(osc_raw, 2.0**-40 * (1.0 + abs(trapezoid)))
-    tail = scale * _tail_sum(values, coeffs, lam, c, T, h, m_steps)
+    tail = scale * _tail_sum(terms, c, T, h, m_steps)
     return trapezoid, tail, oscillation
 
 
-def _tail_sum(values, coeffs, lam, c, T, h, m):
+def _tail_sum(terms, c, T, h, m):
     """sum_n coeffs_n Re tau_n, tau_n the trapezoid tail of term n past node m, half end weight included.
 
-    With z = e^(2 pi i g), g = (lam - values_n) h / (2 pi), and
-    g_j = 1/(c + i j h), summation by parts gives, to second order,
+    With z = e^(2 pi i g), g = g_hi + g_lo, and g_j = 1/(c + i j h),
+    summation by parts gives, to second order,
 
         tau = z^m g_m (1/(1 - z) - 1/2) + z^(m+1) (g_(m+1) - g_m) / (1 - z)^2
             = z^m (g_m (i/2) cot(pi g) - (g_(m+1) - g_m) / (4 sin(pi g)^2)),
 
-    for terms with mu_eff T >= TAIL_EXPANSION_MIN, mu_eff = 2 |sin(pi g)| / h.
-    A resonant term (z = 1) has Re tau = atan(c/(m h)) / h by
-    Euler-Maclaurin; the terms in between get no correction.
+    for terms with mu_eff T >= TAIL_EXPANSION_MIN; e^(i pi g) and z^m come
+    from one phasor table of those terms.  A resonant term (mu_eff = 0)
+    has Re tau = atan(c/(m h)) / h by Euler-Maclaurin; the terms in
+    between get no correction.
     """
-    g_hi, g_lo = _turns_per_step(lam, values, h)
-    half = _unit_phasors(0.5 * g_hi, 0.5 * g_lo, np.ones(1))[0]  # e^(i pi g)
-    sin, cos = half.imag, half.real
-    mu_eff = 2.0 * np.abs(sin) / h
+    coeffs, g_hi, g_lo, mu_eff = terms
     expanded = mu_eff * T >= TAIL_EXPANSION_MIN
-    resonant = sin == 0.0
+    half, z_m = _unit_phasors(g_hi[expanded], g_lo[expanded], np.array([0.5, float(m)]))
+    sin, cos = half.imag, half.real
     g_m = 1.0 / (c + 1j * (m * h))
     dg = -1j * h * g_m / (c + 1j * ((m + 1) * h))  # g_(m+1) - g_m
-    sin, cos = sin[expanded], cos[expanded]
-    z_m = coeffs[expanded] * _unit_phasors(g_hi[expanded], g_lo[expanded], np.array([float(m)]))[0]
-    tau = z_m * ((0.5j * g_m) * (cos / sin) - dg / (4.0 * sin * sin))
-    return float(np.sum(tau.real)) + math.atan(c / (m * h)) / h * float(np.sum(coeffs[resonant]))
+    tau = coeffs[expanded] * z_m * ((0.5j * g_m) * (cos / sin) - dg / (4.0 * sin * sin))
+    return float(np.sum(tau.real)) + math.atan(c / (m * h)) / h * float(np.sum(coeffs[mu_eff == 0.0]))
 
 
-def _trace_on_grid(values, coeffs, h, count, lam):
-    """Yield (j, sum_n coeffs_n e^(i (lam - values_n) j h)) in blocks covering 0 .. count - 1.
+def _trace_on_grid(terms, count):
+    """Yield (j, sum_n coeffs_n e^(2 pi i (g_hi + g_lo)_n j)) in blocks covering 0 .. count - 1.
 
     Node j = q B + r with B = ceil(sqrt(count)): the trace is the product
-    of a row group of P[q, n] = coeffs_n e^(i (lam - values_n) q B h) with
-    E[n, r] = e^(i (lam - values_n) r h), row groups sized by BLOCK_BYTES.
+    of a row group of P[q, n] = coeffs_n e^(2 pi i g_n q B) with
+    E[n, r] = e^(2 pi i g_n r), row groups sized by BLOCK_BYTES.
     """
+    coeffs, g_hi, g_lo, _ = terms
     width = math.isqrt(count - 1) + 1
     rows = -(-count // width)
-    g_hi, g_lo = _turns_per_step(lam, values, h)
     table = _unit_phasors(g_hi, g_lo, np.arange(width, dtype=np.float64)).T
     # bytes per row of P: phase arithmetic, exponentials and P itself per
     # term; trace, node indices and integrand temporaries per column
-    row_bytes = 96 * values.size + 112 * width
+    row_bytes = 96 * coeffs.size + 112 * width
     group = max(BLOCK_BYTES // row_bytes, 1)
     for q0 in range(0, rows, group):
         starts = width * np.arange(q0, min(q0 + group, rows))
@@ -366,7 +391,7 @@ def _turns_per_step(lam, values, h):
 
 
 def _unit_phasors(g_hi, g_lo, k):
-    """e^(2 pi i (g_hi + g_lo) k) as a len(k) x len(g) array, for integer-valued k.
+    """e^(2 pi i (g_hi + g_lo) k) as a len(k) x len(g) array, for integer or half-integer k.
 
     The product g_hi k is split exactly into a double and its rounding
     error, and its whole turns are removed before the exponential.

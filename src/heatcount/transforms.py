@@ -229,7 +229,12 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     panel_n = left_counts.astype(np.float64)
 
     try:
-        integral, error = _adaptive_simpson_exp(edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t)
+        # near t ~ 1e-306 panel sums and the domain end pass the double range;
+        # the non-finite values that follow end in AccuracyError, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            integral, error = _adaptive_simpson_exp(
+                edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t
+            )
     except AccuracyError as exc:
         raise AccuracyError(
             "laplace quadrature did not converge",

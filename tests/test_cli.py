@@ -174,6 +174,20 @@ class TestVerify:
         header = out.read_text().splitlines()[0]
         assert header == "t,K,N_inv,ratio,flag,pass"
 
+    def test_theorem_4_parses_its_grid_once(self, tmp_path, const_file, monkeypatch):
+        # the pass rule takes the smallest t from the sorted table, not from --t per row
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_grid(text)
+
+        monkeypatch.setattr("heatcount.cli.parse_grid", counted)
+        code = run("verify", "--spectrum", const_file, "--theorem", 4,
+                   "--t", "1e-3:1e-2:1e-3", "--out", tmp_path / "t4.csv")
+        assert code == 0
+        assert calls == ["1e-3:1e-2:1e-3"]
+
     def test_theorem_4_coverage_failure(self, tmp_path, const_file):
         out = tmp_path / "t4.csv"
         code = run("verify", "--spectrum", const_file, "--theorem", 4,

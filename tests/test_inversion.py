@@ -21,7 +21,7 @@ from heatcount import (
     invert_profile,
     inversion,
 )
-from heatcount.inversion import _contour_sums, _resolve_config, _trace_on_grid
+from heatcount.inversion import _contour_sums, _resolve_config, _trace_on_grid, _turns_per_step
 
 
 class TestAbscissaEstimate:
@@ -191,14 +191,14 @@ def assert_matches_direct_trapezoid(s, lam, cfg=None):
     of its magnitude.
     """
     res = bromwich_invert(s, lam, cfg)
-    expected_cfg = _resolve_config(s, lam, cfg or InversionConfig())
+    expected_cfg, terms = _resolve_config(s, lam, cfg or InversionConfig())
     used = res.config_used
     assert [used.c.hex(), used.T.hex(), used.h.hex()] == [
         expected_cfg.c.hex(),
         expected_cfg.T.hex(),
         expected_cfg.h.hex(),
     ]
-    trapezoid, tail, oscillation = _contour_sums(s, lam, used)
+    trapezoid, tail, oscillation = _contour_sums(terms, lam, used)
     assert res.value == trapezoid + tail
     assert res.oscillation_estimate == oscillation
     args = (s.values, s.multiplicities, lam, used.c, used.T, used.h, inversion.TERM_DROP_EXPONENT)
@@ -223,7 +223,8 @@ class TestContourKernel:
         c, h = 0.05, math.pi / 96.0
         values = interval_pi_200.values[:60]
         coeffs = interval_pi_200.multiplicities[:60] * np.exp(-values * c)
-        blocks = list(_trace_on_grid(values, coeffs, h, j0 + count, 0.0))
+        terms = (coeffs, *_turns_per_step(0.0, values, h), None)
+        blocks = list(_trace_on_grid(terms, j0 + count))
         j = np.concatenate([b[0] for b in blocks])
         trace = np.concatenate([b[1] for b in blocks])[j0:]
         assert j.tolist() == list(range(j0 + count))
@@ -232,6 +233,21 @@ class TestContourKernel:
         omega_max = h * (j0 + count - 1)
         tol = 1e-15 * float(np.sum(coeffs * (1.0 + values * omega_max)))
         assert np.max(np.abs(trace - expected)) <= tol
+
+    @pytest.mark.parametrize(
+        "lam, cfg", [(9.0, None), (12.0, None), (12.0, InversionConfig(c=0.2, T=50.0, h=0.1))]
+    )
+    def test_phases_derived_once_per_call(self, interval_pi_200, monkeypatch, lam, cfg):
+        # T selection, the trace and the tail all read one per-term state
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _turns_per_step(*args)
+
+        monkeypatch.setattr(inversion, "_turns_per_step", counted)
+        bromwich_invert(interval_pi_200, lam, cfg)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("lam", [0.5, 9.0, 12.0, 20.5, 380.5])
     def test_interval_auto_contour(self, interval_pi_200, lam):
@@ -284,7 +300,7 @@ class TestContourKernel:
     def test_random_file_spectra(self, entries, lam):
         s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
         try:
-            cfg = _resolve_config(s, lam, InversionConfig())
+            cfg, _ = _resolve_config(s, lam, InversionConfig())
         except ConfigurationError as exc:
             # the one refusal of an auto contour: e^(c lam) above e^700
             assert "overflows" in str(exc)
@@ -355,7 +371,7 @@ class TestPoissonLimit:
         # lam + 2 pi k/h = (1 + 16 k) lam counts v from k = first_alias on,
         # each damped by e^(-2 pi c k/h) = e^(-32 k) on the auto contour
         s = Spectrum.from_entries([ratio * lam], [3])
-        cfg = _resolve_config(s, lam, InversionConfig())
+        cfg, _ = _resolve_config(s, lam, InversionConfig())
         assert cfg.c == inversion.KAPPA / lam
         assert 2.0 * math.pi * cfg.c / cfg.h == pytest.approx(32.0, rel=1e-14)
         limit = oracles.trapezoid_limit(
@@ -375,6 +391,20 @@ class TestPoissonLimit:
         s = torus_400 if family == "torus" else rectangle_pi_2000
         checked = [assert_within_budget_of_limit(s, lam) for lam in grid_of(s, 7, 0)]
         assert all(checked)
+
+    @pytest.mark.parametrize(
+        "family, lam", [("constant", 1.0), ("constant", 2.0), ("constant", 3.0),
+                        ("constant", 4.0), ("constant", 5.0), ("rectangle", 9.0)]
+    )
+    def test_alias_near_resonance_is_bounded(self, family, lam, const_density_200, rectangle_pi_2000):
+        # a value at the alias lam + 2 pi/h = 17 lam (17, ..., 85 and 153 = 12^2 + 3^2)
+        # has a wrapped frequency that is rounding noise; its tail is at most
+        # 2 units of a_n e^(c lam)/pi, e^(-32) of the budget, and needs no
+        # larger T (9,041 and 16,460 nodes when counted at 1/(mu_eff T))
+        s = const_density_200 if family == "constant" else rectangle_pi_2000
+        assert assert_within_budget_of_limit(s, lam)
+        cfg = bromwich_invert(s, lam).config_used
+        assert math.ceil(cfg.T / cfg.h) + 1 <= 1000
 
     @given(
         st.lists(

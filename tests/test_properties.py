@@ -324,7 +324,7 @@ def assert_conjugate_symmetry(s, lam, height_fraction):
     pair the imaginary parts of the integrand must cancel.
     """
     try:
-        cfg = _resolve_config(s, lam, InversionConfig())
+        cfg, _ = _resolve_config(s, lam, InversionConfig())
     except ConfigurationError as exc:
         # the one refusal of an auto contour: e^(c lam) above e^700
         assert "overflows" in str(exc)
