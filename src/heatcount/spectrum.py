@@ -9,6 +9,7 @@ with integer multiplicities.  The truncation boundary is kept in
 from __future__ import annotations
 
 import json
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,6 +32,11 @@ FILE_MERGE_RTOL = 1e-12
 # Entries save_spectrum formats and writes at a time, so no copy of the whole
 # file is held in memory.
 SAVE_CHUNK = 8192
+
+# Characters load_spectrum reads at a time from a file in save_spectrum's layout.
+_READ_SIZE = 1 << 16
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,26 +292,38 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
 
 
 def spectrum_from_dict(payload: dict) -> Spectrum:
+    return _file_spectrum(payload, *_payload_arrays(payload))
+
+
+def _payload_arrays(payload):
+    """Value and multiplicity arrays of a parsed spectrum file."""
     if not isinstance(payload, dict):
         raise SpectrumFormatError("top-level JSON value must be an object")
     entries = payload.get("entries")
     if not isinstance(entries, list) or not entries:
         raise SpectrumFormatError("entries: must be a non-empty list")
-    values, mults = _entry_arrays(entries) or _checked_entry_arrays(entries)
-    cutoff = payload.get("cutoff")
+    return _entry_arrays(entries) or _checked_entry_arrays(entries)
+
+
+def _file_spectrum(header: dict, values: np.ndarray, mults: np.ndarray) -> Spectrum:
+    """The spectrum of a file's header fields and entry arrays.
+
+    Its sort and merge warnings name the caller of the function calling it.
+    """
+    cutoff = header.get("cutoff")
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, (int, float))):
         raise SpectrumFormatError(f"cutoff: expected a number, got {cutoff!r}")
     try:
         cutoff = None if cutoff is None else float(cutoff)
     except OverflowError:  # an integer beyond the double range
         raise ValidationError(f"cutoff: must be finite, got {cutoff!r}") from None
-    generator = payload.get("generator")
+    generator = header.get("generator")
     if generator is None:
         generator = {"kind": "file"}
     s = Spectrum.from_entries(
         values,
         mults,
-        label=str(payload.get("label", "")),
+        label=str(header.get("label", "")),
         generator=generator,
         cutoff=cutoff,
         merge_rtol=FILE_MERGE_RTOL,
@@ -333,7 +351,11 @@ def _entry_arrays(entries: list):
         values = [entry["value"] for entry in entries]
     except KeyError:
         return None
-    mults = [entry.get("multiplicity", 1) for entry in entries]
+    return _column_arrays(values, [entry.get("multiplicity", 1) for entry in entries])
+
+
+def _column_arrays(values: list, mults: list):
+    """Value and multiplicity arrays when the columns are well typed, else None."""
     # exact types: bool, an int subclass, fails both tests
     if not set(map(type, values)) <= {float, int} or set(map(type, mults)) != {int}:
         return None
@@ -370,37 +392,130 @@ def save_spectrum(s: Spectrum, path) -> None:
     """Write a spectrum as JSON; values round-trip exactly (repr precision).
 
     The bytes are those of ``json.dump(..., indent=1)`` plus a newline, with
-    the entries formatted directly: the stdlib encoder is pure Python
-    whenever ``indent`` is set.
+    the entries formatted directly, one ``%`` operation per chunk: the
+    stdlib encoder is pure Python whenever ``indent`` is set, and ``%r`` of
+    a float is the ``repr`` that ``json.dumps`` writes.
     """
     header = json.dumps(
         {"label": s.label, "generator": s.generator, "cutoff": s.coverage}, indent=1
     )
+    entry = '  {\n   "value": %r,\n   "multiplicity": %d\n  }'
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         # the header object without its closing "\n}", then the entries list
         handle.write(header[:-2] + ',\n "entries": [\n')
         for start in range(0, s.values.size, SAVE_CHUNK):
-            chunk = slice(start, start + SAVE_CHUNK)
+            values = s.values[start : start + SAVE_CHUNK].tolist()
+            fields = [None] * (2 * len(values))
+            fields[0::2] = values
+            fields[1::2] = s.multiplicities[start : start + SAVE_CHUNK].tolist()
             if start:
                 handle.write(",\n")
-            handle.write(
-                ",\n".join(
-                    '  {\n   "value": ' + repr(v) + ',\n   "multiplicity": ' + str(m) + "\n  }"
-                    for v, m in zip(s.values[chunk].tolist(), s.multiplicities[chunk].tolist())
-                )
-            )
+            handle.write(",\n".join([entry] * len(values)) % tuple(fields))
         handle.write("\n ]\n}\n")
 
 
+class _OffLayout(Exception):
+    """A file departs from save_spectrum's layout; the message says where."""
+
+
 def load_spectrum(path) -> Spectrum:
+    """Read a spectrum file: one in save_spectrum's layout a block of entries
+    at a time, so memory stays near the size of the result, any other with
+    ``json.load``, which gives the same spectrum, warnings or errors."""
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8") as handle:
+        try:
+            header, values, mults = _read_saved_layout(handle)
+        except (_OffLayout, UnicodeDecodeError) as exc:
+            reason = str(exc)
+        else:
+            logger.debug("%s: read in the saved layout", path)
+            return _file_spectrum(header, values, mults)
+        logger.debug("%s: read with json.load, %s", path, reason)
+        if handle.seekable():  # nothing was read from one that is not
+            handle.seek(0)
+        try:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SpectrumFormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return spectrum_from_dict(payload)
+        except json.JSONDecodeError as exc:
+            raise SpectrumFormatError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+    return _file_spectrum(payload, *_payload_arrays(payload))
+
+
+def _read_saved_layout(handle):
+    """Header, value array and multiplicity array of a file save_spectrum wrote.
+
+    The header is the lines before ``"entries"``, parsed with an empty list
+    put in.  The entries are read ``_READ_SIZE`` characters at a time and
+    cut at the last entry separator.  Raises ``_OffLayout`` at the first
+    departure from the layout.
+    """
+    if not handle.seekable():  # a pipe: json.load must get the whole text
+        raise _OffLayout("the file cannot be read twice")
+    if handle.read(2) != "{\n":
+        raise _OffLayout("line 1 is not '{'")
+    head = ["{\n"]
+    while (line := handle.readline()) != ' "entries": [\n':
+        if not line:
+            raise _OffLayout("no line ' \"entries\": ['")
+        head.append(line)
+    try:
+        header = json.loads("".join(head) + ' "entries": []\n}')
+    except ValueError:
+        raise _OffLayout("the lines before 'entries' are not a JSON object head") from None
+    opening = '  {\n   "value": '
+    if handle.read(len(opening)) != opening:
+        raise _OffLayout("the entries list does not open with a value")
+    separator = '\n  },\n  {\n   "value": '
+    end = "\n  }\n ]\n}\n"
+    values, mults = [], []
+    text = ""
+    while True:
+        data = handle.read(_READ_SIZE)
+        text += data
+        if data:
+            # what was left of the last read holds no separator
+            cut = text.rfind(separator, max(0, len(text) - len(data) - len(separator)))
+            if cut < 0:
+                continue
+            block, text = text[:cut], text[cut + len(separator) :]
+        elif text.endswith(end):
+            block = text[: -len(end)]
+        else:
+            raise _OffLayout("the file does not end as the layout does")
+        columns = _layout_block(block, separator)
+        if columns is None:
+            raise _OffLayout(f"block {len(values) + 1} off layout")
+        values.append(columns[0])
+        mults.append(columns[1])
+        if not data:
+            return header, np.concatenate(values), np.concatenate(mults)
+
+
+def _layout_block(block: str, separator: str):
+    """Value and multiplicity arrays of a block of entries, else None.
+
+    The block runs from the first value to the last multiplicity.  It becomes
+    the flat JSON array [v, m, null, v, m, null, ..., v, m] for
+    ``json.loads``, the number parser of the json path.  With k
+    multiplicity keys, k - 1 separators, 3k - 1 items, null at every third
+    and numbers elsewhere, the block holds no other comma, so each item is
+    the whole text of one field and json.load would read the same entries.
+    """
+    key = ',\n   "multiplicity": '
+    flat = block.replace(key, ",")
+    k = (len(block) - len(flat)) // (len(key) - 1)
+    try:
+        items = json.loads("[" + flat.replace(separator, ",null,") + "]")
+    except ValueError:
+        return None
+    if (
+        len(items) != 3 * k - 1
+        or block.count(separator) != k - 1
+        or items[2::3].count(None) != k - 1
+    ):
+        return None
+    return _column_arrays(items[0::3], items[1::3])

@@ -218,6 +218,11 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     log_drop = math.log(drop) if drop > 0 else math.log(BOUNDARY_DROP) + math.log(scale)
     needed = (math.log(s.total_count) - log_drop) / t
     lam_hi = max(s.coverage, needed)
+    if not (math.isfinite(lam_hi) and math.isfinite(scale / t)):
+        # below t ~ 1e-306 the domain end or the tolerance passes the double range
+        raise AccuracyError(
+            "laplace quadrature overflowed", estimate=math.inf, error_estimate=math.nan
+        )
 
     values = s.values
     inner = values[(values > 0.0) & (values < lam_hi)]
@@ -229,8 +234,8 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     panel_n = left_counts.astype(np.float64)
 
     try:
-        # near t ~ 1e-306 panel sums and the domain end pass the double range;
-        # the non-finite values that follow end in AccuracyError, not a warning
+        # near t ~ 1e-306 panel sums can pass the double range; the
+        # non-finite values that follow end in AccuracyError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             integral, error = _adaptive_simpson_exp(
                 edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from heatcount import (
     InversionConfig,
     SmoothingConfig,
     Spectrum,
+    SpectrumFormatError,
     ValidationError,
     counting,
     generate_constant_density,
@@ -25,10 +26,12 @@ from heatcount import (
     generate_rectangle,
     generate_torus,
     heat_trace,
+    load_spectrum,
     partial_exponential_sum,
     save_spectrum,
     smoothed_counting,
 )
+from heatcount import spectrum
 from heatcount.inversion import TERM_DROP_EXPONENT, _resolve_config
 from heatcount.spectrum import FILE_MERGE_RTOL, SAVE_CHUNK, _entry_arrays, spectrum_from_dict
 
@@ -307,6 +310,139 @@ def test_fast_load_matches_per_entry_loop(case):
     with mock.patch("heatcount.spectrum._entry_arrays", return_value=None):
         checked = load_outcome(payload)
     assert fast == checked
+
+
+def json_path_load(path):
+    """What json.load and spectrum_from_dict make of a file, errors worded as load_spectrum's."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SpectrumFormatError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+    return spectrum_from_dict(payload)
+
+
+def file_outcome(load, path):
+    """The spectrum, its exact values and the warnings a load gives, or its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = load(path)
+        except Exception as exc:  # compared between the two readers
+            return type(exc), str(exc)
+    return s, [v.hex() for v in s.values.tolist()], s.multiplicities.tolist(), [
+        (w.category, str(w.message)) for w in caught
+    ]
+
+
+# what an edit may insert into a saved file: numbers json reads its own way,
+# pieces of the layout, and text that breaks it
+layout_snippets = [
+    "3", "1e400", "NaN", "-Infinity", "1.50", "-0.0", "0", "9" * 20, "null", "true", '"1"',
+    "[", "]", "{", "}", ",", " ", "\r\n", "\n", '"value": ', '"multiplicity": ',
+    ',\n   "multiplicity": 2', '\n  },\n  {\n   "value": ', "\n  }", "\n ]\n}\n",
+    '\n "entries": [\n', '"cutoff": 1e6,\n ', "x",
+]
+
+
+@st.composite
+def edited_saved_files(draw):
+    """A saved spectrum's text after zero to three edits: an insertion from
+    layout_snippets, a deleted span, or two swapped lines."""
+    entries = draw(saved_entries)
+    s = Spectrum.from_entries(
+        [v for v, _ in entries], [m for _, m in entries], label=draw(st.text(max_size=3))
+    )
+    text = json.dumps(oracles.spectrum_to_dict(s), indent=1) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "swap"]))
+        i = draw(st.integers(0, len(text)))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(layout_snippets)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[draw(st.integers(i, min(len(text), i + 40))) :]
+        else:
+            lines = text.split("\n")
+            a, b = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2))
+            lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+    return text
+
+
+LAYOUT = json.dumps(
+    {
+        "label": "pinned",
+        "generator": {"kind": "file"},
+        "cutoff": 4.0,
+        "entries": [
+            {"value": 1.0, "multiplicity": 2},
+            {"value": 2.5, "multiplicity": 1},
+            {"value": 4.0, "multiplicity": 3},
+        ],
+    },
+    indent=1,
+) + "\n"
+MIDDLE = '"value": 2.5,\n   "multiplicity": 1'
+
+
+@given(edited_saved_files(), st.sampled_from([5, 1 << 16]))
+@example(LAYOUT, 1 << 16)
+@example(LAYOUT.replace("2.5", "3"), 1 << 16)
+@example(LAYOUT.replace("2.5", "1e400"), 1 << 16)
+@example(LAYOUT.replace("2.5", "NaN"), 1 << 16)
+@example(LAYOUT.replace("2.5", "1.50"), 5)
+@example(LAYOUT.replace(MIDDLE, MIDDLE + ',\n   "multiplicity": 5'), 1 << 16)
+@example(LAYOUT.replace(MIDDLE, '"value": 2.5'), 1 << 16)
+@example(LAYOUT.replace(MIDDLE, '"multiplicity": 1,\n   "value": 2.5'), 1 << 16)
+@example(LAYOUT.replace("\n", "\r\n"), 5)
+@example(LAYOUT + "{}", 1 << 16)
+@example(LAYOUT.replace(MIDDLE, '"value": 2.5, 1'), 1 << 16)
+@example(LAYOUT.replace(MIDDLE, MIDDLE + ", null, 3.0, 1"), 1 << 16)
+@settings(max_examples=300, deadline=None)
+def test_layout_reader_matches_json_path(tmp_path_factory, text, read_size):
+    """load_spectrum reads a saved file, edited or not, in blocks of read_size
+    characters where it can and with json.load where it cannot; either way it
+    gives what json.load and spectrum_from_dict give."""
+    path = tmp_path_factory.mktemp("edited") / "s.json"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(spectrum, "_READ_SIZE", read_size):
+        assert file_outcome(load_spectrum, path) == file_outcome(json_path_load, path)
+
+
+@given(st.text(), generator_dicts, saved_entries)
+@settings(max_examples=60, deadline=None)
+def test_saved_file_loads_back_exactly(tmp_path_factory, label, generator, entries):
+    s = Spectrum.from_entries(
+        [v for v, _ in entries], [m for _, m in entries], label=label, generator=generator
+    )
+    # values this close merge on loading, with a warning (test_json_dict_round_trip_exact)
+    assume(np.all(np.diff(s.values) > FILE_MERGE_RTOL * s.values[1:]))
+    path = tmp_path_factory.mktemp("round") / "s.json"
+    save_spectrum(s, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_spectrum(path)
+    assert loaded == s
+    assert [v.hex() for v in loaded.values.tolist()] == [v.hex() for v in s.values.tolist()]
+
+
+@pytest.mark.parametrize("read_size", [1, 5, 21, 22, 23])
+def test_layout_reader_blocks_straddle_separators(tmp_path, read_size, caplog):
+    """Read sizes shorter than the entry separator (22 characters) cut every
+    separator across two reads; the result must not change."""
+    s = Spectrum.from_entries(
+        np.arange(1, 60) / 7.0, np.arange(59) % 4 + 1, label="blocks", generator={"kind": "x"}
+    )
+    path = tmp_path / "s.json"
+    save_spectrum(s, path)
+    expected = file_outcome(json_path_load, path)
+    with mock.patch.object(spectrum, "_READ_SIZE", read_size):
+        with caplog.at_level("DEBUG", logger="heatcount.spectrum"):
+            assert file_outcome(load_spectrum, path) == expected
+    assert caplog.messages == [f"{path}: read in the saved layout"]
+    assert expected[0] == s
 
 
 FAMILIES = {

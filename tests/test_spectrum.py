@@ -1,5 +1,9 @@
 import json
+import logging
 import math
+import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from heatcount import (
     load_spectrum,
     save_spectrum,
 )
+from heatcount.spectrum import spectrum_from_dict
 
 
 class TestIntervalGenerator:
@@ -328,3 +333,76 @@ class TestPersistence:
             s = load_spectrum(path)
         assert s.values.size == 1
         assert s.multiplicities.tolist() == [3]
+
+    def test_warnings_name_the_caller(self, tmp_path):
+        payload = {"entries": [{"value": 3.0}, {"value": 2.0}]}
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(payload))
+        layout = tmp_path / "layout.json"
+        save_spectrum(Spectrum.from_entries([2.0, 3.0]), layout)
+        layout.write_text(layout.read_text().replace('"value": 3.0', '"value": 1.0'))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spectrum_from_dict(payload)
+            load_spectrum(compact)
+            load_spectrum(layout)
+        message = "spectrum entries not strictly increasing; sorting and merging"
+        assert [str(w.message) for w in caught] == [message] * 3
+        assert [w.filename for w in caught] == [__file__] * 3
+
+    def test_undecodable_saved_file_fails_as_json_load_does(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_spectrum(generate_interval(math.pi, 3000), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+        with pytest.raises(UnicodeDecodeError) as expected:
+            with path.open(encoding="utf-8") as handle:
+                json.load(handle)
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_spectrum(path)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_load_from_a_pipe(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b'{"entries": [{"value": 1.0, "multiplicity": 2}]}')
+            os.close(write_end)
+            s = load_spectrum(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert s.multiplicities.tolist() == [2]
+
+    def test_load_logs_the_path_taken(self, tmp_path, caplog):
+        s = generate_interval(math.pi, 3)
+        layout = tmp_path / "layout.json"
+        save_spectrum(s, layout)
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps({"entries": [{"value": 1.0, "multiplicity": 1}]}))
+        edited = tmp_path / "edited.json"
+        duplicate = '"multiplicity": 1,\n   "multiplicity": 2\n'
+        edited.write_text(layout.read_text().replace('"multiplicity": 1\n', duplicate, 1))
+        load_spectrum(layout)
+        assert not caplog.records  # silent by default
+        with caplog.at_level(logging.DEBUG, logger="heatcount.spectrum"):
+            assert load_spectrum(layout) == s
+            load_spectrum(compact)
+            assert load_spectrum(edited).multiplicities.tolist() == [2, 1, 1]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{layout}: read in the saved layout",
+            f"{compact}: read with json.load, line 1 is not '{{'",
+            f"{edited}: read with json.load, block 1 off layout",
+        ]
+
+    def test_load_memory_stays_near_the_result(self, tmp_path):
+        count = 100_000
+        path = tmp_path / "const.json"
+        save_spectrum(generate_constant_density(1.0, count), path)
+        tracemalloc.start()
+        try:
+            load_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result alone holds 16 B per entry; parsing the whole file held 290
+        assert peak <= 128 * count

@@ -258,6 +258,16 @@ class TestLaplaceOfCounting:
             return
         assert abs(quad - k_val) <= 1e-8 * k_val
 
+    @pytest.mark.parametrize("t", [1e-307, 5e-324])
+    def test_quadrature_overflow_raises_before_any_panel(self, interval_pi_200, t, monkeypatch):
+        # the domain end (log N - log drop) / t is inf here: no panel can be built
+        def no_panels(*args, **kwargs):
+            raise AssertionError("panels built for an infinite domain")
+
+        monkeypatch.setattr(transforms, "_adaptive_simpson_exp", no_panels)
+        with pytest.raises(AccuracyError, match="overflowed"):
+            laplace_of_counting(interval_pi_200, t, "quadrature")
+
     def test_subdivision_cap_raises_accuracy_error(self, interval_pi_200, monkeypatch):
         monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", 2)
         step = laplace_of_counting(interval_pi_200, 1.0, "step_exact")
