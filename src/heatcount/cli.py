@@ -5,6 +5,11 @@ invocation writes its data files (CSV/JSON) plus a JSON manifest with
 the full parameter set and input/output hashes.  Data files carry no
 timestamps, so identical inputs give byte-identical outputs.
 
+Each subcommand imports the layers it runs when it is called, so a command
+loads only those, and ``--help`` or ``--version`` loads no numpy.  Library
+names are read from their modules at call time, so a wrapper installed on a
+module attribute sees the call.
+
 Exit codes: 0 success, 1 verification failed, 2 usage or I/O error.
 """
 
@@ -16,22 +21,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, spectrum
-from .asymptotics import tauberian_first_term, weyl_check
+from . import __version__
 from .errors import AccuracyError, ConfigurationError, HeatcountError, InvalidParameterError
-from .evaltable import EvalTable
-from .inversion import InversionConfig, invert_profile
-from .smoothing import beta_sweep, default_beta
-from .spectrum import Spectrum, load_spectrum, save_spectrum
-from .transforms import (
-    density_estimate,
-    heat_trace,
-    laplace_of_counting,
-    truncation_correction,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,9 +70,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-# shape -> (generator in heatcount.spectrum, its flags in argument order).
-# Generators are looked up by name at call time, so a wrapper installed on
-# the module attribute sees the call.
+# shape -> (generator in heatcount.spectrum, its flags in argument order)
 GENERATORS = {
     "interval": ("generate_interval", ("length", "count")),
     "rectangle": ("generate_rectangle", ("a", "b", "lambda_max")),
@@ -90,6 +81,8 @@ GENERATORS = {
 
 def _run(args) -> int:
     """Load, compute, write the data file and its manifest, print the summary."""
+    from .spectrum import Spectrum, load_spectrum, save_spectrum
+
     started = time.monotonic()
     inputs = [args.spectrum] if "spectrum" in vars(args) else []
     s = load_spectrum(args.spectrum) if inputs else None
@@ -124,6 +117,10 @@ def _run(args) -> int:
 
 
 def _generate(_, args):
+    from dataclasses import replace
+
+    from . import spectrum
+
     kind = args.shape.replace("-", "_")
     name, flags = GENERATORS[kind]
     for flag in flags:
@@ -141,6 +138,9 @@ def _generate(_, args):
 
 def _laplace_identity(s, args):
     """Theorem 1: K(t) against t times the Laplace transform of N, two ways."""
+    from .evaltable import EvalTable
+    from .transforms import heat_trace, laplace_of_counting, truncation_correction
+
     table = EvalTable(
         ("t", "heat_trace", "step_exact", "quadrature", "correction", "step_rel_dev", "quad_rel_dev")
     )
@@ -170,7 +170,15 @@ def _inverted_ok(row, table, s, args):
     return match == "yes" and abs(value - oracle) <= args.tol
 
 
+def _inverted(s, args):
+    from .inversion import invert_profile
+
+    return invert_profile(s, parse_grid(args.lam))
+
+
 def _sweep(s, args):
+    from .smoothing import beta_sweep
+
     lams = parse_grid(args.lam)
     if len(lams) != 1:
         raise InvalidParameterError("lambda", "theorem 3 verifies a single lambda")
@@ -182,6 +190,12 @@ def _within_bound(row, table, s, args):
     # the deviation may not exceed its own bound, up to ~eps per summed term
     slack = 64 * 2.3e-16 * s.total_count
     return not math.isnan(bound) and deviation <= bound * (1 + 1e-12) + slack
+
+
+def _regime(s, args):
+    from .asymptotics import weyl_check
+
+    return weyl_check(s, parse_grid(args.t)).to_table()
 
 
 def _in_regime(row, table, s, args):
@@ -196,14 +210,15 @@ def _in_regime(row, table, s, args):
 #             the pass rule for one row of that table, given the table)
 THEOREMS = {
     1: ({"t": "0.01,0.1,1,10", "tol": 1e-12}, _laplace_identity, _laplace_ok),
-    2: ({"lam": None, "tol": 0.1}, lambda s, a: invert_profile(s, parse_grid(a.lam)), _inverted_ok),
+    2: ({"lam": None, "tol": 0.1}, _inverted, _inverted_ok),
     3: ({"lam": None, "beta": "1,2,5,10,20"}, _sweep, _within_bound),
-    4: ({"t": "0.001,0.01", "tol": 0.01}, lambda s, a: weyl_check(s, parse_grid(a.t)).to_table(),
-        _in_regime),
+    4: ({"t": "0.001,0.01", "tol": 0.01}, _regime, _in_regime),
 }
 
 
 def _verify(s, args):
+    from .evaltable import EvalTable
+
     reads, rows, passes = THEOREMS[args.theorem]
     # resolve the flags in args, so the manifest records what ran
     for dest in ("t", "lam", "beta", "tol"):
@@ -227,6 +242,8 @@ def _verify(s, args):
 
 
 def _smooth(s, args):
+    from .smoothing import beta_sweep, default_beta
+
     if args.beta is None:
         args.beta = repr(default_beta(s, args.lam))  # recorded in the manifest
     betas = parse_grid(args.beta)
@@ -235,6 +252,8 @@ def _smooth(s, args):
 
 
 def _invert(s, args):
+    from .inversion import InversionConfig, invert_profile
+
     try:
         cfg = InversionConfig(args.contour_c, args.height, args.step)
     except ConfigurationError as exc:
@@ -249,6 +268,8 @@ def _invert(s, args):
 
 
 def _weyl(s, args):
+    from .asymptotics import weyl_check
+
     report = weyl_check(s, parse_grid(args.t))
     message = (
         f"density constant estimate {report.density_constant:.17g}; "
@@ -258,6 +279,8 @@ def _weyl(s, args):
 
 
 def _tauber(s, args):
+    from .asymptotics import tauberian_first_term
+
     result = tauberian_first_term(s, (args.t_lo, args.t_hi), args.probe, n_points=args.points)
     fit = result.fit
     if fit.poor_fit:
@@ -270,6 +293,8 @@ def _tauber(s, args):
 
 
 def _density(s, args):
+    from .transforms import density_estimate
+
     try:
         lo, hi = (float(x) for x in args.range.split(","))
     except ValueError as exc:

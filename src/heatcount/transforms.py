@@ -225,13 +225,14 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
         )
 
     values = s.values
-    inner = values[(values > 0.0) & (values < lam_hi)]
-    edges = np.concatenate(([0.0], inner, [lam_hi]))
-    # N restricted to each open panel (lam_k, lam_{k+1}) is the
-    # inclusive count at the left edge; endpoint evaluations use the
-    # interior value so the jump carries no quadrature weight.
-    left_counts = s.cumulative[np.searchsorted(values, edges[:-1], side="right")]
-    panel_n = left_counts.astype(np.float64)
+    lo = np.searchsorted(values, 0.0, side="right")
+    hi = np.searchsorted(values, lam_hi, side="left")
+    edges = np.concatenate(([0.0], values[lo:hi], [lam_hi]))
+    # N restricted to each open panel (lam_k, lam_{k+1}) is the inclusive
+    # count at its left edge, a slice of the cumulative counts since the
+    # values increase strictly; endpoint evaluations use the interior
+    # value so the jump carries no quadrature weight.
+    panel_n = s.cumulative[lo : hi + 1].astype(np.float64)
 
     try:
         # near t ~ 1e-306 panel sums can pass the double range; the

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -414,3 +417,74 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as info:
             run("verify", "--theorem", 9)
         assert info.value.code == 2
+
+
+# the last line a script prints: the heatcount and numpy modules its interpreter loaded
+LOADED = "print(' '.join(m for m in sys.modules if m == 'numpy' or m.startswith('heatcount')))"
+
+# the package's own entry point, as `python -m heatcount` runs it
+RUN_MODULE = f"""
+import runpy, sys
+try:
+    runpy.run_module("heatcount", run_name="__main__", alter_sys=True)
+finally:
+    {LOADED}
+"""
+
+RUN_MAIN = f"""
+import sys
+from heatcount.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+else:
+    raise AssertionError("main returned without SystemExit")
+{LOADED}
+"""
+
+
+def fresh(script, *argv):
+    """Run ``script`` in a new interpreter; the process and the modules it printed last."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    return proc, set(proc.stdout.splitlines()[-1].split())
+
+
+class TestFreshInterpreter:
+    """Each command in a new interpreter, where no layer is loaded before it runs."""
+
+    # subcommand -> (input spectrum, its flags, the layers it loads besides cli and errors)
+    CASES = {
+        "generate": (None, ["--shape", "torus", "--lambda-max", 200], {"spectrum"}),
+        "verify": ("interval", ["--theorem", 1, "--t", "0.01,0.1,1"],
+                   {"spectrum", "transforms", "evaltable"}),
+        "invert": ("interval", ["--lambda", "2.5,12.5"],
+                   {"spectrum", "transforms", "evaltable", "inversion"}),
+        "smooth": ("interval", ["--lambda", 12], {"spectrum", "transforms", "evaltable", "smoothing"}),
+        "weyl": ("const", ["--t", "0.001,0.01"], {"spectrum", "transforms", "evaltable", "asymptotics"}),
+        "tauber": ("const", ["--t-lo", 0.001, "--t-hi", 0.01, "--probe", 500],
+                   {"spectrum", "transforms", "evaltable", "asymptotics"}),
+        "density": ("const", ["--bin-width", 100, "--range", "0,10000"],
+                    {"spectrum", "transforms", "evaltable"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_same_bytes_and_only_its_layers(self, command, tmp_path, request):
+        spectrum, flags, layers = self.CASES[command]
+        if spectrum is not None:
+            flags = ["--spectrum", request.getfixturevalue(f"{spectrum}_file"), *flags]
+        here, there = tmp_path / "in-process.out", tmp_path / "fresh.out"
+        assert run(command, *flags, "--out", here) == 0
+        proc, loaded = fresh(RUN_MODULE, command, *flags, "--out", there)
+        assert proc.returncode == 0, proc.stderr
+        assert there.read_bytes() == here.read_bytes()
+        expected = {"heatcount", "heatcount.cli", "heatcount.errors", "numpy"}
+        assert loaded == expected | {f"heatcount.{layer}" for layer in layers}
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_load_no_layer_and_no_numpy(self, flag):
+        proc, loaded = fresh(RUN_MAIN, flag)
+        assert proc.returncode == 0, proc.stderr
+        assert loaded == {"heatcount", "heatcount.cli", "heatcount.errors"}
