@@ -25,9 +25,14 @@ from .errors import (
     ValidationError,
 )
 
-# Relative tolerance for merging near-duplicate eigenvalues read from files.
-# Generator output merges on exact equality instead.
-FILE_MERGE_RTOL = 1e-12
+# Relative tolerance within which Spectrum.from_entries merges sorted values
+# into one eigenvalue: roundings of one eigenvalue computed along different
+# paths (a rectangle's sums, a file's decimal digits) differ by a few ulps.
+MERGE_RTOL = 1e-12
+
+# Sorted values from_entries compares with their neighbours at a time, so the
+# gaps it tests take bounded memory.
+_MERGE_BLOCK = 1 << 16
 
 # Entries save_spectrum formats and writes at a time, so no copy of the whole
 # file is held in memory.
@@ -136,20 +141,23 @@ class Spectrum:
         label: str = "",
         generator: dict | None = None,
         cutoff: float | None = None,
-        merge_rtol: float = 0.0,
     ) -> "Spectrum":
         """Build a spectrum from possibly unsorted, possibly repeated values.
 
         Every entry is checked before merging: values must be finite and
         non-negative, multiplicities at least 1; the error names the first
         bad ``entries[i]`` in input order.  Sorted values merge into one
-        distinct value while each gap is at most ``merge_rtol`` times the
-        larger neighbour, so ``merge_rtol = 0`` merges exactly equal values
-        only (file inputs carry rounding noise, generator output does not).
+        distinct value, the smallest of them, while each gap is at most
+        ``MERGE_RTOL`` times the larger neighbour; multiplicities add up.
+        Without multiplicities every entry counts once.  This is the one
+        merge rule of the package: generators and ``load_spectrum`` build
+        through it.
         """
         values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValidationError(f"values must be a 1-d array, got shape {values.shape}")
         if multiplicities is None:
-            mults = np.ones(values.shape, dtype=np.int64)
+            mults = np.broadcast_to(np.int64(1), values.shape)
         else:
             mults = np.asarray(multiplicities, dtype=np.int64)
         if mults.shape != values.shape:
@@ -165,22 +173,43 @@ class Spectrum:
             if value < 0:
                 raise ValidationError(f"entries[{i}].value: negative eigenvalue {value!r}")
             raise ValidationError(f"entries[{i}].multiplicity: must be >= 1, got {int(mults[i])}")
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        mults = mults[order]
-        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > merge_rtol * values)
-        # checked before merging: np.add.reduceat would wrap a merged multiplicity
-        over = _overflow_index(mults)
-        if over is not None:
-            merged = float(values[starts[np.searchsorted(starts, over, side="right") - 1]])
-            raise ValidationError(f"multiplicities add up past 2**63 - 1 at value {merged!r}")
+        if multiplicities is None:
+            # every entry counts once: sorting the values alone, far cheaper than an
+            # index sort, is enough
+            values = np.sort(values)
+            starts = _merge_starts(values)
+            counts = np.diff(starts, append=values.size)
+        else:
+            order = np.argsort(values, kind="stable")
+            values = values[order]
+            mults = mults[order]
+            starts = _merge_starts(values)
+            # checked before merging: np.add.reduceat would wrap a merged multiplicity
+            over = _overflow_index(mults)
+            if over is not None:
+                merged = float(values[starts[np.searchsorted(starts, over, side="right") - 1]])
+                raise ValidationError(f"multiplicities add up past 2**63 - 1 at value {merged!r}")
+            counts = np.add.reduceat(mults, starts)
         return cls(
             values[starts],
-            np.add.reduceat(mults, starts),
+            counts,
             label=label,
             generator=dict(generator or {}),
             cutoff=cutoff,
         )
+
+
+def _merge_starts(values: np.ndarray) -> np.ndarray:
+    """Indices of the sorted values that open a distinct value under the merge rule.
+
+    A value opens one when its gap to the value before exceeds MERGE_RTOL
+    times itself; the gaps are formed _MERGE_BLOCK at a time.
+    """
+    opens = np.ones(values.size, dtype=bool)
+    for i in range(1, values.size, _MERGE_BLOCK):
+        block = values[i - 1 : i + _MERGE_BLOCK]
+        np.greater(np.diff(block), MERGE_RTOL * block[1:], out=opens[i : i + _MERGE_BLOCK])
+    return np.flatnonzero(opens)
 
 
 def _overflow_index(mults: np.ndarray) -> int | None:
@@ -205,9 +234,8 @@ def generate_interval(length: float, count: int) -> Spectrum:
         raise InvalidParameterError("count", f"must be >= 1, got {count!r}")
     n = np.arange(1, count + 1, dtype=np.float64)
     values = (n * (math.pi / length)) ** 2
-    return Spectrum(
+    return Spectrum.from_entries(
         values,
-        np.ones(count, dtype=np.int64),
         label=f"interval L={length:g}",
         generator={"kind": "interval", "length": float(length), "count": int(count)},
         cutoff=float(values[-1]),
@@ -217,8 +245,11 @@ def generate_interval(length: float, count: int) -> Spectrum:
 def generate_rectangle(a: float, b: float, lam_max: float) -> Spectrum:
     """Dirichlet spectrum of the a x b rectangle up to lam_max.
 
-    lam_{m,n} = (m*pi/a)^2 + (n*pi/b)^2 with m, n >= 1; every sum <= lam_max
-    is kept, equal eigenvalues merge into multiplicities.
+    lam_{m,n} = (m*pi/a)^2 + (n*pi/b)^2 with m, n >= 1.  Where (a/b)^2 is
+    rational, one eigenvalue has sums that round a few ulps apart; they
+    merge by ``MERGE_RTOL`` into one value with its whole multiplicity.
+    Every eigenvalue with a sum <= lam_max is kept, sums up to
+    lam_max * (1 + MERGE_RTOL) included, so one at lam_max keeps them all.
     """
     if not (a > 0):
         raise InvalidParameterError("a", f"must be positive, got {a!r}")
@@ -231,14 +262,15 @@ def generate_rectangle(a: float, b: float, lam_max: float) -> Spectrum:
     # one more mode per side than sqrt(lam_max) allows, so rounding cannot cut the box short
     first = (np.arange(1, int(math.sqrt(lam_max) / ka) + 2) * ka) ** 2
     second = (np.arange(1, int(math.sqrt(lam_max) / kb) + 2) * kb) ** 2
-    distinct, mults = _lattice(first, second, lam_max)
-    if distinct.size == 0:
+    if first[0] + second[0] > lam_max:
         raise EmptySpectrumError(
             f"lambda_max={lam_max!r} is below the smallest eigenvalue {float(first[0] + second[0])!r}"
         )
+    merged = Spectrum.from_entries(_lattice(first, second, lam_max * (1 + MERGE_RTOL)))
+    kept = np.searchsorted(merged.values, lam_max, side="right")
     return Spectrum(
-        distinct,
-        mults,
+        merged.values[:kept],
+        merged.multiplicities[:kept],
         label=f"rectangle {a:g}x{b:g}",
         generator={"kind": "rectangle", "a": float(a), "b": float(b), "lambda_max": float(lam_max)},
         cutoff=float(lam_max),
@@ -254,22 +286,19 @@ def generate_torus(lam_max: float) -> Spectrum:
     if not (0 <= lam_max < math.inf):
         raise InvalidParameterError("lambda_max", f"must be finite and >= 0, got {lam_max!r}")
     side = int(math.floor(math.sqrt(lam_max)))
-    squared = np.arange(-side, side + 1, dtype=np.int64) ** 2
-    distinct, mults = _lattice(squared, squared, lam_max)
-    return Spectrum(
-        distinct,
-        mults,
+    squared = np.arange(-side, side + 1, dtype=np.float64) ** 2  # exact: integers below 2**53
+    return Spectrum.from_entries(
+        _lattice(squared, squared, lam_max),
         label="flat torus",
         generator={"kind": "torus", "lambda_max": float(lam_max)},
         cutoff=float(lam_max),
     )
 
 
-def _lattice(first: np.ndarray, second: np.ndarray, lam_max: float):
-    """Distinct values and counts of the sums first_i + second_j that are <= lam_max."""
+def _lattice(first: np.ndarray, second: np.ndarray, bound: float) -> np.ndarray:
+    """The sums first_i + second_j that are <= bound, unsorted."""
     sums = first[:, None] + second[None, :]
-    sums = sums[sums <= lam_max]  # frees the box before np.unique sorts a copy
-    return np.unique(sums, return_counts=True)
+    return sums[sums <= bound]
 
 
 def generate_constant_density(c: float, count: int) -> Spectrum:
@@ -279,9 +308,8 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
     if count < 1:
         raise InvalidParameterError("count", f"must be >= 1, got {count!r}")
     values = np.arange(1, count + 1, dtype=np.float64) / c
-    return Spectrum(
+    return Spectrum.from_entries(
         values,
-        np.ones(count, dtype=np.int64),
         label=f"constant density C={c:g}",
         generator={"kind": "constant_density", "density": float(c), "count": int(count)},
         cutoff=float(values[-1]),
@@ -291,24 +319,10 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
 # -- persistence ----------------------------------------------------------
 
 
-def spectrum_from_dict(payload: dict) -> Spectrum:
-    return _file_spectrum(payload, *_payload_arrays(payload))
-
-
-def _payload_arrays(payload):
-    """Value and multiplicity arrays of a parsed spectrum file."""
-    if not isinstance(payload, dict):
-        raise SpectrumFormatError("top-level JSON value must be an object")
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise SpectrumFormatError("entries: must be a non-empty list")
-    return _entry_arrays(entries) or _checked_entry_arrays(entries)
-
-
 def _file_spectrum(header: dict, values: np.ndarray, mults: np.ndarray) -> Spectrum:
     """The spectrum of a file's header fields and entry arrays.
 
-    Its sort and merge warnings name the caller of the function calling it.
+    Its sort and merge warnings name the caller of load_spectrum.
     """
     cutoff = header.get("cutoff")
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, (int, float))):
@@ -326,14 +340,13 @@ def _file_spectrum(header: dict, values: np.ndarray, mults: np.ndarray) -> Spect
         label=str(header.get("label", "")),
         generator=generator,
         cutoff=cutoff,
-        merge_rtol=FILE_MERGE_RTOL,
     )
     if not np.all(values[1:] > values[:-1]):
         warnings.warn("spectrum entries not strictly increasing; sorting and merging", stacklevel=3)
     elif s.values.size < values.size:
         warnings.warn(
             f"merged {values.size - s.values.size} near-duplicate entries "
-            f"(relative tolerance {FILE_MERGE_RTOL:g})",
+            f"(relative tolerance {MERGE_RTOL:g})",
             stacklevel=3,
         )
     return s
@@ -442,7 +455,12 @@ def load_spectrum(path) -> Spectrum:
             raise SpectrumFormatError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
-    return _file_spectrum(payload, *_payload_arrays(payload))
+    if not isinstance(payload, dict):
+        raise SpectrumFormatError("top-level JSON value must be an object")
+    entries = payload.get("entries")
+    if not isinstance(entries, list) or not entries:
+        raise SpectrumFormatError("entries: must be a non-empty list")
+    return _file_spectrum(payload, *(_entry_arrays(entries) or _checked_entry_arrays(entries)))
 
 
 def _read_saved_layout(handle):

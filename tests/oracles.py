@@ -46,6 +46,41 @@ def rectangle_eigenvalues(a: float, b: float, lam_max: float) -> list[float]:
     return sorted(out)
 
 
+def rectangle_key_multiplicities(a: int, b: int, key_max: int) -> dict[int, int]:
+    """Exact multiplicities of the a x b rectangle for integer sides.
+
+    lam_{m,n} = pi^2 (m^2 b^2 + n^2 a^2) / (a b)^2, so equal eigenvalues
+    are equal integer keys m^2 b^2 + n^2 a^2, free of rounding.  Returns
+    {key: count} over m, n >= 1 for the keys up to key_max.
+    """
+    counts: dict[int, int] = {}
+    m = 1
+    while m * m * b * b + a * a <= key_max:
+        n = 1
+        while (key := m * m * b * b + n * n * a * a) <= key_max:
+            counts[key] = counts.get(key, 0) + 1
+            n += 1
+        m += 1
+    return counts
+
+
+def merge_runs(values, rtol: float) -> list[tuple[float, int]]:
+    """(value, count) pairs of values merged the naive way, in sorted order.
+
+    A value joins the run before it when its gap to the value before is at
+    most rtol times itself; a run is named by its smallest value.
+    """
+    runs: list[list] = []
+    previous = None
+    for v in sorted(values):
+        if runs and v - previous <= rtol * v:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1])
+        previous = v
+    return [(v, m) for v, m in runs]
+
+
 def count_below(eigenvalues, lam: float, strict: bool = True) -> int:
     """Linear-scan counting oracle over an explicit (value, mult) iterable."""
     total = 0

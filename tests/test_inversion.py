@@ -16,7 +16,9 @@ from heatcount import (
     abscissa_estimate,
     bromwich_invert,
     counting,
+    default_beta,
     generate_interval,
+    generate_rectangle,
     generate_torus,
     invert_profile,
     inversion,
@@ -271,6 +273,16 @@ class TestContourKernel:
     def test_manual_contours(self, interval_pi_200, const_density_200, family, lam, c, T, h):
         s = interval_pi_200 if family == "interval" else const_density_200
         assert_matches_direct_trapezoid(s, lam, InversionConfig(c=c, T=T, h=h))
+
+    def test_degenerate_rectangle_eigenvalue_is_not_capped(self):
+        # key 9 m^2 + n^2 = 205 of the 1 x 3 rectangle at (1, 14) and (2, 13): its two
+        # sums round one ulp apart; stored as two values, their gap sent T to its cap
+        s = generate_rectangle(1.0, 3.0, 2000.0)
+        lam = 224.8076558025909
+        cfg = bromwich_invert(s, lam).config_used
+        assert cfg.T < inversion.T_CAP_FACTOR * cfg.c
+        assert assert_within_budget_of_limit(s, lam)
+        assert default_beta(s, lam) < 100
 
     @given(
         st.lists(

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,7 +18,6 @@ from heatcount import (
     InversionConfig,
     SmoothingConfig,
     Spectrum,
-    SpectrumFormatError,
     ValidationError,
     counting,
     generate_constant_density,
@@ -33,7 +32,7 @@ from heatcount import (
 )
 from heatcount import spectrum
 from heatcount.inversion import TERM_DROP_EXPONENT, _resolve_config
-from heatcount.spectrum import FILE_MERGE_RTOL, SAVE_CHUNK, _entry_arrays, spectrum_from_dict
+from heatcount.spectrum import SAVE_CHUNK, _OffLayout, _entry_arrays
 
 # eigenvalues are 0 or >= 1e-3: below ~1e-16, e^(-lam t) rounds to exactly 1.0
 # and strict monotonicity statements stop being float-meaningful
@@ -134,30 +133,25 @@ def test_smoothed_counting_monotone_in_lambda(entries, lam, step, beta):
     assert smoothed_counting(s, lam, cfg) <= smoothed_counting(s, lam + step, cfg)
 
 
+def load_payload(tmp_path_factory, payload):
+    """load_spectrum of a file json.dumps wrote, which takes the json.load path."""
+    path = tmp_path_factory.mktemp("payload") / "s.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return load_spectrum(path)
+
+
 @given(entry_lists)
 @example([(0.001, 1), (0.0010000000000000002, 1)])
-@settings(max_examples=50)
-def test_json_dict_round_trip_exact(entries):
-    """Exact and silent, unless two values sit within FILE_MERGE_RTOL of each other:
-    file loading merges those, with a warning."""
+@settings(max_examples=50, deadline=None)
+def test_json_dict_round_trip_exact(tmp_path_factory, entries):
+    """Exact and silent: from_entries has merged what file loading would."""
     s = build(entries)
-    payload = oracles.spectrum_to_dict(s)
-    v = s.values
-    separated = np.all(np.diff(v) > FILE_MERGE_RTOL * np.maximum(v[:-1], v[1:]))
-    if separated:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clone = spectrum_from_dict(payload)
-        assert clone == s
-        assert clone.values.tolist() == s.values.tolist()
-        assert clone.multiplicities.tolist() == s.multiplicities.tolist()
-    else:
-        with pytest.warns(UserWarning, match="near-duplicate"):
-            clone = spectrum_from_dict(payload)
-        merged = Spectrum.from_entries(
-            v, s.multiplicities, cutoff=s.coverage, merge_rtol=FILE_MERGE_RTOL
-        )
-        assert clone == merged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clone = load_payload(tmp_path_factory, oracles.spectrum_to_dict(s))
+    assert clone == s
+    assert clone.values.tolist() == s.values.tolist()
+    assert clone.multiplicities.tolist() == s.multiplicities.tolist()
 
 
 bad_entries = st.one_of(
@@ -168,7 +162,8 @@ bad_entries = st.one_of(
 
 
 @given(entry_lists, bad_entries, st.data())
-def test_bad_entry_rejected_by_index(entries, bad, data):
+@settings(deadline=None)
+def test_bad_entry_rejected_by_index(tmp_path_factory, entries, bad, data):
     """One bad entry anywhere in an otherwise valid file, sorted or not, is named
     by its index, and no sorting or merging warning comes first."""
     payload = {"entries": [{"value": v, "multiplicity": m} for v, m in entries]}
@@ -177,7 +172,7 @@ def test_bad_entry_rejected_by_index(entries, bad, data):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=rf"^entries\[{i}\]\.(value|multiplicity): "):
-            spectrum_from_dict(payload)
+            load_payload(tmp_path_factory, payload)
 
 
 json_scalars = st.one_of(
@@ -243,12 +238,12 @@ def test_save_writes_json_dump_bytes_across_chunks(tmp_path):
     assert_saves_oracle_bytes(s, tmp_path / "s.json")
 
 
-def load_outcome(payload):
-    """The spectrum and warnings spectrum_from_dict gives, or the error it raises."""
+def load_outcome(tmp_path_factory, payload):
+    """The spectrum and warnings loading the payload gives, or the error it raises."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            s = spectrum_from_dict(payload)
+            s = load_payload(tmp_path_factory, payload)
         except Exception as exc:  # compared between the two paths
             return type(exc), str(exc)
     return s, s.values.tolist(), s.multiplicities.tolist(), [
@@ -303,25 +298,19 @@ def file_payloads(draw):
 @given(file_payloads())
 @example(({"entries": [{"value": 3}, {"value": 1.5, "multiplicity": 2}, {"value": 3.0}]}, True))
 @settings(max_examples=200, deadline=None)
-def test_fast_load_matches_per_entry_loop(case):
+def test_fast_load_matches_per_entry_loop(tmp_path_factory, case):
     payload, fits = case
     assert (_entry_arrays(payload["entries"]) is not None) == fits
-    fast = load_outcome(payload)
+    fast = load_outcome(tmp_path_factory, payload)
     with mock.patch("heatcount.spectrum._entry_arrays", return_value=None):
-        checked = load_outcome(payload)
+        checked = load_outcome(tmp_path_factory, payload)
     assert fast == checked
 
 
 def json_path_load(path):
-    """What json.load and spectrum_from_dict make of a file, errors worded as load_spectrum's."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpectrumFormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-    return spectrum_from_dict(payload)
+    """What load_spectrum makes of a file when it reads it with json.load from the start."""
+    with mock.patch.object(spectrum, "_read_saved_layout", side_effect=_OffLayout("forced")):
+        return load_spectrum(path)
 
 
 def file_outcome(load, path):
@@ -404,7 +393,7 @@ MIDDLE = '"value": 2.5,\n   "multiplicity": 1'
 def test_layout_reader_matches_json_path(tmp_path_factory, text, read_size):
     """load_spectrum reads a saved file, edited or not, in blocks of read_size
     characters where it can and with json.load where it cannot; either way it
-    gives what json.load and spectrum_from_dict give."""
+    gives what its json.load path gives."""
     path = tmp_path_factory.mktemp("edited") / "s.json"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(spectrum, "_READ_SIZE", read_size):
@@ -417,8 +406,6 @@ def test_saved_file_loads_back_exactly(tmp_path_factory, label, generator, entri
     s = Spectrum.from_entries(
         [v for v, _ in entries], [m for _, m in entries], label=label, generator=generator
     )
-    # values this close merge on loading, with a warning (test_json_dict_round_trip_exact)
-    assume(np.all(np.diff(s.values) > FILE_MERGE_RTOL * s.values[1:]))
     path = tmp_path_factory.mktemp("round") / "s.json"
     save_spectrum(s, path)
     with warnings.catch_warnings():
@@ -426,6 +413,30 @@ def test_saved_file_loads_back_exactly(tmp_path_factory, label, generator, entri
         loaded = load_spectrum(path)
     assert loaded == s
     assert [v.hex() for v in loaded.values.tolist()] == [v.hex() for v in s.values.tolist()]
+
+
+sides = st.one_of(st.integers(min_value=1, max_value=4).map(float), st.floats(0.8, 3.0))
+generated_spectra = st.one_of(
+    st.builds(generate_interval, st.floats(0.5, 5.0), st.integers(1, 500)),
+    st.builds(generate_constant_density, st.floats(0.1, 10.0), st.integers(1, 500)),
+    st.builds(generate_torus, st.floats(0.0, 2000.0)),
+    # integer sides make (a/b)^2 rational: degenerate eigenvalues whose sums round apart
+    st.builds(generate_rectangle, sides, sides, st.floats(50.0, 2000.0)),
+)
+
+
+@given(generated_spectra)
+@example(generate_rectangle(1.0, 3.0, 2000.0))
+@example(generate_rectangle(1.0, 3.0, 224.8076558025909))
+@settings(max_examples=60, deadline=None)
+def test_generated_spectrum_loads_back_silently(tmp_path_factory, s):
+    """Generators and load_spectrum merge by one rule, so a saved spectrum
+    loads back as itself, with no merge warning."""
+    path = tmp_path_factory.mktemp("generated") / "s.json"
+    save_spectrum(s, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_spectrum(path) == s
 
 
 @pytest.mark.parametrize("read_size", [1, 5, 21, 22, 23])

@@ -1,3 +1,4 @@
+import bisect
 import json
 import logging
 import math
@@ -24,7 +25,7 @@ from heatcount import (
     load_spectrum,
     save_spectrum,
 )
-from heatcount.spectrum import spectrum_from_dict
+from heatcount.spectrum import MERGE_RTOL
 
 
 class TestIntervalGenerator:
@@ -86,8 +87,12 @@ class TestRectangleGenerator:
 
     @pytest.mark.parametrize("a, b", [(1.3, 0.7), (2.2, 1.9), (0.9, 3.1)])
     def test_keeps_eigenvalue_equal_to_lambda_max(self, a, b):
-        for lam in sorted(set(oracles.rectangle_eigenvalues(a, b, 5000.0)))[-50:]:
-            assert generate_rectangle(a, b, lam).values[-1] == lam
+        # a cutoff at any sum keeps its eigenvalue, named by the smallest sum it merges
+        brute = oracles.rectangle_eigenvalues(a, b, 5000.0)
+        merged = [v for v, _ in oracles.merge_runs(brute, MERGE_RTOL)]
+        for lam in sorted(set(brute))[-50:]:
+            expected = merged[bisect.bisect_right(merged, lam) - 1]
+            assert generate_rectangle(a, b, lam).values[-1] == expected
 
     @given(
         st.floats(min_value=0.8, max_value=3.0),
@@ -96,10 +101,30 @@ class TestRectangleGenerator:
     )
     @settings(max_examples=50)
     def test_random_sides_match_brute_loop(self, a, b, lam_max):
+        # every sum up to lam_max (1 + MERGE_RTOL), merged by the one rule, then cut at lam_max
+        brute = oracles.rectangle_eigenvalues(a, b, lam_max * (1 + MERGE_RTOL))
+        expected = [(v, m) for v, m in oracles.merge_runs(brute, MERGE_RTOL) if v <= lam_max]
+        assert oracles.pairs(generate_rectangle(a, b, lam_max)) == expected
+
+    @pytest.mark.parametrize("a, b, lam_max", [(1, 2, 500.0), (1, 3, 2000.0), (2, 3, 2000.0)])
+    def test_integer_sides_match_exact_keys(self, a, b, lam_max):
+        # one eigenvalue's sums round apart where (a/b)^2 is rational; they must merge
         s = generate_rectangle(a, b, lam_max)
-        assert np.repeat(s.values, s.multiplicities).tolist() == oracles.rectangle_eigenvalues(
-            a, b, lam_max
-        )
+        keys = oracles.rectangle_key_multiplicities(a, b, int(lam_max * (a * b / math.pi) ** 2))
+        assert s.multiplicities.tolist() == [keys[k] for k in sorted(keys)]
+        expected = [math.pi**2 * k / (a * b) ** 2 for k in sorted(keys)]
+        assert s.values.tolist() == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("lam_max", [224.8076558025909, 224.80765580259092])
+    def test_degenerate_eigenvalue_at_lambda_max_keeps_its_multiplicity(self, lam_max):
+        # key 9 m^2 + n^2 = 205 at (1, 14) and (2, 13): its two sums are these two
+        # roundings, and the upper one lies above the lower cutoff
+        s = generate_rectangle(1.0, 3.0, lam_max)
+        keys = oracles.rectangle_key_multiplicities(1, 3, 205)
+        assert s.multiplicities.tolist() == [keys[k] for k in sorted(keys)]
+        assert s.multiplicities[-1] == 2
+        assert s.values[-1] == 224.8076558025909
+        assert s.coverage == lam_max
 
     def test_cutoff_below_ground_state(self):
         with pytest.raises(EmptySpectrumError):
@@ -218,6 +243,13 @@ class TestConstructionInvariants:
         with pytest.raises(ValidationError, match=expected):
             Spectrum.from_entries(values, mults)
 
+    @pytest.mark.parametrize(
+        "values", [[[1.0, 2.0]], [[1.0], [2.0]], 5.0], ids=["row", "column", "scalar"]
+    )
+    def test_from_entries_rejects_values_not_1d(self, values):
+        with pytest.raises(ValidationError, match=r"^values must be a 1-d array"):
+            Spectrum.from_entries(values)
+
     def test_from_entries_rejects_merged_multiplicity_overflow(self):
         with pytest.raises(ValidationError, match=r"past 2\*\*63 - 1 at value 1\.0$"):
             Spectrum.from_entries([1.0, 1.0, 1.0], [2**63 - 1] * 3)
@@ -237,11 +269,13 @@ class TestConstructionInvariants:
 
     def test_from_entries_merge_tolerance(self):
         v = 100.0
-        s = Spectrum.from_entries([v, v * (1 + 5e-13)], merge_rtol=1e-12)
-        assert s.values.size == 1
-        assert s.multiplicities.tolist() == [2]
+        s = Spectrum.from_entries([v * (1 + 5e-13), v], [2, 1])
+        # the merged value is the smallest of those it merges
+        assert s.values.tolist() == [v]
+        assert s.multiplicities.tolist() == [3]
+        assert Spectrum.from_entries([v * (1 + 5e-13), v]) == Spectrum([v], [2])
         # beyond the tolerance the values stay distinct
-        s2 = Spectrum.from_entries([v, v * (1 + 5e-12)], merge_rtol=1e-12)
+        s2 = Spectrum.from_entries([v, v * (1 + 5e-12)])
         assert s2.values.size == 2
 
 
@@ -343,12 +377,11 @@ class TestPersistence:
         layout.write_text(layout.read_text().replace('"value": 3.0', '"value": 1.0'))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            spectrum_from_dict(payload)
             load_spectrum(compact)
             load_spectrum(layout)
         message = "spectrum entries not strictly increasing; sorting and merging"
-        assert [str(w.message) for w in caught] == [message] * 3
-        assert [w.filename for w in caught] == [__file__] * 3
+        assert [str(w.message) for w in caught] == [message] * 2
+        assert [w.filename for w in caught] == [__file__] * 2
 
     def test_undecodable_saved_file_fails_as_json_load_does(self, tmp_path):
         path = tmp_path / "s.json"
