@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .evaltable import EvalTable
 from .spectrum import Spectrum
-from .transforms import CountingMode, _sum, counting
+from .transforms import CountingMode, _live, _sum, counting
 
 SHARPNESS = 50.0  # default_beta: beta times the distance to the nearest other eigenvalue
 
@@ -40,9 +40,14 @@ def _occupation(x: np.ndarray) -> np.ndarray:
 
 
 def smoothed_counting(s: Spectrum, lam: float, cfg: SmoothingConfig) -> float:
-    """sum_n mult_n / (e^(beta(lam_n - lam)) + 1), in [0, total count]."""
-    x = cfg.beta * (s.values - lam)
-    return _sum(s.multiplicities * _occupation(x))
+    """sum_n mult_n / (e^(beta(lam_n - lam)) + 1), in [0, total count].
+
+    Terms with beta (lam_n - lam) > EXP_ZERO are exactly +0.0 and are not
+    evaluated.
+    """
+    k = _live(s.values, cfg.beta, lam)
+    x = cfg.beta * (s.values[:k] - lam)
+    return _sum(s.multiplicities[:k] * _occupation(x), s.values.size)
 
 
 def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
@@ -50,7 +55,8 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
 
     Each term deviates from its limiting indicator by exactly
     mult_n / (e^(beta |lam_n - lam|) + 1), so the sum of those dominates
-    the signed deviation.
+    the signed deviation.  As in ``smoothed_counting``, the terms past
+    beta (lam_n - lam) = EXP_ZERO are exactly +0.0 and are not evaluated.
     """
     if not (beta > 0):
         raise DomainError(f"beta must be positive, got {beta!r}")
@@ -59,8 +65,9 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
             f"lam={lam!r} is an eigenvalue; the smoothed value converges to the "
             "jump midpoint there, not to the counting function"
         )
-    t = np.exp(-beta * np.abs(s.values - lam))
-    return _sum(s.multiplicities * (t / (1.0 + t)))
+    k = _live(s.values, beta, lam)
+    t = np.exp(-beta * np.abs(s.values[:k] - lam))
+    return _sum(s.multiplicities[:k] * (t / (1.0 + t)), s.values.size)
 
 
 def default_beta(s: Spectrum, lam: float) -> float:

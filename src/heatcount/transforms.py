@@ -39,6 +39,9 @@ FSUM_THRESHOLD = 100_000
 # Terms per pass of _exact_sum: keeps its transient arrays small and every
 # per-exponent bucket sum below 2**44, so float64 holds it exactly.
 SUM_CHUNK = 1 << 16
+# e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
+# occupation factors whose exponent passes EXP_ZERO are not evaluated.
+EXP_ZERO = 746.0
 
 
 class CountingMode(Enum):
@@ -77,12 +80,48 @@ def counting(s: Spectrum, lam: float, mode: CountingMode = CountingMode.STRICT) 
     return int(s.cumulative[idx])
 
 
-def _sum(terms: np.ndarray) -> float:
-    """Sum of the terms: above FSUM_THRESHOLD entries correctly rounded and
-    bit-identical to math.fsum, at or below it numpy's pairwise sum."""
-    if terms.size > FSUM_THRESHOLD:
+def _live(values: np.ndarray, rate: float, origin: float = 0.0) -> int:
+    """Length of the prefix of the sorted values past which every
+    e^(-rate (lam - origin)) is exactly +0.0.
+
+    The exponent rate * (lam - origin), rounded as numpy rounds it, never
+    decreases along the sorted values, so once it exceeds EXP_ZERO it
+    stays above it; the prefix ends at or after that value.  The threshold
+    origin + EXP_ZERO / rate is itself rounded; where it lets through a
+    value whose exponent is still at most EXP_ZERO, the exponents of the
+    rest are computed and searched.  rate = 0 keeps every value.
+    """
+    rate, origin = float(rate), float(origin)
+    if not rate > 0:
+        return values.size
+    k = int(np.searchsorted(values, origin + EXP_ZERO / rate, side="right"))
+    if k < values.size and not rate * (float(values[k]) - origin) > EXP_ZERO:
+        with np.errstate(over="ignore"):
+            k += int(np.searchsorted(rate * (values[k:] - origin), EXP_ZERO, side="right"))
+    return k
+
+
+def _padded(terms: np.ndarray, size: int) -> np.ndarray:
+    """terms followed by size - terms.size zeros (+0.0)."""
+    if terms.size == size:
+        return terms
+    out = np.zeros(size)
+    out[: terms.size] = terms
+    return out
+
+
+def _sum(terms: np.ndarray, size: int) -> float:
+    """Sum of ``terms`` followed by ``size - terms.size`` zeros.
+
+    The callers drop trailing terms that are exactly +0.0; ``size`` is the
+    length of the full sum and picks the path.  Above FSUM_THRESHOLD the sum
+    is correctly rounded and bit-identical to math.fsum, so zeros change
+    nothing.  At or below it, it is numpy's pairwise sum, whose rounding
+    depends on the length, so the terms are padded back to ``size``.
+    """
+    if size > FSUM_THRESHOLD:
         return _exact_sum(terms)
-    return float(np.sum(terms))
+    return float(np.sum(_padded(terms, size)))
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -119,8 +158,12 @@ def _exact_sum(terms: np.ndarray) -> float:
 
 
 def _exp_sum(values: np.ndarray, mults: np.ndarray, t: float) -> float:
-    """sum_n mult_n * exp(-lam_n * t), summed in ascending eigenvalue order."""
-    return _sum(mults * np.exp(-values * t))
+    """sum_n mult_n * exp(-lam_n * t), summed in ascending eigenvalue order.
+
+    Terms with lam_n t > EXP_ZERO are exactly +0.0 and are not evaluated.
+    """
+    k = _live(values, t)
+    return _sum(mults[:k] * np.exp(-values[:k] * t), values.size)
 
 
 def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
@@ -199,12 +242,16 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     trace to roundoff.  ``quadrature`` applies adaptive Simpson to the
     same integrand, with panels aligned to the eigenvalue jumps and the
     domain extended until the boundary term is below 1e-12 of the result.
+    In both modes nothing past lam t = EXP_ZERO is evaluated: there the
+    step-exact terms and the integrand are exactly 0.0.
     """
     if not (0 < t < math.inf):
         raise DomainError(f"laplace transform requires finite t > 0, got {t!r}")
     if method == "step_exact":
+        # a dropped term is mult * (0.0 - 0.0): coverage lies past every value
         big = math.exp(-s.coverage * t)
-        return _sum(s.multiplicities * (np.exp(-s.values * t) - big))
+        k = _live(s.values, t)
+        return _sum(s.multiplicities[:k] * (np.exp(-s.values[:k] * t) - big), s.values.size)
     if method == "quadrature":
         return _laplace_quadrature(s, t)
     raise InvalidParameterError("method", f"expected 'step_exact' or 'quadrature', got {method!r}")
@@ -260,23 +307,33 @@ def _adaptive_simpson_exp(edges, n_const, t, tol):
     constant ``n_const`` on each of them and every subpanel inherits it.
     Budget: per-panel tolerance proportional to panel length;
     Richardson-extrapolated acceptance at |S2 - S1|/15.
+
+    A panel whose left edge a has a t > EXP_ZERO has an integrand of
+    exactly 0.0 at every node, so it would pass at depth 0 with zero sum
+    and zero error.  Such panels are not evaluated: they enter only the
+    two depth-0 reductions, as the zeros that keep numpy's pairwise sum
+    over every panel.  Their lengths still count in ``total_len``.
     """
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
+    panels = edges.size - 1
     total_len = edges[-1] - edges[0]
+    live = _live(edges[:-1], t)
+    nodes = edges[: live + 1]
+    a, b = nodes[:-1], nodes[1:]
+    n_const = n_const[:live]
 
     def f(x, n_const):
         return n_const * np.exp(-x * t)
 
-    fa = f(a, n_const)
-    fb = f(b, n_const)
+    e = np.exp(-nodes * t)
+    fa = n_const * e[:-1]
+    fb = n_const * e[1:]
     mid = 0.5 * (a + b)
     fm = f(mid, n_const)
     s_whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
     result = 0.0
     err_accum = 0.0
-    panels = a.size
+    width = panels  # length of the depth-0 reductions
     for depth in range(QUAD_MAX_DEPTH + 1):
         lm = 0.5 * (a + mid)
         rm = 0.5 * (mid + b)
@@ -291,8 +348,8 @@ def _adaptive_simpson_exp(edges, n_const, t, tol):
         # The length fraction is taken first: at tiny t both tol and b - a
         # are near the top of the double range, and their product overflows.
         ok = err <= np.maximum(tol * ((b - a) / total_len), 32.0 * 2.3e-16 * np.abs(s2))
-        result += float(np.sum(np.where(ok, s2 + (s2 - s_whole) / 15.0, 0.0)))
-        err_accum += float(np.sum(np.where(ok, err, 0.0)))
+        result += float(np.sum(_padded(np.where(ok, s2 + (s2 - s_whole) / 15.0, 0.0), width)))
+        err_accum += float(np.sum(_padded(np.where(ok, err, 0.0), width)))
         if bool(np.all(ok)):
             return result, err_accum
         keep = ~ok
@@ -313,6 +370,7 @@ def _adaptive_simpson_exp(edges, n_const, t, tol):
         s_whole = np.concatenate((s_left[keep], s_right[keep]))
         mid = mid_new
         n_const = np.concatenate((n_const[keep], n_const[keep]))
+        width = a.size
     raise AssertionError("unreachable")
 
 

@@ -95,6 +95,16 @@ def heat_trace_direct(eigenvalues, t: float) -> float:
     return math.fsum(mult * math.exp(-value * t) for value, mult in eigenvalues)
 
 
+def full_sum(terms) -> float:
+    """Sum of every term, zeros included, rounded as the package rounds a
+    sum over that many values: math.fsum above 100,000 terms, numpy's
+    pairwise sum of the whole array at or below."""
+    terms = np.asarray(terms, dtype=np.float64)
+    if terms.size > 100_000:
+        return math.fsum(terms.tolist())
+    return float(np.sum(terms))
+
+
 def pairs(spectrum):
     """(value, mult) pairs of a package Spectrum, as plain python floats/ints."""
     return [(float(v), int(m)) for v, m in zip(spectrum.values, spectrum.multiplicities)]
