@@ -31,7 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 def parse_grid(text: str) -> list[float]:
-    """Comma list ("0.01,0.1,1") or inclusive range ("1:3:0.5") of at most a million points."""
+    """Comma list ("0.01,0.1,1") or inclusive range ("1:3:0.5") of at most a million finite points."""
     text = text.strip()
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
@@ -42,6 +42,8 @@ def parse_grid(text: str) -> list[float]:
     if not ranged:
         if not values:
             raise InvalidParameterError("grid", f"empty grid {text!r}")
+        if not all(map(math.isfinite, values)):
+            raise InvalidParameterError("grid", f"non-finite point in {text!r}")
         return values
     if len(values) != 3:
         raise InvalidParameterError("grid", f"range must be start:stop:step, got {text!r}")

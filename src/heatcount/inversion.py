@@ -414,7 +414,8 @@ def invert_profile(s: Spectrum, grid, cfg: InversionConfig | None = None) -> Eva
 
     One row per point, sorted by abscissa; rows whose rounded value
     disagrees with the counting oracle carry match="no".  Per-row errors
-    are recorded as match="error" without aborting the batch.
+    are recorded as match="error" without aborting the batch; a nan point,
+    whose count is undefined, raises DomainError.
     """
     grid = [float(x) for x in grid]
     if not grid:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .evaltable import EvalTable
 from .spectrum import Spectrum
-from .transforms import CountingMode, _live, _sum, counting
+from .transforms import CountingMode, _spectral_sum, counting
 
 SHARPNESS = 50.0  # default_beta: beta times the distance to the nearest other eigenvalue
 
@@ -33,6 +33,11 @@ class SmoothingConfig:
             raise DomainError(f"beta must be positive, got {self.beta!r}")
 
 
+def _check_lambda(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise DomainError(f"smoothing requires a finite lambda, got {lam!r}")
+
+
 def _occupation(x: np.ndarray) -> np.ndarray:
     """1/(e^x + 1) without overflow: exactly 1 below x ~ -37, exactly 0 beyond x ~ 745."""
     e = np.exp(-np.abs(x))
@@ -43,11 +48,11 @@ def smoothed_counting(s: Spectrum, lam: float, cfg: SmoothingConfig) -> float:
     """sum_n mult_n / (e^(beta(lam_n - lam)) + 1), in [0, total count].
 
     Terms with beta (lam_n - lam) > EXP_ZERO are exactly +0.0 and are not
-    evaluated.
+    evaluated (``_spectral_sum``).  lam must be finite.
     """
-    k = _live(s.values, cfg.beta, lam)
-    x = cfg.beta * (s.values[:k] - lam)
-    return _sum(s.multiplicities[:k] * _occupation(x), s.values.size)
+    _check_lambda(lam)
+    beta = cfg.beta
+    return _spectral_sum(s.values, s.multiplicities, lambda v: _occupation(beta * (v - lam)), beta, lam)
 
 
 def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
@@ -58,6 +63,7 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
     the signed deviation.  As in ``smoothed_counting``, the terms past
     beta (lam_n - lam) = EXP_ZERO are exactly +0.0 and are not evaluated.
     """
+    _check_lambda(lam)
     if not (beta > 0):
         raise DomainError(f"beta must be positive, got {beta!r}")
     if float(lam) in s.values:
@@ -65,13 +71,12 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
             f"lam={lam!r} is an eigenvalue; the smoothed value converges to the "
             "jump midpoint there, not to the counting function"
         )
-    k = _live(s.values, beta, lam)
-    t = np.exp(-beta * np.abs(s.values[:k] - lam))
-    return _sum(s.multiplicities[:k] * (t / (1.0 + t)), s.values.size)
+    return _spectral_sum(s.values, s.multiplicities, lambda v: _occupation(beta * np.abs(v - lam)), beta, lam)
 
 
 def default_beta(s: Spectrum, lam: float) -> float:
     """SHARPNESS / (distance from lam to the nearest eigenvalue other than lam)."""
+    _check_lambda(lam)
     dist = np.abs(s.values - lam)
     dist = dist[dist > 0]
     if dist.size == 0:
@@ -86,6 +91,7 @@ def beta_sweep(s: Spectrum, lam: float, beta_list) -> EvalTable:
     off the spectrum it is non-increasing in beta and dominated by the
     error bound (bound is NaN when lam sits on an eigenvalue).
     """
+    _check_lambda(lam)
     betas = [float(b) for b in beta_list]
     if not betas:
         raise DomainError("beta list must not be empty")

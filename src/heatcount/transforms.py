@@ -72,8 +72,11 @@ def counting(s: Spectrum, lam: float, mode: CountingMode = CountingMode.STRICT) 
     """Number of eigenvalues (with multiplicity) below lam.
 
     STRICT counts lam_n < lam, INCLUSIVE counts lam_n <= lam.  Binary
-    search over the distinct values, O(log n).
+    search over the distinct values, O(log n).  At lam = -inf it is 0 and
+    at +inf the total count; at nan it is undefined and raises DomainError.
     """
+    if math.isnan(lam):
+        raise DomainError(f"counting function is undefined at lam={lam!r}")
     mode = CountingMode(mode)
     side = "left" if mode is CountingMode.STRICT else "right"
     idx = int(np.searchsorted(s.values, lam, side=side))
@@ -84,21 +87,18 @@ def _live(values: np.ndarray, rate: float, origin: float = 0.0) -> int:
     """Length of the prefix of the sorted values past which every
     e^(-rate (lam - origin)) is exactly +0.0.
 
-    The exponent rate * (lam - origin), rounded as numpy rounds it, never
-    decreases along the sorted values, so once it exceeds EXP_ZERO it
-    stays above it; the prefix ends at or after that value.  The threshold
-    origin + EXP_ZERO / rate is itself rounded; where it lets through a
-    value whose exponent is still at most EXP_ZERO, the exponents of the
-    rest are computed and searched.  rate = 0 keeps every value.
+    A value whose exponent, rounded as numpy rounds rate * (lam - origin),
+    is at most EXP_ZERO satisfies lam - origin <= (EXP_ZERO / rate)(1 + 3u),
+    u = 2**-53.  The threshold widens the rounded quotient by 2**-30 and
+    steps past the rounded sum, so it lies above every such value: no live
+    value is cut, and the few kept past EXP_ZERO give terms of +0.0.
+    rate = 0 keeps every value.
     """
     rate, origin = float(rate), float(origin)
     if not rate > 0:
         return values.size
-    k = int(np.searchsorted(values, origin + EXP_ZERO / rate, side="right"))
-    if k < values.size and not rate * (float(values[k]) - origin) > EXP_ZERO:
-        with np.errstate(over="ignore"):
-            k += int(np.searchsorted(rate * (values[k:] - origin), EXP_ZERO, side="right"))
-    return k
+    limit = math.nextafter(origin + EXP_ZERO / rate * (1 + 2**-30), math.inf)
+    return int(np.searchsorted(values, limit, side="right"))
 
 
 def _padded(terms: np.ndarray, size: int) -> np.ndarray:
@@ -110,18 +110,22 @@ def _padded(terms: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _sum(terms: np.ndarray, size: int) -> float:
-    """Sum of ``terms`` followed by ``size - terms.size`` zeros.
+def _spectral_sum(values, mults, term, rate: float, origin: float = 0.0) -> float:
+    """sum_n mults_n * term(values_n) over the sorted values, in ascending order.
 
-    The callers drop trailing terms that are exactly +0.0; ``size`` is the
-    length of the full sum and picks the path.  Above FSUM_THRESHOLD the sum
-    is correctly rounded and bit-identical to math.fsum, so zeros change
-    nothing.  At or below it, it is numpy's pairwise sum, whose rounding
-    depends on the length, so the terms are padded back to ``size``.
+    ``term`` is an array function of the values that is exactly +0.0 at
+    every value whose exponent rate * (lam - origin) passes EXP_ZERO; it is
+    evaluated only on the prefix ``_live`` keeps.  Over more than
+    FSUM_THRESHOLD values the sum is correctly rounded and bit-identical to
+    math.fsum, so the dropped zeros change nothing.  At or below it, it is
+    numpy's pairwise sum, whose rounding depends on the length, so the
+    terms are padded with +0.0 back to ``values.size``.
     """
-    if size > FSUM_THRESHOLD:
+    k = _live(values, rate, origin)
+    terms = mults[:k] * term(values[:k])
+    if values.size > FSUM_THRESHOLD:
         return _exact_sum(terms)
-    return float(np.sum(_padded(terms, size)))
+    return float(np.sum(_padded(terms, values.size)))
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -157,15 +161,6 @@ def _exact_sum(terms: np.ndarray) -> float:
     return total / (1 << 1126)
 
 
-def _exp_sum(values: np.ndarray, mults: np.ndarray, t: float) -> float:
-    """sum_n mult_n * exp(-lam_n * t), summed in ascending eigenvalue order.
-
-    Terms with lam_n t > EXP_ZERO are exactly +0.0 and are not evaluated.
-    """
-    k = _live(values, t)
-    return _sum(mults[:k] * np.exp(-values[:k] * t), values.size)
-
-
 def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
     """Heat trace K(t) = sum_n mult_n e^(-lam_n t) over the stored spectrum.
 
@@ -174,7 +169,7 @@ def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
     """
     if not (0 < t < math.inf):
         raise DomainError(f"heat trace requires finite t > 0, got {t!r}")
-    value = _exp_sum(s.values, s.multiplicities, t)
+    value = _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(-v * t), t)
     return HeatTraceResult(value, _tail_bound(s, t))
 
 
@@ -217,14 +212,15 @@ def partial_exponential_sum(s: Spectrum, u: float, t: float) -> float:
     """A(u, t) = sum over lam_n <= u of mult_n e^(-lam_n t).
 
     A(lam, 0) is the inclusive counting function; A(max value, t) equals
-    the heat trace bit for bit (same summation path).
+    the heat trace bit for bit (same ``_spectral_sum``).  An empty prefix
+    sums to 0.0.
     """
     if not (0 <= t < math.inf):
         raise DomainError(f"partial exponential sum requires finite t >= 0, got {t!r}")
+    if math.isnan(u):
+        raise DomainError(f"partial exponential sum is undefined at u={u!r}")
     idx = int(np.searchsorted(s.values, u, side="right"))
-    if idx == 0:
-        return 0.0
-    return _exp_sum(s.values[:idx], s.multiplicities[:idx], t)
+    return _spectral_sum(s.values[:idx], s.multiplicities[:idx], lambda v: np.exp(-v * t), t)
 
 
 def truncation_correction(s: Spectrum, t: float) -> float:
@@ -243,22 +239,21 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     same integrand, with panels aligned to the eigenvalue jumps and the
     domain extended until the boundary term is below 1e-12 of the result.
     In both modes nothing past lam t = EXP_ZERO is evaluated: there the
-    step-exact terms and the integrand are exactly 0.0.
+    step-exact terms and the integrand are exactly 0.0 (``_spectral_sum``).
     """
     if not (0 < t < math.inf):
         raise DomainError(f"laplace transform requires finite t > 0, got {t!r}")
     if method == "step_exact":
         # a dropped term is mult * (0.0 - 0.0): coverage lies past every value
         big = math.exp(-s.coverage * t)
-        k = _live(s.values, t)
-        return _sum(s.multiplicities[:k] * (np.exp(-s.values[:k] * t) - big), s.values.size)
+        return _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(-v * t) - big, t)
     if method == "quadrature":
         return _laplace_quadrature(s, t)
     raise InvalidParameterError("method", f"expected 'step_exact' or 'quadrature', got {method!r}")
 
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
-    scale = max(_exp_sum(s.values, s.multiplicities, t), 5e-324)
+    scale = max(_spectral_sum(s.values, s.multiplicities, lambda v: np.exp(-v * t), t), 5e-324)
     # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
     # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.
     drop = BOUNDARY_DROP * scale
@@ -309,10 +304,11 @@ def _adaptive_simpson_exp(edges, n_const, t, tol):
     Richardson-extrapolated acceptance at |S2 - S1|/15.
 
     A panel whose left edge a has a t > EXP_ZERO has an integrand of
-    exactly 0.0 at every node, so it would pass at depth 0 with zero sum
-    and zero error.  Such panels are not evaluated: they enter only the
-    two depth-0 reductions, as the zeros that keep numpy's pairwise sum
-    over every panel.  Their lengths still count in ``total_len``.
+    exactly 0.0 at every node, so it passes at depth 0 with zero sum and
+    zero error.  The panels past ``_live``'s cut, all of that kind, are not
+    evaluated: they enter only the two depth-0 reductions, as the zeros
+    that keep numpy's pairwise sum over every panel.  Their lengths still
+    count in ``total_len``.
     """
     panels = edges.size - 1
     total_len = edges[-1] - edges[0]

@@ -57,6 +57,15 @@ class TestWeylCheck:
         assert math.isnan(report.ratios[0])
         assert report.ratios[1] == pytest.approx(1.0050589225448934, rel=1e-12)
 
+    def test_zero_count_flag(self):
+        # 1/t = 0.5 lies below the first eigenvalue 1 of the interval of length pi
+        s = generate_interval(math.pi, 100)
+        report = weyl_check(s, [2.0, 0.5])
+        assert report.flags == ("ok", "zero-count")
+        assert report.counts == (1, 0)
+        assert math.isnan(report.ratios[1])
+        assert report.heat_values[1] == pytest.approx(oracles.heat_trace_direct(oracles.pairs(s), 2.0))
+
     def test_grid_sorted_ascending(self, const_density_10k):
         report = weyl_check(const_density_10k, [1e-2, 1e-3])
         assert report.t_grid == (1e-3, 1e-2)

@@ -62,6 +62,13 @@ class TestParseGrid:
             with pytest.raises(InvalidParameterError):
                 parse_grid(text)
 
+    def test_non_finite_list_point_rejected(self):
+        from heatcount import InvalidParameterError
+
+        for text in ("nan", "30.5,nan,2.5", "inf,1", "1,-inf"):
+            with pytest.raises(InvalidParameterError, match="non-finite"):
+                parse_grid(text)
+
     def test_range_of_a_million_points_at_most(self):
         from heatcount import InvalidParameterError
 
@@ -306,6 +313,15 @@ class TestThinWrappers:
         assert lines[0] == "beta,value,deviation,bound"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("beta", [None, "1,2"], ids=["default-beta", "beta-grid"])
+    def test_smooth_non_finite_lambda_exits_2(self, tmp_path, interval_file, capsys, lam, beta):
+        out = tmp_path / "s.csv"
+        flags = [] if beta is None else ["--beta", beta]
+        assert run("smooth", "--spectrum", interval_file, f"--lambda={lam}", *flags, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: smoothing requires a finite lambda, got {float(lam)!r}\n"
+        assert not out.exists()
+
     def test_smooth_manifest_records_default_beta(self, tmp_path, interval_file):
         out = tmp_path / "s.csv"
         assert run("smooth", "--spectrum", interval_file, "--lambda", 12, "--out", out) == 0
@@ -405,7 +421,11 @@ class TestExitCodeContract:
         (["density", "--bin-width", 1, "--range", "0,10,20"], "range"),
         (["invert", "--lambda", 2.5, "--c", 0.8, "--height", "inf", "--step", 0.01],
          "c/height/step"),
-    ], ids=["lambda-unparsable", "range-unparsable", "range-three-values", "height-inf"])
+        (["invert", "--lambda", "30.5,nan,2.5"], "grid"),
+        (["weyl", "--t", ","], "grid"),
+        (["verify", "--theorem", 3, "--lambda", "1,2"], "lambda"),
+    ], ids=["lambda-unparsable", "range-unparsable", "range-three-values", "height-inf",
+            "lambda-nan-in-list", "t-empty-grid", "theorem-3-two-lambdas"])
     def test_unparsable_flag_is_two_and_named(self, tmp_path, interval_file, capsys, flags, field):
         command, *rest = flags
         out = tmp_path / "x.csv"

@@ -151,6 +151,10 @@ class TestInvertProfile:
         with pytest.raises(DomainError):
             invert_profile(interval_pi_200, [])
 
+    def test_nan_point_rejected(self, interval_pi_200):
+        with pytest.raises(DomainError, match="nan"):
+            invert_profile(interval_pi_200, [30.5, math.nan, 2.5])
+
     def test_per_row_errors_do_not_abort(self, interval_pi_200):
         # c*lam overflows only for the second row
         cfg = InversionConfig(c=100.0, T=10.0, h=0.01)

@@ -161,6 +161,20 @@ class TestBetaSweep:
         assert math.isnan(table.column("bound")[0])
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_rejected(interval_pi_100, lam):
+    s = interval_pi_100
+    calls = [
+        lambda: default_beta(s, lam),
+        lambda: smoothed_counting(s, lam, SmoothingConfig(beta=1.0)),
+        lambda: smoothing_error_bound(s, lam, 1.0),
+        lambda: beta_sweep(s, lam, [1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite lambda"):
+            call()
+
+
 class TestDefaultBeta:
     def test_uses_nearest_gap(self, const_density_200):
         assert default_beta(const_density_200, 5.25) == pytest.approx(50.0 / 0.25)

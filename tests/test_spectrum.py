@@ -352,6 +352,18 @@ class TestPersistence:
         with pytest.raises(SpectrumFormatError, match="line 2"):
             load_spectrum(path)
 
+    def test_top_level_array_rejected(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('[{"value": 1.0, "multiplicity": 1}]')
+        with pytest.raises(SpectrumFormatError, match="top-level JSON value must be an object"):
+            load_spectrum(path)
+
+    def test_string_cutoff_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"cutoff": "10", "entries": [{"value": 1.0, "multiplicity": 1}]}')
+        with pytest.raises(SpectrumFormatError, match=r"^cutoff: expected a number, got '10'"):
+            load_spectrum(path)
+
     def test_missing_entries_rejected(self, tmp_path):
         path = tmp_path / "e.json"
         path.write_text("{}")

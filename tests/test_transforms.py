@@ -45,6 +45,13 @@ class TestCounting:
         assert counting(interval_pi_100, 0.5) == 0
         assert counting(interval_pi_100, 1e12) == 100
 
+    def test_infinite_limits_and_nan(self, interval_pi_100):
+        for mode in CountingMode:
+            assert counting(interval_pi_100, -math.inf, mode) == 0
+            assert counting(interval_pi_100, math.inf, mode) == 100
+            with pytest.raises(DomainError, match="nan"):
+                counting(interval_pi_100, math.nan, mode)
+
     def test_nondecreasing(self, torus_400):
         probes = np.linspace(-1.0, 450.0, 400)
         counts = [counting(torus_400, lam) for lam in probes]
@@ -188,6 +195,14 @@ class TestPartialExponentialSum:
         with pytest.raises(DomainError):
             partial_exponential_sum(interval_pi_100, 10.0, -0.5)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_infinite_limits_and_nan(self, interval_pi_100, t):
+        s = interval_pi_100
+        assert partial_exponential_sum(s, -math.inf, t) == 0.0
+        assert partial_exponential_sum(s, math.inf, t) == partial_exponential_sum(s, 1e4, t)
+        with pytest.raises(DomainError, match="nan"):
+            partial_exponential_sum(s, math.nan, t)
+
 
 class TestLaplaceOfCounting:
     @pytest.fixture()
@@ -278,6 +293,13 @@ class TestLaplaceOfCounting:
 
 
 class TestDensityEstimate:
+    def test_range_without_eigenvalues_has_zero_constancy(self):
+        s = generate_constant_density(1.0, 20)  # 1, 2, ..., 20
+        result = density_estimate(s, 0.25, (2.0, 2.75))  # bins (2, 2.25] .. (2.5, 2.75]
+        assert result.table.column("value") == [0.0, 0.0, 0.0]
+        assert result.mean_density == 0.0
+        assert result.constancy_deviation == 0.0
+
     def test_constant_density_is_flat(self):
         s = generate_constant_density(2.0, 20)
         result = density_estimate(s, 1.0, (0.0, 10.0))

@@ -62,6 +62,9 @@ tops = st.one_of(
 def test_exponential_sums_match_full_sums(s, top, where):
     values, mults = s.values, s.multiplicities
     t = top / float(values[-1]) if values[-1] > 0 else top
+    # a largest value near 5e-324 puts t past the double range, where every
+    # operation raises DomainError (test_transforms holds that)
+    assume(t < math.inf)
     terms = np.exp(-values * t)
     assert heat_trace(s, t).value.hex() == oracles.full_sum(mults * terms).hex()
     steps = mults * (terms - math.exp(-s.coverage * t))
