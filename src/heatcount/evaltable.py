@@ -48,6 +48,3 @@ class EvalTable:
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow([_format_cell(cell) for cell in row])
-
-    def __len__(self) -> int:
-        return len(self.rows)

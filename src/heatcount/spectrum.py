@@ -34,12 +34,9 @@ MERGE_RTOL = 1e-12
 # gaps it tests take bounded memory.
 _MERGE_BLOCK = 1 << 16
 
-# Entries save_spectrum formats and writes at a time, so no copy of the whole
-# file is held in memory.
+# Items of a column save_spectrum encodes and writes at a time, so no copy of
+# the whole file is held in memory.
 SAVE_CHUNK = 8192
-
-# Characters load_spectrum reads at a time from a file in save_spectrum's layout.
-_READ_SIZE = 1 << 16
 
 logger = logging.getLogger(__name__)
 
@@ -164,15 +161,7 @@ class Spectrum:
             raise ValidationError(
                 f"{values.size} values but {mults.size} multiplicities; the lengths must match"
             )
-        bad = ~np.isfinite(values) | (values < 0) | (mults < 1)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            value = float(values[i])
-            if not math.isfinite(value):
-                raise ValidationError(f"entries[{i}].value: must be finite, got {value!r}")
-            if value < 0:
-                raise ValidationError(f"entries[{i}].value: negative eigenvalue {value!r}")
-            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1, got {int(mults[i])}")
+        _check_items(values, mults, ("entries[%d].value", "entries[%d].multiplicity"))
         if multiplicities is None:
             # every entry counts once: sorting the values alone, far cheaper than an
             # index sort, is enough
@@ -221,6 +210,23 @@ def _overflow_index(mults: np.ndarray) -> int | None:
     cum = np.cumsum(mults)
     wrapped = np.flatnonzero(cum[1:] <= cum[:-1])
     return int(wrapped[0]) + 1 if wrapped.size else None
+
+
+def _check_items(values: np.ndarray, mults: np.ndarray, names: tuple[str, str]) -> None:
+    """Reject the first value that is not finite and >= 0, or multiplicity below 1.
+
+    ``names`` are the ``%d`` templates of a value's and a multiplicity's
+    place in the input, such as ``entries[%d].value``.
+    """
+    bad = ~np.isfinite(values) | (values < 0) | (mults < 1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        value = float(values[i])
+        if not math.isfinite(value):
+            raise ValidationError(f"{names[0] % i}: must be finite, got {value!r}")
+        if value < 0:
+            raise ValidationError(f"{names[0] % i}: negative eigenvalue {value!r}")
+        raise ValidationError(f"{names[1] % i}: must be >= 1, got {int(mults[i])}")
 
 
 # -- closed-form generators ---------------------------------------------
@@ -319,10 +325,13 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
 # -- persistence ----------------------------------------------------------
 
 
-def _file_spectrum(header: dict, values: np.ndarray, mults: np.ndarray) -> Spectrum:
-    """The spectrum of a file's header fields and entry arrays.
+def _file_spectrum(
+    header: dict, values: np.ndarray, mults: np.ndarray, names: tuple[str, str]
+) -> Spectrum:
+    """The spectrum of a file's header fields and value and multiplicity arrays.
 
-    Its sort and merge warnings name the caller of load_spectrum.
+    A bad item is named by ``names``, as in ``_check_items``.  The sort and
+    merge warnings name the caller of load_spectrum.
     """
     cutoff = header.get("cutoff")
     if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, (int, float))):
@@ -334,6 +343,7 @@ def _file_spectrum(header: dict, values: np.ndarray, mults: np.ndarray) -> Spect
     generator = header.get("generator")
     if generator is None:
         generator = {"kind": "file"}
+    _check_items(values, mults, names)
     s = Spectrum.from_entries(
         values,
         mults,
@@ -356,7 +366,7 @@ def _entry_arrays(entries: list):
     """Value and multiplicity arrays when every entry is well typed, else None.
 
     One type test per column instead of per entry; anything it does not
-    accept goes to ``_checked_entry_arrays``, which names the bad entry.
+    accept goes to ``_checked_arrays``, which names the bad entry.
     """
     if set(map(type, entries)) != {dict}:
         return None
@@ -378,77 +388,84 @@ def _column_arrays(values: list, mults: list):
         return None
 
 
-def _checked_entry_arrays(entries: list):
-    """Value and multiplicity arrays, checking one entry at a time."""
-    values = np.empty(len(entries), dtype=np.float64)
-    mults = np.empty(len(entries), dtype=np.int64)
+def _entry_pairs(entries: list):
+    """The (value, multiplicity) of each entry, checking that it is an object with a value."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "value" not in entry:
             raise SpectrumFormatError(f"entries[{i}]: expected an object with a 'value' field")
-        value = entry["value"]
+        yield entry["value"], entry.get("multiplicity", 1)
+
+
+def _checked_arrays(pairs, size: int, names: tuple[str, str]):
+    """Value and multiplicity arrays of ``size`` pairs, checking one pair at a time.
+
+    A bad item is named by ``names``, as in ``_check_items``.
+    """
+    values = np.empty(size, dtype=np.float64)
+    mults = np.empty(size, dtype=np.int64)
+    for i, (value, mult) in enumerate(pairs):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SpectrumFormatError(f"entries[{i}].value: expected a number, got {value!r}")
+            raise SpectrumFormatError(f"{names[0] % i}: expected a number, got {value!r}")
         try:
             values[i] = value
         except OverflowError:  # an integer beyond the double range
-            raise ValidationError(f"entries[{i}].value: must be finite, got {value!r}") from None
-        mult = entry.get("multiplicity", 1)
+            raise ValidationError(f"{names[0] % i}: must be finite, got {value!r}") from None
         if isinstance(mult, bool) or not isinstance(mult, int):
-            raise SpectrumFormatError(f"entries[{i}].multiplicity: expected an integer, got {mult!r}")
+            raise SpectrumFormatError(f"{names[1] % i}: expected an integer, got {mult!r}")
         if not -(2**63) <= mult < 2**63:
-            raise ValidationError(f"entries[{i}].multiplicity: must be >= 1 and < 2**63, got {mult!r}")
+            raise ValidationError(f"{names[1] % i}: must be >= 1 and < 2**63, got {mult!r}")
         mults[i] = mult
     return values, mults
 
 
-def save_spectrum(s: Spectrum, path) -> None:
-    """Write a spectrum as JSON; values round-trip exactly (repr precision).
+def _columns(values, mults, names: tuple[str, str]):
+    """Value and multiplicity arrays of a file's two columns."""
+    if not isinstance(values, list) or not values:
+        raise SpectrumFormatError("values: must be a non-empty list")
+    if not isinstance(mults, list) or len(mults) != len(values):
+        raise SpectrumFormatError("multiplicities: must be a list as long as values")
+    return _column_arrays(values, mults) or _checked_arrays(zip(values, mults), len(values), names)
 
-    The bytes are those of ``json.dump(..., indent=1)`` plus a newline, with
-    the entries formatted directly, one ``%`` operation per chunk: the
-    stdlib encoder is pure Python whenever ``indent`` is set, and ``%r`` of
-    a float is the ``repr`` that ``json.dumps`` writes.
+
+def save_spectrum(s: Spectrum, path) -> None:
+    """Write a spectrum as JSON: its header, then its values and multiplicities
+    as two columns.  Values round-trip exactly (repr precision).
+
+    The bytes are those of ``json.dumps`` of the fields label, generator,
+    cutoff, values and multiplicities, plus a newline.  Each column is
+    encoded ``SAVE_CHUNK`` items at a time.
     """
-    header = json.dumps(
-        {"label": s.label, "generator": s.generator, "cutoff": s.coverage}, indent=1
-    )
-    entry = '  {\n   "value": %r,\n   "multiplicity": %d\n  }'
+    header = json.dumps({"label": s.label, "generator": s.generator, "cutoff": s.coverage})
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        # the header object without its closing "\n}", then the entries list
-        handle.write(header[:-2] + ',\n "entries": [\n')
-        for start in range(0, s.values.size, SAVE_CHUNK):
-            values = s.values[start : start + SAVE_CHUNK].tolist()
-            fields = [None] * (2 * len(values))
-            fields[0::2] = values
-            fields[1::2] = s.multiplicities[start : start + SAVE_CHUNK].tolist()
-            if start:
-                handle.write(",\n")
-            handle.write(",\n".join([entry] * len(values)) % tuple(fields))
-        handle.write("\n ]\n}\n")
+        # the header object without its closing "}", then the two columns
+        handle.write(header[:-1] + ', "values": [')
+        _write_items(handle, s.values)
+        handle.write('], "multiplicities": [')
+        _write_items(handle, s.multiplicities)
+        handle.write("]}\n")
 
 
-class _OffLayout(Exception):
-    """A file departs from save_spectrum's layout; the message says where."""
+def _write_items(handle, column: np.ndarray) -> None:
+    """Write a column's items as json.dumps separates them, SAVE_CHUNK at a time."""
+    for start in range(0, column.size, SAVE_CHUNK):
+        if start:
+            handle.write(", ")
+        handle.write(json.dumps(column[start : start + SAVE_CHUNK].tolist())[1:-1])
 
 
 def load_spectrum(path) -> Spectrum:
-    """Read a spectrum file: one in save_spectrum's layout a block of entries
-    at a time, so memory stays near the size of the result, any other with
-    ``json.load``, which gives the same spectrum, warnings or errors."""
+    """Read a spectrum file with ``json.load``.
+
+    A file with ``values`` or ``multiplicities`` holds two columns, as
+    save_spectrum writes them; one with neither holds an ``entries`` list of
+    objects, as earlier versions wrote.  Either way the types of each column
+    are tested at once, with a fall back to per-item checks that name the
+    first bad item.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        try:
-            header, values, mults = _read_saved_layout(handle)
-        except (_OffLayout, UnicodeDecodeError) as exc:
-            reason = str(exc)
-        else:
-            logger.debug("%s: read in the saved layout", path)
-            return _file_spectrum(header, values, mults)
-        logger.debug("%s: read with json.load, %s", path, reason)
-        if handle.seekable():  # nothing was read from one that is not
-            handle.seek(0)
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -457,83 +474,18 @@ def load_spectrum(path) -> Spectrum:
             ) from exc
     if not isinstance(payload, dict):
         raise SpectrumFormatError("top-level JSON value must be an object")
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise SpectrumFormatError("entries: must be a non-empty list")
-    return _file_spectrum(payload, *(_entry_arrays(entries) or _checked_entry_arrays(entries)))
-
-
-def _read_saved_layout(handle):
-    """Header, value array and multiplicity array of a file save_spectrum wrote.
-
-    The header is the lines before ``"entries"``, parsed with an empty list
-    put in.  The entries are read ``_READ_SIZE`` characters at a time and
-    cut at the last entry separator.  Raises ``_OffLayout`` at the first
-    departure from the layout.
-    """
-    if not handle.seekable():  # a pipe: json.load must get the whole text
-        raise _OffLayout("the file cannot be read twice")
-    if handle.read(2) != "{\n":
-        raise _OffLayout("line 1 is not '{'")
-    head = ["{\n"]
-    while (line := handle.readline()) != ' "entries": [\n':
-        if not line:
-            raise _OffLayout("no line ' \"entries\": ['")
-        head.append(line)
-    try:
-        header = json.loads("".join(head) + ' "entries": []\n}')
-    except ValueError:
-        raise _OffLayout("the lines before 'entries' are not a JSON object head") from None
-    opening = '  {\n   "value": '
-    if handle.read(len(opening)) != opening:
-        raise _OffLayout("the entries list does not open with a value")
-    separator = '\n  },\n  {\n   "value": '
-    end = "\n  }\n ]\n}\n"
-    values, mults = [], []
-    text = ""
-    while True:
-        data = handle.read(_READ_SIZE)
-        text += data
-        if data:
-            # what was left of the last read holds no separator
-            cut = text.rfind(separator, max(0, len(text) - len(data) - len(separator)))
-            if cut < 0:
-                continue
-            block, text = text[:cut], text[cut + len(separator) :]
-        elif text.endswith(end):
-            block = text[: -len(end)]
-        else:
-            raise _OffLayout("the file does not end as the layout does")
-        columns = _layout_block(block, separator)
-        if columns is None:
-            raise _OffLayout(f"block {len(values) + 1} off layout")
-        values.append(columns[0])
-        mults.append(columns[1])
-        if not data:
-            return header, np.concatenate(values), np.concatenate(mults)
-
-
-def _layout_block(block: str, separator: str):
-    """Value and multiplicity arrays of a block of entries, else None.
-
-    The block runs from the first value to the last multiplicity.  It becomes
-    the flat JSON array [v, m, null, v, m, null, ..., v, m] for
-    ``json.loads``, the number parser of the json path.  With k
-    multiplicity keys, k - 1 separators, 3k - 1 items, null at every third
-    and numbers elsewhere, the block holds no other comma, so each item is
-    the whole text of one field and json.load would read the same entries.
-    """
-    key = ',\n   "multiplicity": '
-    flat = block.replace(key, ",")
-    k = (len(block) - len(flat)) // (len(key) - 1)
-    try:
-        items = json.loads("[" + flat.replace(separator, ",null,") + "]")
-    except ValueError:
-        return None
-    if (
-        len(items) != 3 * k - 1
-        or block.count(separator) != k - 1
-        or items[2::3].count(None) != k - 1
-    ):
-        return None
-    return _column_arrays(items[0::3], items[1::3])
+    if "values" in payload or "multiplicities" in payload:
+        logger.debug("%s: read the column layout", path)
+        names = ("values[%d]", "multiplicities[%d]")
+        # popped, so the lists are freed once their arrays are built
+        arrays = _columns(payload.pop("values", None), payload.pop("multiplicities", None), names)
+    else:
+        logger.debug("%s: read the entries layout", path)
+        entries = payload.get("entries")
+        if not isinstance(entries, list) or not entries:
+            raise SpectrumFormatError("entries: must be a non-empty list")
+        names = ("entries[%d].value", "entries[%d].multiplicity")
+        arrays = _entry_arrays(entries) or _checked_arrays(
+            _entry_pairs(entries), len(entries), names
+        )
+    return _file_spectrum(payload, *arrays, names)

@@ -8,6 +8,7 @@ package.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -111,13 +112,33 @@ def pairs(spectrum):
 
 
 def spectrum_to_dict(spectrum) -> dict:
-    """The JSON object a saved spectrum holds, for the stdlib encoder to write."""
+    """The JSON object of a spectrum file in the entries layout, one object
+    per eigenvalue, for the stdlib encoder to write."""
     return {
         "label": spectrum.label,
         "generator": spectrum.generator,
         "cutoff": spectrum.coverage,
         "entries": [{"value": v, "multiplicity": m} for v, m in pairs(spectrum)],
     }
+
+
+def spectrum_to_columns(spectrum) -> dict:
+    """The JSON object of a spectrum file in the column layout save_spectrum writes."""
+    entries = pairs(spectrum)
+    return {
+        "label": spectrum.label,
+        "generator": spectrum.generator,
+        "cutoff": spectrum.coverage,
+        "values": [v for v, _ in entries],
+        "multiplicities": [m for _, m in entries],
+    }
+
+
+def save_entries(spectrum, path) -> None:
+    """Write a spectrum file as earlier versions of save_spectrum did: the
+    entries layout, indented one space per level, and a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(spectrum_to_dict(spectrum), indent=1) + "\n")
 
 
 # round(2^160 / (2 pi)), from 120 significant digits of pi

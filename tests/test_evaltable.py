@@ -30,4 +30,4 @@ def test_column_lookup():
     table.append(1, 2)
     table.append(3, 4)
     assert table.column("b") == [2, 4]
-    assert len(table) == 2
+    assert len(table.rows) == 2

@@ -35,11 +35,11 @@ SPECTRA = {
 
 # sha256 of the spectrum JSON that `generate` writes
 SPECTRUM_SHA256 = {
-    "interval-10k": "5010871357cfdbaaa32a6213f363da531ba5cffbd9a5e5ae9dc8bda8a65be468",
-    "interval-200": "9422f123f8171e79947d857ac1b9a162e84e9ed56a98c806b0668ce7aa1835ef",
-    "const-10k": "d5801bfa2ae1d5911e3c9d179e54d37470cd45e191098996a86c318e812ceaed",
-    "rectangle-10k": "b7a9d85840957486d8ea10274607debc5a3dddea273e704a334055c5b5be4542",
-    "torus-10k": "0d9b0eaa8645d86b5b7af9159185519b0e7ae3f88a294c2ee024115eb2509a06",
+    "interval-10k": "04d4ae67d6a06e81204f1e9c976e733cec8c9aea63b8e14fa7d0929ae6a990ff",
+    "interval-200": "c9f6a519878faae9901be55bdf6dd8ae28ec33c2045883c4f08cdeaf65b6af26",
+    "const-10k": "aa1ca32e97deb2670eb2dd64e835bd80afa3385d88483424b5d4a1178d8cf079",
+    "rectangle-10k": "eceb664917456ab6a0685de1292eaca8370a2dca86096eb80c5b5724412a2845",
+    "torus-10k": "a4cad81bee89649423a98605b0bb01be0078b72bdb1f05c02cd309c69b2fb62f",
 }
 
 # golden file stem -> (spectrum, subcommand and its flags)

@@ -3,12 +3,13 @@
 import cmath
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -30,9 +31,8 @@ from heatcount import (
     save_spectrum,
     smoothed_counting,
 )
-from heatcount import spectrum
 from heatcount.inversion import TERM_DROP_EXPONENT, _resolve_config
-from heatcount.spectrum import SAVE_CHUNK, _OffLayout, _entry_arrays
+from heatcount.spectrum import SAVE_CHUNK, _entry_arrays
 
 # eigenvalues are 0 or >= 1e-3: below ~1e-16, e^(-lam t) rounds to exactly 1.0
 # and strict monotonicity statements stop being float-meaningful
@@ -134,7 +134,7 @@ def test_smoothed_counting_monotone_in_lambda(entries, lam, step, beta):
 
 
 def load_payload(tmp_path_factory, payload):
-    """load_spectrum of a file json.dumps wrote, which takes the json.load path."""
+    """load_spectrum of a file json.dumps wrote."""
     path = tmp_path_factory.mktemp("payload") / "s.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return load_spectrum(path)
@@ -215,7 +215,7 @@ saved_entries = st.lists(
 
 def assert_saves_oracle_bytes(s, path):
     save_spectrum(s, path)
-    expected = json.dumps(oracles.spectrum_to_dict(s), indent=1) + "\n"
+    expected = json.dumps(oracles.spectrum_to_columns(s)) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
 
 
@@ -307,99 +307,6 @@ def test_fast_load_matches_per_entry_loop(tmp_path_factory, case):
     assert fast == checked
 
 
-def json_path_load(path):
-    """What load_spectrum makes of a file when it reads it with json.load from the start."""
-    with mock.patch.object(spectrum, "_read_saved_layout", side_effect=_OffLayout("forced")):
-        return load_spectrum(path)
-
-
-def file_outcome(load, path):
-    """The spectrum, its exact values and the warnings a load gives, or its error."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            s = load(path)
-        except Exception as exc:  # compared between the two readers
-            return type(exc), str(exc)
-    return s, [v.hex() for v in s.values.tolist()], s.multiplicities.tolist(), [
-        (w.category, str(w.message)) for w in caught
-    ]
-
-
-# what an edit may insert into a saved file: numbers json reads its own way,
-# pieces of the layout, and text that breaks it
-layout_snippets = [
-    "3", "1e400", "NaN", "-Infinity", "1.50", "-0.0", "0", "9" * 20, "null", "true", '"1"',
-    "[", "]", "{", "}", ",", " ", "\r\n", "\n", '"value": ', '"multiplicity": ',
-    ',\n   "multiplicity": 2', '\n  },\n  {\n   "value": ', "\n  }", "\n ]\n}\n",
-    '\n "entries": [\n', '"cutoff": 1e6,\n ', "x",
-]
-
-
-@st.composite
-def edited_saved_files(draw):
-    """A saved spectrum's text after zero to three edits: an insertion from
-    layout_snippets, a deleted span, or two swapped lines."""
-    entries = draw(saved_entries)
-    s = Spectrum.from_entries(
-        [v for v, _ in entries], [m for _, m in entries], label=draw(st.text(max_size=3))
-    )
-    text = json.dumps(oracles.spectrum_to_dict(s), indent=1) + "\n"
-    for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["insert", "delete", "swap"]))
-        i = draw(st.integers(0, len(text)))
-        if edit == "insert":
-            text = text[:i] + draw(st.sampled_from(layout_snippets)) + text[i:]
-        elif edit == "delete":
-            text = text[:i] + text[draw(st.integers(i, min(len(text), i + 40))) :]
-        else:
-            lines = text.split("\n")
-            a, b = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2))
-            lines[a], lines[b] = lines[b], lines[a]
-            text = "\n".join(lines)
-    return text
-
-
-LAYOUT = json.dumps(
-    {
-        "label": "pinned",
-        "generator": {"kind": "file"},
-        "cutoff": 4.0,
-        "entries": [
-            {"value": 1.0, "multiplicity": 2},
-            {"value": 2.5, "multiplicity": 1},
-            {"value": 4.0, "multiplicity": 3},
-        ],
-    },
-    indent=1,
-) + "\n"
-MIDDLE = '"value": 2.5,\n   "multiplicity": 1'
-
-
-@given(edited_saved_files(), st.sampled_from([5, 1 << 16]))
-@example(LAYOUT, 1 << 16)
-@example(LAYOUT.replace("2.5", "3"), 1 << 16)
-@example(LAYOUT.replace("2.5", "1e400"), 1 << 16)
-@example(LAYOUT.replace("2.5", "NaN"), 1 << 16)
-@example(LAYOUT.replace("2.5", "1.50"), 5)
-@example(LAYOUT.replace(MIDDLE, MIDDLE + ',\n   "multiplicity": 5'), 1 << 16)
-@example(LAYOUT.replace(MIDDLE, '"value": 2.5'), 1 << 16)
-@example(LAYOUT.replace(MIDDLE, '"multiplicity": 1,\n   "value": 2.5'), 1 << 16)
-@example(LAYOUT.replace("\n", "\r\n"), 5)
-@example(LAYOUT + "{}", 1 << 16)
-@example(LAYOUT.replace(MIDDLE, '"value": 2.5, 1'), 1 << 16)
-@example(LAYOUT.replace(MIDDLE, MIDDLE + ", null, 3.0, 1"), 1 << 16)
-@settings(max_examples=300, deadline=None)
-def test_layout_reader_matches_json_path(tmp_path_factory, text, read_size):
-    """load_spectrum reads a saved file, edited or not, in blocks of read_size
-    characters where it can and with json.load where it cannot; either way it
-    gives what its json.load path gives."""
-    path = tmp_path_factory.mktemp("edited") / "s.json"
-    path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(spectrum, "_READ_SIZE", read_size):
-        assert file_outcome(load_spectrum, path) == file_outcome(json_path_load, path)
-
-
 @given(st.text(), generator_dicts, saved_entries)
 @settings(max_examples=60, deadline=None)
 def test_saved_file_loads_back_exactly(tmp_path_factory, label, generator, entries):
@@ -439,21 +346,73 @@ def test_generated_spectrum_loads_back_silently(tmp_path_factory, s):
         assert load_spectrum(path) == s
 
 
-@pytest.mark.parametrize("read_size", [1, 5, 21, 22, 23])
-def test_layout_reader_blocks_straddle_separators(tmp_path, read_size, caplog):
-    """Read sizes shorter than the entry separator (22 characters) cut every
-    separator across two reads; the result must not change."""
-    s = Spectrum.from_entries(
-        np.arange(1, 60) / 7.0, np.arange(59) % 4 + 1, label="blocks", generator={"kind": "x"}
-    )
-    path = tmp_path / "s.json"
-    save_spectrum(s, path)
-    expected = file_outcome(json_path_load, path)
-    with mock.patch.object(spectrum, "_READ_SIZE", read_size):
-        with caplog.at_level("DEBUG", logger="heatcount.spectrum"):
-            assert file_outcome(load_spectrum, path) == expected
-    assert caplog.messages == [f"{path}: read in the saved layout"]
-    assert expected[0] == s
+def file_outcome(path):
+    """The spectrum, its exact values and the warnings load_spectrum gives, or its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = load_spectrum(path)
+        except Exception as exc:  # compared between the two layouts
+            return type(exc), str(exc)
+    return s, [v.hex() for v in s.values.tolist()], s.multiplicities.tolist(), [
+        (w.category, str(w.message)) for w in caught
+    ]
+
+
+saved_spectra = st.builds(
+    lambda label, generator, entries: Spectrum.from_entries(
+        [v for v, _ in entries], [m for _, m in entries], label=label, generator=generator
+    ),
+    st.text(),
+    generator_dicts,
+    saved_entries,
+)
+
+
+@given(st.one_of(generated_spectra, saved_spectra))
+@example(generate_rectangle(1.0, 3.0, 2000.0))
+@example(Spectrum.from_entries(extreme_values, [1, 2, 3, 4, 5], label="extreme"))
+@settings(max_examples=100, deadline=None)
+def test_entries_file_loads_as_saved(tmp_path_factory, s):
+    """A file in the entries layout earlier versions wrote loads back as the
+    spectrum it holds, with the warnings of the column file save_spectrum
+    writes for it: none."""
+    folder = tmp_path_factory.mktemp("layouts")
+    oracles.save_entries(s, folder / "entries.json")
+    save_spectrum(s, folder / "columns.json")
+    loaded = file_outcome(folder / "entries.json")
+    assert loaded == file_outcome(folder / "columns.json")
+    assert loaded == (s, [v.hex() for v in s.values.tolist()], s.multiplicities.tolist(), [])
+
+
+def entry_names_as_columns(outcome):
+    """A load outcome with each entries[i].value named values[i] and each
+    entries[i].multiplicity named multiplicities[i]."""
+    if len(outcome) != 2:  # a spectrum, not an error
+        return outcome
+    message = re.sub(r"entries\[(\d+)\]\.value", r"values[\1]", outcome[1])
+    return outcome[0], re.sub(r"entries\[(\d+)\]\.multiplicity", r"multiplicities[\1]", message)
+
+
+@given(file_payloads())
+@example(({"entries": [{"value": 2.0}, {"value": -1.0, "multiplicity": 2.5}]}, False))
+@settings(max_examples=200, deadline=None)
+def test_column_file_matches_entries_file(tmp_path_factory, case):
+    """The entries of a file, odd ones too, written as two columns give the
+    same spectrum and warnings, or the same error naming the same item."""
+    payload, _ = case
+    entries = payload["entries"]
+    assume(all(isinstance(entry, dict) and "value" in entry for entry in entries))
+    columns = {
+        "label": payload.get("label", ""),
+        "values": [entry["value"] for entry in entries],
+        "multiplicities": [entry.get("multiplicity", 1) for entry in entries],
+    }
+    folder = tmp_path_factory.mktemp("columns")
+    (folder / "entries.json").write_text(json.dumps(payload), encoding="utf-8")
+    (folder / "columns.json").write_text(json.dumps(columns), encoding="utf-8")
+    expected = entry_names_as_columns(file_outcome(folder / "entries.json"))
+    assert file_outcome(folder / "columns.json") == expected
 
 
 FAMILIES = {

@@ -370,6 +370,62 @@ class TestPersistence:
         with pytest.raises(SpectrumFormatError, match="entries"):
             load_spectrum(path)
 
+    @pytest.mark.parametrize(
+        "values, mults, error, message",
+        [
+            ("[1.0, true]", "[1, 1]", SpectrumFormatError, r"values\[1\]: expected a number, got True"),
+            ('[1.0, "2"]', "[1, 1]", SpectrumFormatError, r"values\[1\]: expected a number, got '2'"),
+            ("[1.0, null]", "[1, 1]", SpectrumFormatError, r"values\[1\]: expected a number, got None"),
+            ("[1.0, 2.0]", "[1, false]", SpectrumFormatError,
+             r"multiplicities\[1\]: expected an integer, got False"),
+            ("[1.0, 2.0]", '[1, "2"]', SpectrumFormatError,
+             r"multiplicities\[1\]: expected an integer, got '2'"),
+            ("[1.0, 2.0]", "[1, null]", SpectrumFormatError,
+             r"multiplicities\[1\]: expected an integer, got None"),
+            ("[1.0, 2.0]", "[1, 2.0]", SpectrumFormatError,
+             r"multiplicities\[1\]: expected an integer, got 2\.0"),
+            ("[1.0, 2.0]", "[1, %d]" % 2**63, ValidationError,
+             r"multiplicities\[1\]: must be >= 1 and < 2\*\*63, got 9223372036854775808"),
+            ("[1.0, 1%s]" % ("0" * 400), "[1, 1]", ValidationError, r"values\[1\]: must be finite, got 10+$"),
+            ("[1.0, NaN]", "[1, 1]", ValidationError, r"values\[1\]: must be finite, got nan"),
+            ("[1.0, Infinity]", "[1, 1]", ValidationError, r"values\[1\]: must be finite, got inf"),
+            ("[1.0, -2.0]", "[1, 1]", ValidationError, r"values\[1\]: negative eigenvalue -2\.0"),
+            ("[1.0, 2.0]", "[1, 0]", ValidationError, r"multiplicities\[1\]: must be >= 1, got 0"),
+        ],
+        ids=[
+            "value-bool", "value-string", "value-null", "multiplicity-bool",
+            "multiplicity-string", "multiplicity-null", "multiplicity-float",
+            "multiplicity-2**63", "value-10**400", "value-NaN", "value-Infinity",
+            "value-negative", "multiplicity-0",
+        ],
+    )
+    def test_bad_column_item_named(self, tmp_path, values, mults, error, message):
+        path = tmp_path / "c.json"
+        path.write_text('{"values": %s, "multiplicities": %s}' % (values, mults))
+        with pytest.raises(error, match="^" + message):
+            load_spectrum(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"values": [1.0, 2.0]}', r"multiplicities: must be a list as long as values$"),
+            ('{"multiplicities": [1]}', r"values: must be a non-empty list"),
+            ('{"values": [1.0, 2.0], "multiplicities": [1]}',
+             r"multiplicities: must be a list as long as values$"),
+            ('{"values": [1.0], "multiplicities": [1, 1]}',
+             r"multiplicities: must be a list as long as values$"),
+            ('{"values": [], "multiplicities": []}', r"values: must be a non-empty list"),
+            ('{"values": 1.0, "multiplicities": [1]}', r"values: must be a non-empty list"),
+        ],
+        ids=["no-multiplicities", "no-values", "short-multiplicities", "long-multiplicities",
+             "empty", "values-not-a-list"],
+    )
+    def test_bad_columns_named(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(SpectrumFormatError, match="^" + message):
+            load_spectrum(path)
+
     def test_file_merge_uses_relative_tolerance(self, tmp_path):
         path = tmp_path / "t.json"
         v = 50.0
@@ -381,16 +437,15 @@ class TestPersistence:
         assert s.multiplicities.tolist() == [3]
 
     def test_warnings_name_the_caller(self, tmp_path):
-        payload = {"entries": [{"value": 3.0}, {"value": 2.0}]}
-        compact = tmp_path / "compact.json"
-        compact.write_text(json.dumps(payload))
-        layout = tmp_path / "layout.json"
-        save_spectrum(Spectrum.from_entries([2.0, 3.0]), layout)
-        layout.write_text(layout.read_text().replace('"value": 3.0', '"value": 1.0'))
+        entries = tmp_path / "entries.json"
+        entries.write_text(json.dumps({"entries": [{"value": 3.0}, {"value": 2.0}]}))
+        columns = tmp_path / "columns.json"
+        save_spectrum(Spectrum.from_entries([2.0, 3.0]), columns)
+        columns.write_text(columns.read_text().replace("[2.0, 3.0]", "[3.0, 1.0]"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            load_spectrum(compact)
-            load_spectrum(layout)
+            load_spectrum(entries)
+            load_spectrum(columns)
         message = "spectrum entries not strictly increasing; sorting and merging"
         assert [str(w.message) for w in caught] == [message] * 2
         assert [w.filename for w in caught] == [__file__] * 2
@@ -409,34 +464,39 @@ class TestPersistence:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_load_from_a_pipe(self):
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, b'{"entries": [{"value": 1.0, "multiplicity": 2}]}')
-            os.close(write_end)
-            s = load_spectrum(f"/dev/fd/{read_end}")
-        finally:
-            os.close(read_end)
-        assert s.multiplicities.tolist() == [2]
+        loaded = []
+        for text in (
+            b'{"entries": [{"value": 1.0, "multiplicity": 2}]}',
+            b'{"values": [1.0, 3.0], "multiplicities": [2, 5]}',
+        ):
+            read_end, write_end = os.pipe()
+            try:
+                os.write(write_end, text)
+                os.close(write_end)
+                loaded.append(load_spectrum(f"/dev/fd/{read_end}"))
+            finally:
+                os.close(read_end)
+        assert [s.multiplicities.tolist() for s in loaded] == [[2], [2, 5]]
+        assert loaded[1].values.tolist() == [1.0, 3.0]
 
     def test_load_logs_the_path_taken(self, tmp_path, caplog):
         s = generate_interval(math.pi, 3)
-        layout = tmp_path / "layout.json"
-        save_spectrum(s, layout)
+        columns = tmp_path / "columns.json"
+        save_spectrum(s, columns)
+        entries = tmp_path / "entries.json"
+        oracles.save_entries(s, entries)
         compact = tmp_path / "compact.json"
         compact.write_text(json.dumps({"entries": [{"value": 1.0, "multiplicity": 1}]}))
-        edited = tmp_path / "edited.json"
-        duplicate = '"multiplicity": 1,\n   "multiplicity": 2\n'
-        edited.write_text(layout.read_text().replace('"multiplicity": 1\n', duplicate, 1))
-        load_spectrum(layout)
+        load_spectrum(columns)
         assert not caplog.records  # silent by default
         with caplog.at_level(logging.DEBUG, logger="heatcount.spectrum"):
-            assert load_spectrum(layout) == s
+            assert load_spectrum(columns) == s
+            assert load_spectrum(entries) == s
             load_spectrum(compact)
-            assert load_spectrum(edited).multiplicities.tolist() == [2, 1, 1]
         assert [r.getMessage() for r in caplog.records] == [
-            f"{layout}: read in the saved layout",
-            f"{compact}: read with json.load, line 1 is not '{{'",
-            f"{edited}: read with json.load, block 1 off layout",
+            f"{columns}: read the column layout",
+            f"{entries}: read the entries layout",
+            f"{compact}: read the entries layout",
         ]
 
     def test_load_memory_stays_near_the_result(self, tmp_path):
