@@ -168,24 +168,31 @@ class Spectrum:
             values = np.sort(values)
             starts = _merge_starts(values)
             counts = np.diff(starts, append=values.size)
+            values = values[starts]
         else:
-            order = np.argsort(values, kind="stable")
-            values = values[order]
-            mults = mults[order]
-            starts = _merge_starts(values)
-            # checked before merging: np.add.reduceat would wrap a merged multiplicity
-            over = _overflow_index(mults)
-            if over is not None:
-                merged = float(values[starts[np.searchsorted(starts, over, side="right") - 1]])
-                raise ValidationError(f"multiplicities add up past 2**63 - 1 at value {merged!r}")
-            counts = np.add.reduceat(mults, starts)
-        return cls(
-            values[starts],
-            counts,
-            label=label,
-            generator=dict(generator or {}),
-            cutoff=cutoff,
-        )
+            values, counts, _ = _merged(values, mults)
+        return cls(values, counts, label=label, generator=dict(generator or {}), cutoff=cutoff)
+
+
+def _merged(values: np.ndarray, mults: np.ndarray):
+    """The distinct values of checked entries under the merge rule, their
+    multiplicities, and whether the values were already strictly increasing.
+
+    Increasing values, as save_spectrum writes them, are merged as they
+    stand; others are stable-sorted first.
+    """
+    increasing = bool(np.all(values[1:] > values[:-1]))
+    if not increasing:
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        mults = mults[order]
+    starts = _merge_starts(values)
+    # checked before merging: np.add.reduceat would wrap a merged multiplicity
+    over = _overflow_index(mults)
+    if over is not None:
+        merged = float(values[starts[np.searchsorted(starts, over, side="right") - 1]])
+        raise ValidationError(f"multiplicities add up past 2**63 - 1 at value {merged!r}")
+    return values[starts], np.add.reduceat(mults, starts), increasing
 
 
 def _merge_starts(values: np.ndarray) -> np.ndarray:
@@ -344,14 +351,15 @@ def _file_spectrum(
     if generator is None:
         generator = {"kind": "file"}
     _check_items(values, mults, names)
-    s = Spectrum.from_entries(
-        values,
-        mults,
+    distinct, counts, increasing = _merged(values, mults)
+    s = Spectrum(
+        distinct,
+        counts,
         label=str(header.get("label", "")),
-        generator=generator,
+        generator=dict(generator or {}),
         cutoff=cutoff,
     )
-    if not np.all(values[1:] > values[:-1]):
+    if not increasing:
         warnings.warn("spectrum entries not strictly increasing; sorting and merging", stacklevel=3)
     elif s.values.size < values.size:
         warnings.warn(

@@ -34,11 +34,9 @@ QUAD_MAX_PANELS = 1 << 21
 BOUNDARY_DROP = 1e-12         # quadrature extends domain until boundary term < this * result
 
 # Sums over more than this many terms are correctly rounded (equal to
-# math.fsum); smaller ones use numpy's pairwise sum.
+# math.fsum, by _exact_sum's error-free extraction); smaller ones use
+# numpy's pairwise sum.
 FSUM_THRESHOLD = 100_000
-# Terms per pass of _exact_sum: keeps its transient arrays small and every
-# per-exponent bucket sum below 2**44, so float64 holds it exactly.
-SUM_CHUNK = 1 << 16
 # e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
 # occupation factors whose exponent passes EXP_ZERO are not evaluated.
 EXP_ZERO = 746.0
@@ -77,10 +75,10 @@ def counting(s: Spectrum, lam: float, mode: CountingMode = CountingMode.STRICT) 
     """
     if math.isnan(lam):
         raise DomainError(f"counting function is undefined at lam={lam!r}")
-    mode = CountingMode(mode)
+    if not isinstance(mode, CountingMode):
+        mode = CountingMode(mode)
     side = "left" if mode is CountingMode.STRICT else "right"
-    idx = int(np.searchsorted(s.values, lam, side=side))
-    return int(s.cumulative[idx])
+    return int(s.cumulative[s.values.searchsorted(lam, side=side)])
 
 
 def _live(values: np.ndarray, rate: float, origin: float = 0.0) -> int:
@@ -129,36 +127,65 @@ def _spectral_sum(values, mults, term, rate: float, origin: float = 0.0) -> floa
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms), computed with numpy over exponent buckets.
+    """math.fsum(terms), computed with numpy by error-free extraction.
 
-    Each term is q * 2**(e - 53) with q a signed 53-bit integer (np.frexp).
-    Chunk by chunk, the high and low 26-bit halves of q are summed per
-    exponent with np.bincount (exact: each bucket stays below 2**44), and
-    the buckets are added into one Python int.  Dividing that int by
-    2**1126 rounds correctly, subnormals included (R. M. Neal, "Fast exact
-    summation using small and large superaccumulators", 2015).  Non-finite
-    terms, sums that could overflow inside math.fsum and exact zeros, whose
-    sign math.fsum decides, are left to math.fsum itself.
+    With n terms, 2**w >= n and |r| <= 2**e for the residuals r (at first
+    the terms), each level takes sigma = 2**m, m = max(e + w, -1022), and
+    splits every r into q = (sigma + r) - sigma and r - q.  Both steps are
+    exact; every q is a multiple of 2**(m - 53) with |q| <= 2**e, so their
+    sum, at most 2**m, is exact in any order, and now |r| <= 2**(m - 53)
+    (S. M. Rump, T. Ogita and S. Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008).  The level sums are
+    exact parts of the total, which lies within n * 2**(m - 53) of theirs;
+    the levels stop once every value in that range rounds to the same
+    double (``_rounds_to``), or once m - 53 passes 2**-1074 and no residual
+    is left.  Non-finite terms, sums that could overflow inside math.fsum
+    and exact zeros, whose sign math.fsum decides, are left to math.fsum
+    itself.
     """
+    n = terms.size
+    top = max(-terms.min(), terms.max()) if n else 0.0
     # below this, sum |term| < 2**1020 and no partial sum inside math.fsum overflows
-    limit = math.ldexp(1.0, 1020) / max(terms.size, 1)
-    total = 0
-    for start in range(0, terms.size, SUM_CHUNK):
-        chunk = terms[start : start + SUM_CHUNK]
-        if not max(-chunk.min(), chunk.max()) < limit:  # also false on nan
-            return math.fsum(terms)
-        mant, exp = np.frexp(chunk)
-        hi = np.floor(mant * 2.0**27)  # q >> 26
-        lo = mant * 2.0**53 - hi * 2.0**26  # q & (2**26 - 1)
-        bucket = exp.astype(np.intp) + 1073  # frexp exponents lie in [-1073, 1024]
-        sums = np.bincount(bucket, weights=lo, minlength=2098 + 26)
-        sums[26:] += np.bincount(bucket, weights=hi, minlength=2098)
-        shifts = np.flatnonzero(sums)
-        for shift, q in zip(shifts.tolist(), sums[shifts].astype(np.int64).tolist()):
-            total += q << shift
-    if not total:
+    if not 0.0 < top < math.ldexp(1.0, 1020) / n:  # also false on nan
         return math.fsum(terms)
-    return total / (1 << 1126)
+    w = (n - 1).bit_length()
+    e = math.frexp(top)[1]
+    q = np.empty(n)
+    r = terms
+    parts = []
+    while True:
+        m = max(e + w, -1022)
+        sigma = math.ldexp(1.0, m)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(np.sum(q)))
+        e = m - 53
+        total = math.fsum(parts)
+        if e < -1074 or _rounds_to(total, parts, n << (e + 1074)):
+            return total if total else math.fsum(terms)
+        # the first level leaves the terms alone and takes its own residual array
+        r = np.subtract(r, q, out=None if r is terms else r)
+
+
+def _units(x: float) -> int:
+    """x in units of 2**-1074, the spacing of the subnormals: an exact integer."""
+    num, den = x.as_integer_ratio()
+    return (num << 1074) // den
+
+
+def _rounds_to(s: float, parts: list, bound: int) -> bool:
+    """Whether every value within ``bound`` units of 2**-1074 of sum(parts)
+    rounds to s.
+
+    Strict inequalities against both half-gaps of s, so a tie, whose
+    rounding depends on the last bit, never counts as decided.
+    """
+    exact = sum(map(_units, parts))
+    units = _units(s)
+    return (
+        units + _units(math.nextafter(s, -math.inf)) < 2 * (exact - bound)
+        and 2 * (exact + bound) < units + _units(math.nextafter(s, math.inf))
+    )
 
 
 def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:

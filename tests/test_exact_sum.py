@@ -1,10 +1,14 @@
 """The exact summation behind large sums, held to math.fsum bit for bit."""
 
+import itertools
 import math
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,7 +20,8 @@ from heatcount import (
     smoothed_counting,
     smoothing_error_bound,
 )
-from heatcount.transforms import FSUM_THRESHOLD, SUM_CHUNK, _exact_sum
+from heatcount import transforms
+from heatcount.transforms import FSUM_THRESHOLD, _exact_sum
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 1e300, 1e308, -1e308)
 
@@ -71,7 +76,7 @@ def random_terms(rng, n):
     return x
 
 
-@pytest.mark.parametrize("n", [1, 2, 1000, 3000, SUM_CHUNK - 1, SUM_CHUNK, 2 * SUM_CHUNK + 7])
+@pytest.mark.parametrize("n", [1, 2, 1000, 3000, (1 << 16) - 1, 1 << 16, 2 * (1 << 16) + 7])
 def test_exact_sum_is_fsum_on_random_terms(n):
     rng = np.random.default_rng(n)
     for _ in range(20):
@@ -87,7 +92,7 @@ def test_exact_sum_of_tiny_terms():
 
 
 def test_overflowing_sum_raises_like_fsum():
-    x = np.full(SUM_CHUNK + 1, 1e305)
+    x = np.full((1 << 16) + 1, 1e305)
     with pytest.raises(OverflowError):
         math.fsum(x)
     with pytest.raises(OverflowError):
@@ -100,8 +105,8 @@ def test_overflowing_sum_raises_like_fsum():
     ids=["inf", "-inf", "nan"],
 )
 def test_non_finite_terms_follow_fsum(special, expected):
-    x = np.ones(2 * SUM_CHUNK)
-    x[SUM_CHUNK + 5] = special  # after a whole chunk has been summed
+    x = np.ones(2 * (1 << 16))
+    x[(1 << 16) + 5] = special  # far from the first term
     assert _exact_sum(x).hex() == fsum_list(x).hex() == expected
 
 
@@ -111,6 +116,102 @@ def test_opposite_infinities_raise_like_fsum():
         math.fsum(x)
     with pytest.raises(ValueError):
         _exact_sum(x)
+
+
+@given(term_arrays)
+def test_exact_sum_leaves_its_input_alone(x):
+    before = x.copy()
+    outcome(_exact_sum, x)
+    assert x.tobytes() == before.tobytes()
+
+
+@contextmanager
+def stop_tests():
+    """The outcome of each stop test _exact_sum makes, one per level it
+    decides at; a level that reaches the 2**-1074 floor makes none."""
+    outcomes = []
+    decide = transforms._rounds_to
+
+    def recorded(*args):
+        outcomes.append(decide(*args))
+        return outcomes[-1]
+
+    with mock.patch.object(transforms, "_rounds_to", recorded):
+        yield outcomes
+
+
+@st.composite
+def near_ties(draw):
+    """A large term plus 2**j equal small terms that add up to half its
+    ulp, exactly or off by a far smaller 2**-k of it, among cancelling
+    pairs, in a drawn order and sign."""
+    big = draw(st.floats(1.0, 2.0, exclude_max=True)) * 2.0 ** draw(st.integers(-900, 900))
+    half = math.ulp(big) / 2
+    j = draw(st.integers(1, 11))
+    k = draw(st.one_of(st.none(), st.integers(50, 120)))
+    off = [] if k is None else [draw(st.sampled_from([1.0, -1.0])) * half * 2.0**-k]
+    noise = big * np.array(draw(st.lists(st.floats(-1.0, 1.0), max_size=50)))
+    x = np.concatenate(([big], np.full(2**j, half / 2**j), off, noise, -noise))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(x.size)
+    return draw(st.sampled_from([1.0, -1.0])) * x[order]
+
+
+@settings(deadline=None)
+@given(near_ties())
+@example(np.array([1.0] + [2.0**-64] * 2**11))  # exactly halfway, ties to even
+@example(np.array([1.0] + [2.0**-64] * 2**11 + [2.0**-170]))
+def test_exact_sum_is_fsum_at_rounding_boundaries(x):
+    with stop_tests() as outcomes:
+        got = outcome(_exact_sum, x)
+    assert got == outcome(fsum_list, x)
+    # the level bound n * 2**(m - 53) must fall below the distance to the tie
+    levels = len(outcomes) + (not outcomes[-1])  # the floor level makes no test
+    assert levels >= 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("tiny", [0, 1, -3, 2**52 + 1], ids=["zero", "1", "-3", "normal"])
+def test_exact_sum_down_to_the_subnormal_floor(seed, tiny):
+    # terms from 1e300 down to subnormals that cancel to a total of tiny * 2**-1074:
+    # no level bound, at least 2**-1074, separates it from its rounding boundaries
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal(500) * 10.0 ** rng.uniform(-300, 300, 500)
+    small = rng.integers(-(2**40), 2**40, 500) * 5e-324
+    x = np.concatenate((big, small, -big[::-1], -small, [tiny * 5e-324]))
+    x = x[rng.permutation(x.size)]
+    with stop_tests() as outcomes:
+        got = _exact_sum(x)
+    assert got.hex() == fsum_list(x).hex() == (tiny * 5e-324).hex()
+    assert outcomes and not any(outcomes)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2, 10, 16, 17])
+def test_exact_sum_at_powers_of_two(k, d):
+    n = 2**k + d
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = random_terms(rng, n)
+        assert _exact_sum(x).hex() == fsum_list(x).hex()
+    # n terms one step of 2**(k - 53) below 2**-3, one of them nudged by
+    # 2**-55 either way: were the first level's sigma below n * 2**-3, their
+    # parts would sum past 2**53 of those steps and round
+    top = (1.0 - 2.0 ** (k - 53)) * 2.0**-3
+    for sign, nudge in itertools.product((1.0, -1.0), (2.0**-55, -(2.0**-55))):
+        x = np.full(n, sign * top)
+        x[0] = sign * (top + nudge)
+        assert _exact_sum(x).hex() == fsum_list(x).hex()
+
+
+def test_exact_sum_memory_stays_within_two_copies():
+    x = random_terms(np.random.default_rng(7), 200_000)
+    tracemalloc.start()
+    try:
+        _exact_sum(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.nbytes + 64 * 1024
 
 
 # -- the library's large sums against a math.fsum oracle ---------------------
