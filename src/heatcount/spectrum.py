@@ -8,6 +8,7 @@ with integer multiplicities.  The truncation boundary is kept in
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -35,8 +36,10 @@ MERGE_RTOL = 1e-12
 _MERGE_BLOCK = 1 << 16
 
 # Items of a column save_spectrum encodes and writes at a time, so no copy of
-# the whole file is held in memory.
-SAVE_CHUNK = 8192
+# the whole file is held in memory.  A multiple of 3 items is a multiple of 3
+# bytes, whose base64 has no padding, so the chunks join to the base64 of the
+# whole column.
+SAVE_CHUNK = 3 * 8192
 
 logger = logging.getLogger(__name__)
 
@@ -179,7 +182,9 @@ def _merged(values: np.ndarray, mults: np.ndarray):
     multiplicities, and whether the values were already strictly increasing.
 
     Increasing values, as save_spectrum writes them, are merged as they
-    stand; others are stable-sorted first.
+    stand; others are stable-sorted first.  When no values merge, the
+    arrays are returned as they stand: Spectrum's own overflow check then
+    raises what the check here would.
     """
     increasing = bool(np.all(values[1:] > values[:-1]))
     if not increasing:
@@ -187,6 +192,8 @@ def _merged(values: np.ndarray, mults: np.ndarray):
         values = values[order]
         mults = mults[order]
     starts = _merge_starts(values)
+    if starts.size == values.size:
+        return values, mults, increasing
     # checked before merging: np.add.reduceat would wrap a merged multiplicity
     over = _overflow_index(mults)
     if over is not None:
@@ -427,7 +434,19 @@ def _checked_arrays(pairs, size: int, names: tuple[str, str]):
 
 
 def _columns(values, mults, names: tuple[str, str]):
-    """Value and multiplicity arrays of a file's two columns."""
+    """Value and multiplicity arrays of a file's two columns: base64 strings
+    when values is one, as save_spectrum writes them, else decimal lists."""
+    if isinstance(values, str):
+        if not isinstance(mults, str):
+            raise SpectrumFormatError("multiplicities: must be a base64 string, as values is")
+        values = _decoded(values, "<f8", "values")
+        mults = _decoded(mults, "<i8", "multiplicities")
+        if mults.size != values.size:
+            raise SpectrumFormatError(
+                f"multiplicities: {values.size} values but {mults.size} multiplicities; "
+                "the lengths must match"
+            )
+        return values, mults
     if not isinstance(values, list) or not values:
         raise SpectrumFormatError("values: must be a non-empty list")
     if not isinstance(mults, list) or len(mults) != len(values):
@@ -435,42 +454,59 @@ def _columns(values, mults, names: tuple[str, str]):
     return _column_arrays(values, mults) or _checked_arrays(zip(values, mults), len(values), names)
 
 
+def _decoded(text: str, dtype: str, name: str) -> np.ndarray:
+    """The native array of a column's base64 text of little-endian 8-byte items."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise SpectrumFormatError(f"{name}: invalid base64: {exc}") from None
+    if not data or len(data) % 8:
+        raise SpectrumFormatError(
+            f"{name}: must decode to a positive whole number of 8-byte items, got {len(data)} bytes"
+        )
+    # a view of the decoded bytes where the host is little-endian, as most are
+    return np.frombuffer(data, dtype=dtype).astype(dtype[1:], copy=False)
+
+
 def save_spectrum(s: Spectrum, path) -> None:
-    """Write a spectrum as JSON: its header, then its values and multiplicities
-    as two columns.  Values round-trip exactly (repr precision).
+    """Write a spectrum as JSON: its header, then its values and
+    multiplicities as two base64 strings (RFC 4648) of their items as
+    little-endian float64 and int64, so every value round-trips bit for bit.
 
     The bytes are those of ``json.dumps`` of the fields label, generator,
     cutoff, values and multiplicities, plus a newline.  Each column is
-    encoded ``SAVE_CHUNK`` items at a time.
+    encoded ``SAVE_CHUNK`` items at a time, so the memory taken does not
+    grow with the spectrum.
     """
     header = json.dumps({"label": s.label, "generator": s.generator, "cutoff": s.coverage})
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with path.open("wb") as handle:
         # the header object without its closing "}", then the two columns
-        handle.write(header[:-1] + ', "values": [')
-        _write_items(handle, s.values)
-        handle.write('], "multiplicities": [')
-        _write_items(handle, s.multiplicities)
-        handle.write("]}\n")
+        handle.write(header[:-1].encode() + b', "values": "')
+        _write_items(handle, s.values, "<f8")
+        handle.write(b'", "multiplicities": "')
+        _write_items(handle, s.multiplicities, "<i8")
+        handle.write(b'"}\n')
 
 
-def _write_items(handle, column: np.ndarray) -> None:
-    """Write a column's items as json.dumps separates them, SAVE_CHUNK at a time."""
+def _write_items(handle, column: np.ndarray, dtype: str) -> None:
+    """Write the base64 of a column's items stored as ``dtype``, SAVE_CHUNK at a time."""
     for start in range(0, column.size, SAVE_CHUNK):
-        if start:
-            handle.write(", ")
-        handle.write(json.dumps(column[start : start + SAVE_CHUNK].tolist())[1:-1])
+        handle.write(base64.b64encode(column[start : start + SAVE_CHUNK].astype(dtype, copy=False)))
 
 
 def load_spectrum(path) -> Spectrum:
     """Read a spectrum file with ``json.load``.
 
-    A file with ``values`` or ``multiplicities`` holds two columns, as
-    save_spectrum writes them; one with neither holds an ``entries`` list of
-    objects, as earlier versions wrote.  Either way the types of each column
-    are tested at once, with a fall back to per-item checks that name the
-    first bad item.
+    A file with ``values`` or ``multiplicities`` holds two columns: base64
+    strings of little-endian float64 and int64 items, as save_spectrum
+    writes them, or decimal lists, as one writes by hand and as earlier
+    versions wrote.  One with neither holds an ``entries`` list of objects.
+    Base64 columns are decoded to arrays; list columns and entries have the
+    types of each column tested at once, with a fall back to per-item
+    checks that name the first bad item.  Either way every item is then
+    checked by value and named in the same way.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -485,7 +521,7 @@ def load_spectrum(path) -> Spectrum:
     if "values" in payload or "multiplicities" in payload:
         logger.debug("%s: read the column layout", path)
         names = ("values[%d]", "multiplicities[%d]")
-        # popped, so the lists are freed once their arrays are built
+        # popped, so the texts and lists are freed once their arrays are built
         arrays = _columns(payload.pop("values", None), payload.pop("multiplicities", None), names)
     else:
         logger.debug("%s: read the entries layout", path)

@@ -138,8 +138,11 @@ def _exact_sum(terms: np.ndarray) -> float:
     summation, part I", SIAM J. Sci. Comput. 31, 2008).  The level sums are
     exact parts of the total, which lies within n * 2**(m - 53) of theirs;
     the levels stop once every value in that range rounds to the same
-    double (``_rounds_to``), or once m - 53 passes 2**-1074 and no residual
-    is left.  Non-finite terms, sums that could overflow inside math.fsum
+    double (``_rounds_to``), or once no residual is left: every residual is
+    0 or m - 53 passes 2**-1074.  From the third level on, e is that of the
+    largest residual, not the bound, so a zero total or a tie, which no
+    bound decides, ends once its parts are exact instead of at the floor.
+    Non-finite terms, sums that could overflow inside math.fsum
     and exact zeros, whose sign math.fsum decides, are left to math.fsum
     itself.
     """
@@ -165,6 +168,13 @@ def _exact_sum(terms: np.ndarray) -> float:
             return total if total else math.fsum(terms)
         # the first level leaves the terms alone and takes its own residual array
         r = np.subtract(r, q, out=None if r is terms else r)
+        if len(parts) >= 2:
+            # past the second level the total lies at or near 0 or a rounding
+            # boundary, where no bound decides: take e from the residuals
+            top = max(-r.min(), r.max())
+            if not top:
+                return total if total else math.fsum(terms)
+            e = math.frexp(top)[1]
 
 
 def _units(x: float) -> int:

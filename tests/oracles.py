@@ -7,9 +7,11 @@ package.
 
 from __future__ import annotations
 
+import base64
 import cmath
 import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -122,8 +124,9 @@ def spectrum_to_dict(spectrum) -> dict:
     }
 
 
-def spectrum_to_columns(spectrum) -> dict:
-    """The JSON object of a spectrum file in the column layout save_spectrum writes."""
+def spectrum_to_decimal_columns(spectrum) -> dict:
+    """The JSON object of a spectrum file with its values and multiplicities
+    as decimal lists, as one writes by hand, for the stdlib encoder to write."""
     entries = pairs(spectrum)
     return {
         "label": spectrum.label,
@@ -132,6 +135,28 @@ def spectrum_to_columns(spectrum) -> dict:
         "values": [v for v, _ in entries],
         "multiplicities": [m for _, m in entries],
     }
+
+
+def base64_column(items, code: str) -> str:
+    """The base64 text of the items packed little-endian by struct, code "d"
+    (float64) or "q" (int64)."""
+    return base64.b64encode(struct.pack("<%d%s" % (len(items), code), *items)).decode("ascii")
+
+
+def base64_columns(payload: dict) -> dict:
+    """A payload with decimal-list columns, its values and multiplicities
+    turned into base64 text, every other field kept in place."""
+    return {
+        **payload,
+        "values": base64_column(payload["values"], "d"),
+        "multiplicities": base64_column(payload["multiplicities"], "q"),
+    }
+
+
+def spectrum_to_columns(spectrum) -> dict:
+    """The JSON object of a spectrum file in the base64 column layout
+    save_spectrum writes."""
+    return base64_columns(spectrum_to_decimal_columns(spectrum))
 
 
 def save_entries(spectrum, path) -> None:

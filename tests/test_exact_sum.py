@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -128,16 +129,18 @@ def test_exact_sum_leaves_its_input_alone(x):
 @contextmanager
 def stop_tests():
     """The outcome of each stop test _exact_sum makes, one per level it
-    decides at; a level that reaches the 2**-1074 floor makes none."""
-    outcomes = []
+    decides at (a level that reaches the 2**-1074 floor makes none), and
+    its list of level sums, which holds one sum per level once it returns."""
+    record = SimpleNamespace(outcomes=[], parts=[])
     decide = transforms._rounds_to
 
-    def recorded(*args):
-        outcomes.append(decide(*args))
-        return outcomes[-1]
+    def recorded(s, parts, bound):
+        record.parts = parts
+        record.outcomes.append(decide(s, parts, bound))
+        return record.outcomes[-1]
 
     with mock.patch.object(transforms, "_rounds_to", recorded):
-        yield outcomes
+        yield record
 
 
 @st.composite
@@ -161,12 +164,12 @@ def near_ties(draw):
 @example(np.array([1.0] + [2.0**-64] * 2**11))  # exactly halfway, ties to even
 @example(np.array([1.0] + [2.0**-64] * 2**11 + [2.0**-170]))
 def test_exact_sum_is_fsum_at_rounding_boundaries(x):
-    with stop_tests() as outcomes:
+    with stop_tests() as record:
         got = outcome(_exact_sum, x)
     assert got == outcome(fsum_list, x)
-    # the level bound n * 2**(m - 53) must fall below the distance to the tie
-    levels = len(outcomes) + (not outcomes[-1])  # the floor level makes no test
-    assert levels >= 3
+    # the level bound n * 2**(m - 53) must fall below the distance to the tie,
+    # which it does not in the first two levels
+    assert record.outcomes[:2] == [False, False]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -179,10 +182,29 @@ def test_exact_sum_down_to_the_subnormal_floor(seed, tiny):
     small = rng.integers(-(2**40), 2**40, 500) * 5e-324
     x = np.concatenate((big, small, -big[::-1], -small, [tiny * 5e-324]))
     x = x[rng.permutation(x.size)]
-    with stop_tests() as outcomes:
+    with stop_tests() as record:
         got = _exact_sum(x)
     assert got.hex() == fsum_list(x).hex() == (tiny * 5e-324).hex()
-    assert outcomes and not any(outcomes)
+    assert record.outcomes and not any(record.outcomes)
+
+
+@pytest.mark.parametrize(
+    "x, most",
+    [
+        # 1.0 and 2**17 terms of 1e-20, with their negatives: a total of 0
+        (np.concatenate(([1.0], np.full(2**17, 1e-20), np.full(2**17, -1e-20), [-1.0])), 4),
+        # 1.0 and 2**17 terms of 2**-70, which add up to half its ulp: a tie
+        (np.concatenate(([1.0], np.full(2**17, 2.0**-70))), 3),
+    ],
+    ids=["zero-total", "tie"],
+)
+def test_exact_sum_ends_once_its_parts_are_exact(x, most):
+    # no level bound decides these; the levels end when no residual is left,
+    # not at the 2**-1074 floor 31 levels down
+    with stop_tests() as record:
+        got = _exact_sum(x)
+    assert got.hex() == fsum_list(x).hex()
+    assert len(record.parts) <= most
 
 
 @pytest.mark.parametrize("d", [0, 1])

@@ -35,11 +35,11 @@ SPECTRA = {
 
 # sha256 of the spectrum JSON that `generate` writes
 SPECTRUM_SHA256 = {
-    "interval-10k": "04d4ae67d6a06e81204f1e9c976e733cec8c9aea63b8e14fa7d0929ae6a990ff",
-    "interval-200": "c9f6a519878faae9901be55bdf6dd8ae28ec33c2045883c4f08cdeaf65b6af26",
-    "const-10k": "aa1ca32e97deb2670eb2dd64e835bd80afa3385d88483424b5d4a1178d8cf079",
-    "rectangle-10k": "eceb664917456ab6a0685de1292eaca8370a2dca86096eb80c5b5724412a2845",
-    "torus-10k": "a4cad81bee89649423a98605b0bb01be0078b72bdb1f05c02cd309c69b2fb62f",
+    "interval-10k": "ef181123e0e821fc3237ac2ff485f3b646a1b82c8b9546b6396991f89ac5a949",
+    "interval-200": "1122c7e0ba3556a9f076e7216646bcbb314aa428352a5fc4f8e57433f1e9369b",
+    "const-10k": "2ec3ebd8bc855d783872c1ecc429089a09cb35879d84a224c45d343490a96b61",
+    "rectangle-10k": "242f7f269d07e8465d22f3e1194979657e68d31d01d11cc6e130f414758fcc36",
+    "torus-10k": "2ec370b9f161f67e6b41ffdbe7f471bfc47c5319b87eb6e3665bd328541dfe2e",
 }
 
 # golden file stem -> (spectrum, subcommand and its flags)

@@ -322,6 +322,22 @@ def test_saved_file_loads_back_exactly(tmp_path_factory, label, generator, entri
     assert [v.hex() for v in loaded.values.tolist()] == [v.hex() for v in s.values.tolist()]
 
 
+@given(saved_entries, st.booleans())
+@example([(0.0, 1), (5e-324, 2), (1.7976931348623157e308, 2**62)], True)
+@settings(max_examples=60, deadline=None)
+def test_saved_file_keeps_every_bit(tmp_path_factory, entries, negative_zero):
+    """Base64 columns carry each item's eight bytes: -0.0, the smallest
+    subnormal and the largest double load back as they were saved."""
+    if negative_zero:
+        entries = [(-0.0 if v == 0.0 else v, m) for v, m in entries]
+    s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
+    path = tmp_path_factory.mktemp("bits") / "s.json"
+    save_spectrum(s, path)
+    loaded = load_spectrum(path)
+    assert loaded.values.tobytes() == s.values.tobytes()
+    assert loaded.multiplicities.tobytes() == s.multiplicities.tobytes()
+
+
 sides = st.one_of(st.integers(min_value=1, max_value=4).map(float), st.floats(0.8, 3.0))
 generated_spectra = st.one_of(
     st.builds(generate_interval, st.floats(0.5, 5.0), st.integers(1, 500)),
@@ -413,6 +429,48 @@ def test_column_file_matches_entries_file(tmp_path_factory, case):
     (folder / "columns.json").write_text(json.dumps(columns), encoding="utf-8")
     expected = entry_names_as_columns(file_outcome(folder / "entries.json"))
     assert file_outcome(folder / "columns.json") == expected
+
+
+@st.composite
+def column_entries(draw):
+    """Values and multiplicities of a column file: sorted or not, some
+    near-duplicates, multiplicities of 2**62 that add up past 2**63 - 1 with
+    or without a merge, and sometimes a nan, infinite or negative value or a
+    multiplicity of 0."""
+    values = draw(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        values.sort()
+    for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=3)):
+        values.insert(i + 1, values[i] * (1 + draw(st.sampled_from([1e-13, 5e-13, 1e-11]))))
+    mults = draw(st.lists(
+        st.one_of(st.integers(min_value=1, max_value=9), st.just(2**62)),
+        min_size=len(values), max_size=len(values),
+    ))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        column, bad = draw(st.sampled_from(
+            [(values, math.nan), (values, math.inf), (values, -1.0), (values, -5e-324), (mults, 0)]
+        ))
+        column[i] = bad
+    return values, mults
+
+
+@given(column_entries())
+@example(([3.0, 1.0, 1.0 + 1e-13], [1, 2, 3]))
+@example(([1.0, 1.0 + 1e-13, 2.0], [2**62, 2**62, 1]))
+@example(([1.0, 2.0, math.nan], [2**62, 2**62, 1]))
+@settings(max_examples=200, deadline=None)
+def test_base64_file_matches_decimal_file(tmp_path_factory, columns):
+    """The same entries as base64 and as decimal columns give the same
+    spectrum and warnings, or the same error naming the same item."""
+    values, mults = columns
+    decimal = {"label": "p", "values": values, "multiplicities": mults}
+    folder = tmp_path_factory.mktemp("encodings")
+    (folder / "decimal.json").write_text(json.dumps(decimal), encoding="utf-8")
+    (folder / "base64.json").write_text(
+        json.dumps(oracles.base64_columns(decimal)), encoding="utf-8"
+    )
+    assert file_outcome(folder / "base64.json") == file_outcome(folder / "decimal.json")
 
 
 FAMILIES = {

@@ -25,7 +25,7 @@ from heatcount import (
     load_spectrum,
     save_spectrum,
 )
-from heatcount.spectrum import MERGE_RTOL
+from heatcount.spectrum import MERGE_RTOL, SAVE_CHUNK
 
 
 class TestIntervalGenerator:
@@ -426,6 +426,47 @@ class TestPersistence:
         with pytest.raises(SpectrumFormatError, match="^" + message):
             load_spectrum(path)
 
+    @pytest.mark.parametrize(
+        "values, mults, message",
+        [
+            ("AAAAAAAA*PA/", "AQAAAAAAAAA=", r"values: invalid base64: "),
+            ("AAAAAAAA8D8=", "AQAAAAAAAA\u00e9", r"multiplicities: invalid base64: "),
+            ("AAAAAAAA8A==", "AQAAAAAAAAA=",
+             r"values: must decode to a positive whole number of 8-byte items, got 7 bytes$"),
+            ("AAAAAAAA8D8=", "AQAAAAAAAAAB",
+             r"multiplicities: must decode to a positive whole number of 8-byte items, got 9 bytes$"),
+            ("", "", r"values: must decode to a positive whole number of 8-byte items, got 0 bytes$"),
+            ("AAAAAAAA8D8AAAAAAAAAQA==", "AQAAAAAAAAA=",
+             r"multiplicities: 2 values but 1 multiplicities; the lengths must match$"),
+            ("AAAAAAAA8D8=", [1], r"multiplicities: must be a base64 string, as values is$"),
+            ([1.0], "AQAAAAAAAAA=", r"multiplicities: must be a list as long as values$"),
+        ],
+        ids=["non-alphabet", "non-ascii", "values-7-bytes", "multiplicities-9-bytes", "empty",
+             "unequal-lengths", "string-beside-list", "list-beside-string"],
+    )
+    def test_bad_base64_columns_named(self, tmp_path, values, mults, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"values": values, "multiplicities": mults}))
+        with pytest.raises(SpectrumFormatError, match="^" + message):
+            load_spectrum(path)
+
+    def test_overflow_message_is_the_same_with_and_without_a_merge(self, tmp_path):
+        # 2**62 + 2**62 passes 2**63 - 1 at 2.0, merged with a near-duplicate or not
+        merged = tmp_path / "merged.json"
+        merged.write_text(json.dumps(oracles.base64_columns(
+            {"values": [1.0, 2.0, 2.0 * (1 + 1e-13)], "multiplicities": [2**62, 2**62, 1]}
+        )))
+        distinct = tmp_path / "distinct.json"
+        distinct.write_text(json.dumps(oracles.base64_columns(
+            {"values": [1.0, 2.0, 3.0], "multiplicities": [2**62, 2**62, 1]}
+        )))
+        messages = []
+        for path in (merged, distinct):
+            with pytest.raises(ValidationError) as info:
+                load_spectrum(path)
+            messages.append(str(info.value))
+        assert messages == ["multiplicities add up past 2**63 - 1 at value 2.0"] * 2
+
     def test_file_merge_uses_relative_tolerance(self, tmp_path):
         path = tmp_path / "t.json"
         v = 50.0
@@ -440,8 +481,7 @@ class TestPersistence:
         entries = tmp_path / "entries.json"
         entries.write_text(json.dumps({"entries": [{"value": 3.0}, {"value": 2.0}]}))
         columns = tmp_path / "columns.json"
-        save_spectrum(Spectrum.from_entries([2.0, 3.0]), columns)
-        columns.write_text(columns.read_text().replace("[2.0, 3.0]", "[3.0, 1.0]"))
+        columns.write_text(json.dumps({"values": [3.0, 1.0], "multiplicities": [1, 1]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             load_spectrum(entries)
@@ -511,3 +551,28 @@ class TestPersistence:
             tracemalloc.stop()
         # the result alone holds 16 B per entry; parsing the whole file held 290
         assert peak <= 128 * count
+
+    def test_decimal_column_load_memory_stays_near_the_result(self, tmp_path):
+        count = 100_000
+        path = tmp_path / "const.json"
+        s = generate_constant_density(1.0, count)
+        path.write_text(json.dumps(oracles.spectrum_to_decimal_columns(s)))
+        tracemalloc.start()
+        try:
+            load_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * count
+
+    @pytest.mark.parametrize("count", [SAVE_CHUNK, 16 * SAVE_CHUNK + 1])
+    def test_save_memory_does_not_grow_with_the_spectrum(self, tmp_path, count):
+        s = generate_constant_density(1.0, count)
+        tracemalloc.start()
+        try:
+            save_spectrum(s, tmp_path / "const.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's base64 is 32/3 B per item, with room for the encoder's buffers
+        assert peak <= 24 * SAVE_CHUNK
