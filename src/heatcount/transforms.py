@@ -34,8 +34,9 @@ QUAD_MAX_PANELS = 1 << 21
 BOUNDARY_DROP = 1e-12         # quadrature extends domain until boundary term < this * result
 
 # Sums over more than this many terms are correctly rounded (equal to
-# math.fsum, by _exact_sum's error-free extraction); smaller ones use
-# numpy's pairwise sum.
+# math.fsum): _exact_sum reads them in seven passes, an error-free
+# extraction and a pairwise sum held to its a-priori bound.  Smaller ones
+# use numpy's pairwise sum, one pass.
 FSUM_THRESHOLD = 100_000
 # e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
 # occupation factors whose exponent passes EXP_ZERO are not evaluated.
@@ -111,40 +112,53 @@ def _padded(terms: np.ndarray, size: int) -> np.ndarray:
 def _spectral_sum(values, mults, term, rate: float, origin: float = 0.0) -> float:
     """sum_n mults_n * term(values_n) over the sorted values, in ascending order.
 
-    ``term`` is an array function of the values that is exactly +0.0 at
-    every value whose exponent rate * (lam - origin) passes EXP_ZERO; it is
-    evaluated only on the prefix ``_live`` keeps.  Over more than
-    FSUM_THRESHOLD values the sum is correctly rounded and bit-identical to
-    math.fsum, so the dropped zeros change nothing.  At or below it, it is
-    numpy's pairwise sum, whose rounding depends on the length, so the
-    terms are padded with +0.0 back to ``values.size``.
+    ``term`` is an array function of the values that returns a fresh array
+    (``Spectrum``'s arrays are read-only, so a view would raise) and is
+    exactly +0.0 at every value whose exponent rate * (lam - origin) passes
+    EXP_ZERO; it is evaluated only on the prefix ``_live`` keeps, and the
+    multiplicities scale its array in place, one pass (an exponential term
+    ``np.exp(v * -t)`` makes two more).  Over more than FSUM_THRESHOLD
+    values the sum is correctly rounded and bit-identical to math.fsum, so
+    the dropped zeros change nothing.  At or below it, it is numpy's
+    pairwise sum, whose rounding depends on the length, so the terms are
+    padded with +0.0 back to ``values.size``.
     """
     k = _live(values, rate, origin)
-    terms = mults[:k] * term(values[:k])
+    terms = term(values[:k])
+    terms *= mults[:k]
     if values.size > FSUM_THRESHOLD:
         return _exact_sum(terms)
     return float(np.sum(_padded(terms, values.size)))
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms), computed with numpy by error-free extraction.
+    """math.fsum(terms), computed with numpy by error-free extraction and
+    one pairwise sum.
 
-    With n terms, 2**w >= n and |r| <= 2**e for the residuals r (at first
-    the terms), each level takes sigma = 2**m, m = max(e + w, -1022), and
-    splits every r into q = (sigma + r) - sigma and r - q.  Both steps are
+    With n terms, 2**w >= n and |x| <= 2**e for the terms, the first level
+    takes sigma = 2**m, m = max(e + w, -1022), and splits every term into
+    q = (sigma + x) - sigma and the residual r = x - q.  Both steps are
     exact; every q is a multiple of 2**(m - 53) with |q| <= 2**e, so their
-    sum, at most 2**m, is exact in any order, and now |r| <= 2**(m - 53)
+    sum, at most 2**m, is exact in any order, and |r| <= 2**(m - 53)
     (S. M. Rump, T. Ogita and S. Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput. 31, 2008).  The level sums are
-    exact parts of the total, which lies within n * 2**(m - 53) of theirs;
-    the levels stop once every value in that range rounds to the same
-    double (``_rounds_to``), or once no residual is left: every residual is
-    0 or m - 53 passes 2**-1074.  From the third level on, e is that of the
-    largest residual, not the bound, so a zero total or a tie, which no
-    bound decides, ends once its parts are exact instead of at the floor.
-    Non-finite terms, sums that could overflow inside math.fsum
-    and exact zeros, whose sign math.fsum decides, are left to math.fsum
-    itself.
+    summation, part I", SIAM J. Sci. Comput. 31, 2008).  The second level
+    is numpy's pairwise sum of the residuals.  Any order of n - 1 additions
+    errs by at most gamma_(n-1) sum |r| <= n**2 * 2**(m - 105), since
+    n u <= 1/2 (N. J. Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., SIAM 2002, section 4.2); additions that underflow
+    are exact.  The sum stops there once every value within that bound of
+    the two level sums rounds to the same double (``_rounds_to``).
+
+    That decides every total farther than the bound from a rounding
+    boundary.  For one at or near 0 or a tie, extraction levels run on the
+    residuals, each with e that of the largest residual, and stop once the
+    exact level sums decide within
+    n * 2**(m - 53), or once no residual is left: every residual is 0 or
+    m - 53 passes 2**-1074.  The hot path reads the terms in seven passes
+    (min, max, two for q, its sum, the residuals, their sum) and allocates
+    one array.  Non-finite terms, sums that could overflow inside
+    math.fsum and exact zeros, whose sign math.fsum decides, are left to
+    math.fsum itself.
     """
     n = terms.size
     top = max(-terms.min(), terms.max()) if n else 0.0
@@ -152,29 +166,40 @@ def _exact_sum(terms: np.ndarray) -> float:
     if not 0.0 < top < math.ldexp(1.0, 1020) / n:  # also false on nan
         return math.fsum(terms)
     w = (n - 1).bit_length()
-    e = math.frexp(top)[1]
+    m = max(math.frexp(top)[1] + w, -1022)
+    sigma = math.ldexp(1.0, m)
+    q = np.add(terms, sigma)
+    q -= sigma
+    parts = [float(np.sum(q))]
+    if m - 53 < -1074:  # every term lies on the grid 2**-1074: no residual
+        return parts[0] if parts[0] else math.fsum(terms)
+    r = np.subtract(terms, q, out=q)
+    rest = float(np.sum(r))
+    total = parts[0] + rest  # one addition of two doubles: math.fsum of them
+    if _rounds_to(total, parts + [rest], _pairwise_bound(n, m)):
+        return total if total else math.fsum(terms)
     q = np.empty(n)
-    r = terms
-    parts = []
     while True:
-        m = max(e + w, -1022)
+        top = max(-r.min(), r.max())
+        if not top:  # the level sums are exact parts of the total
+            total = math.fsum(parts)
+            return total if total else math.fsum(terms)
+        m = max(math.frexp(top)[1] + w, -1022)
         sigma = math.ldexp(1.0, m)
         np.add(r, sigma, out=q)
         q -= sigma
         parts.append(float(np.sum(q)))
-        e = m - 53
         total = math.fsum(parts)
-        if e < -1074 or _rounds_to(total, parts, n << (e + 1074)):
+        if m - 53 < -1074 or _rounds_to(total, parts, n << (m - 53 + 1074)):
             return total if total else math.fsum(terms)
-        # the first level leaves the terms alone and takes its own residual array
-        r = np.subtract(r, q, out=None if r is terms else r)
-        if len(parts) >= 2:
-            # past the second level the total lies at or near 0 or a rounding
-            # boundary, where no bound decides: take e from the residuals
-            top = max(-r.min(), r.max())
-            if not top:
-                return total if total else math.fsum(terms)
-            e = math.frexp(top)[1]
+        r -= q
+
+
+def _pairwise_bound(n: int, m: int) -> int:
+    """n**2 * 2**(m - 105), the bound on the rounding of a sum of n values
+    of at most 2**(m - 53), in units of 2**-1074, rounded up."""
+    shift = m - 105 + 1074
+    return n * n << shift if shift >= 0 else -(-n * n >> -shift)
 
 
 def _units(x: float) -> int:
@@ -206,7 +231,7 @@ def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
     """
     if not (0 < t < math.inf):
         raise DomainError(f"heat trace requires finite t > 0, got {t!r}")
-    value = _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(-v * t), t)
+    value = _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(v * -t), t)
     return HeatTraceResult(value, _tail_bound(s, t))
 
 
@@ -257,7 +282,7 @@ def partial_exponential_sum(s: Spectrum, u: float, t: float) -> float:
     if math.isnan(u):
         raise DomainError(f"partial exponential sum is undefined at u={u!r}")
     idx = int(np.searchsorted(s.values, u, side="right"))
-    return _spectral_sum(s.values[:idx], s.multiplicities[:idx], lambda v: np.exp(-v * t), t)
+    return _spectral_sum(s.values[:idx], s.multiplicities[:idx], lambda v: np.exp(v * -t), t)
 
 
 def truncation_correction(s: Spectrum, t: float) -> float:
@@ -283,14 +308,14 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     if method == "step_exact":
         # a dropped term is mult * (0.0 - 0.0): coverage lies past every value
         big = math.exp(-s.coverage * t)
-        return _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(-v * t) - big, t)
+        return _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(v * -t) - big, t)
     if method == "quadrature":
         return _laplace_quadrature(s, t)
     raise InvalidParameterError("method", f"expected 'step_exact' or 'quadrature', got {method!r}")
 
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
-    scale = max(_spectral_sum(s.values, s.multiplicities, lambda v: np.exp(-v * t), t), 5e-324)
+    scale = max(_spectral_sum(s.values, s.multiplicities, lambda v: np.exp(v * -t), t), 5e-324)
     # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
     # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.
     drop = BOUNDARY_DROP * scale
@@ -306,19 +331,22 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     values = s.values
     lo = np.searchsorted(values, 0.0, side="right")
     hi = np.searchsorted(values, lam_hi, side="left")
-    edges = np.concatenate(([0.0], values[lo:hi], [lam_hi]))
+    # The panels run from 0 through the values in (0, lam_hi) to lam_hi.
     # N restricted to each open panel (lam_k, lam_{k+1}) is the inclusive
     # count at its left edge, a slice of the cumulative counts since the
     # values increase strictly; endpoint evaluations use the interior
-    # value so the jump carries no quadrature weight.
-    panel_n = s.cumulative[lo : hi + 1].astype(np.float64)
+    # value so the jump carries no quadrature weight.  Only the panels up
+    # to ``_live``'s cut are built: past it the integrand is 0.0.
+    stop = lo + _live(values[lo:hi], t)
+    edges = np.concatenate(([0.0], values[lo:stop], [values[stop] if stop < hi else lam_hi]))
+    panel_n = s.cumulative[lo : stop + 1].astype(np.float64)
 
     try:
         # near t ~ 1e-306 panel sums can pass the double range; the
         # non-finite values that follow end in AccuracyError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             integral, error = _adaptive_simpson_exp(
-                edges, panel_n, t, tol=QUAD_TOL_SCALE * scale / t
+                edges, panel_n, t, QUAD_TOL_SCALE * scale / t, hi - lo + 1, lam_hi
             )
     except AccuracyError as exc:
         raise AccuracyError(
@@ -332,7 +360,7 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     return t * integral
 
 
-def _adaptive_simpson_exp(edges, n_const, t, tol):
+def _adaptive_simpson_exp(edges, n_const, t, tol, panels, total_len):
     """Vectorized adaptive Simpson for f(lam) = N(lam) * exp(-lam * t).
 
     The initial panels are aligned with the eigenvalues, so N is the
@@ -340,71 +368,110 @@ def _adaptive_simpson_exp(edges, n_const, t, tol):
     Budget: per-panel tolerance proportional to panel length;
     Richardson-extrapolated acceptance at |S2 - S1|/15.
 
-    A panel whose left edge a has a t > EXP_ZERO has an integrand of
-    exactly 0.0 at every node, so it passes at depth 0 with zero sum and
-    zero error.  The panels past ``_live``'s cut, all of that kind, are not
-    evaluated: they enter only the two depth-0 reductions, as the zeros
-    that keep numpy's pairwise sum over every panel.  Their lengths still
-    count in ``total_len``.
+    ``edges`` bounds only the live panels, those up to ``_live``'s cut of
+    the ``panels`` over a domain of length ``total_len``.  A panel whose
+    left edge a has a t > EXP_ZERO has an integrand of exactly 0.0 at every
+    node, so it would pass at depth 0 with zero sum and zero error: the cut
+    panels enter only the two depth-0 reductions, as the zeros that keep
+    numpy's pairwise sum over every panel.
+
+    Each depth forms its arrays with in-place operations that round as the
+    written expressions do: a quarter point's integrand is its exponent,
+    exp and count multiply in one array; b - a is taken once, for the
+    budget and, at depth 0, for S1; d = (S2 - S1)/15 overwrites S1 and
+    gives both the error |d| and the accepted value S2 + d.  That is about
+    36 passes over the depth's panels, two of them exp.  Failing panels are
+    zeroed by index and split by gathering only their own entries.
     """
-    panels = edges.size - 1
-    total_len = edges[-1] - edges[0]
-    live = _live(edges[:-1], t)
-    nodes = edges[: live + 1]
-    a, b = nodes[:-1], nodes[1:]
-    n_const = n_const[:live]
-
-    def f(x, n_const):
-        return n_const * np.exp(-x * t)
-
-    e = np.exp(-nodes * t)
-    fa = n_const * e[:-1]
-    fb = n_const * e[1:]
-    mid = 0.5 * (a + b)
-    fm = f(mid, n_const)
-    s_whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    a, b = edges[:-1], edges[1:]
+    e = edges * -t
+    np.exp(e, out=e)
+    fa = e[:-1] * n_const
+    fb = e[1:]
+    fb *= n_const
+    mid = a + b
+    mid *= 0.5
+    fm = _integrand(mid, n_const, t)
+    budget = b - a  # the panel widths, scaled to the budget at each depth
+    s_whole = _simpson(budget / 6.0, fa, fm, fb)
 
     result = 0.0
     err_accum = 0.0
-    width = panels  # length of the depth-0 reductions
+    reduced = panels  # length of the depth-0 reductions
     for depth in range(QUAD_MAX_DEPTH + 1):
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm = f(lm, n_const)
-        frm = f(rm, n_const)
-        s_left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        s2 = s_left + s_right
-        err = np.abs(s2 - s_whole) / 15.0
         # length-proportional budget with a roundoff floor: panels whose
         # Simpson correction is at machine noise cannot refine further.
         # The length fraction is taken first: at tiny t both tol and b - a
         # are near the top of the double range, and their product overflows.
-        ok = err <= np.maximum(tol * ((b - a) / total_len), 32.0 * 2.3e-16 * np.abs(s2))
-        result += float(np.sum(_padded(np.where(ok, s2 + (s2 - s_whole) / 15.0, 0.0), width)))
-        err_accum += float(np.sum(_padded(np.where(ok, err, 0.0), width)))
-        if bool(np.all(ok)):
+        budget /= total_len
+        budget *= tol
+        lm = a + mid
+        lm *= 0.5
+        rm = mid + b
+        rm *= 0.5
+        flm = _integrand(lm, n_const, t)
+        frm = _integrand(rm, n_const, t)
+        s_left = mid - a
+        s_left /= 6.0
+        s_left = _simpson(s_left, fa, flm, fm)
+        s_right = b - mid
+        s_right /= 6.0
+        s_right = _simpson(s_right, fm, frm, fb)
+        s2 = s_left + s_right
+        floor = np.abs(s2)
+        floor *= 32.0 * 2.3e-16
+        np.maximum(budget, floor, out=budget)
+        d = np.subtract(s2, s_whole, out=s_whole)
+        d /= 15.0
+        err = np.abs(d, out=floor)
+        ok = err <= budget
+        d += s2  # the accepted value s2 + d
+        failed = np.flatnonzero(~ok)
+        lost = err[failed]
+        d[failed] = 0.0
+        err[failed] = 0.0
+        result += float(np.sum(_padded(d, reduced)))
+        err_accum += float(np.sum(_padded(err, reduced)))
+        if not failed.size:
             return result, err_accum
-        keep = ~ok
-        panels += 2 * int(np.count_nonzero(keep))
+        panels += 2 * failed.size
         if depth == QUAD_MAX_DEPTH or panels > QUAD_MAX_PANELS:
             raise AccuracyError(
                 "adaptive Simpson did not converge within the subdivision cap",
-                estimate=result + float(np.sum(s2[keep])),
-                error_estimate=err_accum + float(np.sum(err[keep])),
+                estimate=result + float(np.sum(s2[failed])),
+                error_estimate=err_accum + float(np.sum(lost)),
             )
         # split failing panels into halves
-        a = np.concatenate((a[keep], mid[keep]))
-        b = np.concatenate((mid[keep], b[keep]))
-        fa = np.concatenate((fa[keep], fm[keep]))
-        fb = np.concatenate((fm[keep], fb[keep]))
-        mid_new = np.concatenate((lm[keep], rm[keep]))
-        fm = np.concatenate((flm[keep], frm[keep]))
-        s_whole = np.concatenate((s_left[keep], s_right[keep]))
-        mid = mid_new
-        n_const = np.concatenate((n_const[keep], n_const[keep]))
-        width = a.size
+        a, b = _halves(a, mid, failed), _halves(mid, b, failed)
+        fa, fb = _halves(fa, fm, failed), _halves(fm, fb, failed)
+        mid, fm = _halves(lm, rm, failed), _halves(flm, frm, failed)
+        s_whole = _halves(s_left, s_right, failed)
+        n_const = _halves(n_const, n_const, failed)
+        budget = b - a
+        reduced = a.size
     raise AssertionError("unreachable")
+
+
+def _integrand(x, n_const, t):
+    """n_const * exp(-x * t) in one new array, rounded as written."""
+    f = x * -t
+    np.exp(f, out=f)
+    f *= n_const
+    return f
+
+
+def _simpson(sixth, fa, fm, fb):
+    """sixth * (fa + 4.0 * fm + fb), rounded as written, into ``sixth``."""
+    s = fm * 4.0
+    s += fa
+    s += fb
+    sixth *= s
+    return sixth
+
+
+def _halves(left, right, index):
+    """The panels at ``index`` of left, then those of right."""
+    return np.concatenate((left[index], right[index]))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from contextlib import contextmanager
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -128,18 +129,32 @@ def test_exact_sum_leaves_its_input_alone(x):
 
 @contextmanager
 def stop_tests():
-    """The outcome of each stop test _exact_sum makes, one per level it
-    decides at (a level that reaches the 2**-1074 floor makes none), and
-    its list of level sums, which holds one sum per level once it returns."""
-    record = SimpleNamespace(outcomes=[], parts=[])
-    decide = transforms._rounds_to
+    """The stop tests _exact_sum makes.  ``pairwise`` holds the outcome of
+    the test after its pairwise level (none when the first level leaves no
+    residual); ``extraction`` holds one outcome per extraction level it
+    decides at on the residuals (a level that reaches the 2**-1074 floor
+    makes none); ``parts`` is the list of exact level sums of the last
+    extraction test, which holds one sum per level once it returns."""
+    record = SimpleNamespace(pairwise=[], extraction=[], parts=[])
+    decide, pairwise_bound = transforms._rounds_to, transforms._pairwise_bound
+    pending = []  # a pairwise bound computed for the next stop test
+
+    def recorded_bound(n, m):
+        pending.append(pairwise_bound(n, m))
+        return pending[-1]
 
     def recorded(s, parts, bound):
-        record.parts = parts
-        record.outcomes.append(decide(s, parts, bound))
-        return record.outcomes[-1]
+        outcome = decide(s, parts, bound)
+        if pending:
+            pending.clear()
+            record.pairwise.append(outcome)
+        else:
+            record.extraction.append(outcome)
+            record.parts = parts
+        return outcome
 
-    with mock.patch.object(transforms, "_rounds_to", recorded):
+    with mock.patch.object(transforms, "_rounds_to", recorded), \
+            mock.patch.object(transforms, "_pairwise_bound", recorded_bound):
         yield record
 
 
@@ -167,9 +182,9 @@ def test_exact_sum_is_fsum_at_rounding_boundaries(x):
     with stop_tests() as record:
         got = outcome(_exact_sum, x)
     assert got == outcome(fsum_list, x)
-    # the level bound n * 2**(m - 53) must fall below the distance to the tie,
-    # which it does not in the first two levels
-    assert record.outcomes[:2] == [False, False]
+    # the pairwise bound n**2 * 2**(m - 105) must fall below the distance to
+    # the tie, which it does not: these sums reach the extraction levels
+    assert record.pairwise == [False]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -185,7 +200,7 @@ def test_exact_sum_down_to_the_subnormal_floor(seed, tiny):
     with stop_tests() as record:
         got = _exact_sum(x)
     assert got.hex() == fsum_list(x).hex() == (tiny * 5e-324).hex()
-    assert record.outcomes and not any(record.outcomes)
+    assert record.pairwise == [False] and not any(record.extraction)
 
 
 @pytest.mark.parametrize(
@@ -207,6 +222,39 @@ def test_exact_sum_ends_once_its_parts_are_exact(x, most):
     assert len(record.parts) <= most
 
 
+def deep_tie(w, seed, big, k_class):
+    """big (2.0 or -1.0) and 2**w - 1 negative terms with full mantissas at
+    the top of the binade below 2**(w - 53), whose total is a rounding tie
+    big - K * 2**-53, K odd and K % 4 == k_class."""
+    ulp = math.ldexp(1.0, w - 106)  # the spacing of that binade
+    small = math.ldexp(1.0, w - 54) * np.random.default_rng(seed).uniform(2 - 2**-10, 2, 2**w - 2)
+    units = int(np.sum((small / ulp).astype(np.int64), dtype=object))
+    step = 2 ** (53 - w)  # 2**-53 in units of ulp
+    k = -(-(units + 2**53 - 2**42) // step)  # the last term at least (2 - 2**-10) 2**(w - 54)
+    k += (k_class - k) % 4
+    last = k * step - units
+    assert last < 2**53  # below 2**(w - 53), in the same binade
+    return np.concatenate(([big], -small, [-last * ulp]))
+
+
+@pytest.mark.parametrize("k_class", [1, 3])
+@pytest.mark.parametrize("big", [2.0, -1.0])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("w", [14, 17])
+def test_exact_sum_of_same_sign_residuals_at_the_top_of_their_binade(w, seed, big, k_class):
+    # The first level leaves the small terms whole, and no pairwise bound
+    # decides a tie, so 2**w - 1 residuals of one sign and nearly 2**e reach
+    # the extraction levels.  Were e taken one smaller there, sigma = 2**(e + w)
+    # would be below their sum, which then needs a 54th bit of their parts'
+    # spacing and rounds; either way of rounding misses the even neighbour of
+    # one of the two tie classes.
+    x = deep_tie(w, seed, big, k_class)
+    with stop_tests() as record:
+        got = _exact_sum(x)
+    assert got.hex() == fsum_list(x).hex()
+    assert record.pairwise == [False] and record.extraction
+
+
 @pytest.mark.parametrize("d", [0, 1])
 @pytest.mark.parametrize("k", [0, 1, 2, 10, 16, 17])
 def test_exact_sum_at_powers_of_two(k, d):
@@ -223,6 +271,59 @@ def test_exact_sum_at_powers_of_two(k, d):
         x = np.full(n, sign * top)
         x[0] = sign * (top + nudge)
         assert _exact_sum(x).hex() == fsum_list(x).hex()
+
+
+@st.composite
+def residuals(draw):
+    """(r, m): n values of at most 2**(m - 53) in magnitude, as _exact_sum's
+    first level leaves them; n up to 2**17, mixed signs, same-sign full
+    mantissas at the top of the bound, equal values just below it, or
+    subnormals."""
+    n = draw(st.integers(1, 2 ** draw(st.integers(0, 17))))
+    kind = draw(st.sampled_from(["mixed", "top", "equal", "subnormal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "subnormal":
+        m = draw(st.integers(-1022, -970))  # the bound 2**(m - 53) is subnormal
+        steps = int(math.ldexp(1.0, m - 53) / 5e-324)
+        return rng.integers(-steps, steps, n, endpoint=True) * 5e-324, m
+    m = draw(st.integers(-969, 1020))
+    cap = math.ldexp(1.0, m - 53)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "mixed":
+        return cap * rng.uniform(-1.0, 1.0, n), m
+    if kind == "top":
+        return sign * cap * rng.uniform(1 - 2**-10, 1.0, n), m
+    return np.full(n, sign * math.nextafter(cap, 0.0)), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(residuals())
+@example((np.full(2**17, math.nextafter(1.0, 0.0)), 53))
+@example((np.random.default_rng(5).uniform(-(2.0**-53), 2.0**-53, 2**17), 0))
+def test_pairwise_level_errs_within_its_bound(case):
+    # |np.sum(r) - sum r| <= gamma_(n-1) sum |r| <= n**2 * 2**(m - 105), in
+    # units of 2**-1074, the bound _exact_sum's pairwise level stops on
+    r, m = case
+    n = r.size
+    exact = sum(map(transforms._units, r.tolist()))
+    error = abs(transforms._units(float(np.sum(r))) - exact)
+    bound = Fraction(n * n) * Fraction(2) ** (m - 105 + 1074)
+    assert error <= bound
+    assert transforms._pairwise_bound(n, m) == math.ceil(bound)
+
+
+def test_heat_trace_memory_stays_within_two_copies():
+    # the terms are formed and scaled in one array and the exact sum adds one
+    # more: at t = 1e-4 every one of the 200,000 values is live
+    s = generate_constant_density(1.0, 200_000)
+    heat_trace(s, 1e-4)
+    tracemalloc.start()
+    try:
+        heat_trace(s, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * s.values.size + 64 * 1024
 
 
 def test_exact_sum_memory_stays_within_two_copies():
