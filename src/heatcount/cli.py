@@ -155,7 +155,7 @@ def _laplace_identity(s, args):
             quad = laplace_of_counting(s, t, "quadrature")
             quad_dev = abs(quad - k_val) / scale
         except AccuracyError as exc:
-            # keep the estimate; a quadrature that did not converge has no deviation to pass
+            # a domain end past the double range: the estimate is inf, with no deviation to pass
             quad, quad_dev = exc.estimate, math.nan
         table.append(t, k_val, step, quad, corr, abs(step + corr - k_val) / scale, quad_dev)
     return table

@@ -48,10 +48,12 @@ class InsufficientDataError(HeatcountError, ValueError):
 
 
 class AccuracyError(HeatcountError, RuntimeError):
-    """A quadrature failed to reach its tolerance.
+    """A quadrature could not be formed within the double range.
 
-    ``estimate`` holds the best value achieved and ``error_estimate`` the
-    accumulated error bound at the point of failure.
+    Theorem 1's quadrature follows a fixed Boole panel plan whose error
+    bound holds by construction, so it raises only where its domain end
+    passes the double range (t below about 1e-306).  ``estimate`` is then
+    inf and ``error_estimate`` nan.
     """
 
     def __init__(self, message: str, estimate: float, error_estimate: float):

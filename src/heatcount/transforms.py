@@ -10,8 +10,8 @@ analytic integration of the step function N gives
 
 so the step-exact mode reproduces the heat trace up to an explicit
 truncation correction.  The quadrature mode integrates the same step
-function numerically and extends the domain until its own boundary term
-is negligible.
+function numerically, by Boole's rule on a fixed panel plan, and extends
+the domain until its own boundary term is negligible.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from .errors import AccuracyError, CoverageError, DomainError, InvalidParameterE
 from .evaltable import EvalTable
 from .spectrum import Spectrum
 
-# Adaptive Simpson controls.
-QUAD_TOL_SCALE = 1e-10        # absolute tolerance = QUAD_TOL_SCALE * result scale
-QUAD_MAX_DEPTH = 30           # hard subdivision cap
-QUAD_MAX_PANELS = 1 << 21
-BOUNDARY_DROP = 1e-12         # quadrature extends domain until boundary term < this * result
+# The quadrature extends its domain until the boundary term is below this
+# times the result, and splits its panels for a rule error of a tenth of it.
+BOUNDARY_DROP = 1e-12
 
 # Sums over more than this many terms are correctly rounded (equal to
 # math.fsum): _exact_sum reads them in seven passes, an error-free
@@ -126,9 +124,15 @@ def _spectral_sum(values, mults, term, rate: float, origin: float = 0.0) -> floa
     k = _live(values, rate, origin)
     terms = term(values[:k])
     terms *= mults[:k]
-    if values.size > FSUM_THRESHOLD:
+    return _sum_over(terms, values.size)
+
+
+def _sum_over(terms: np.ndarray, size: int) -> float:
+    """The sum of ``terms`` followed by size - terms.size zeros (+0.0), as
+    ``_spectral_sum`` adds it."""
+    if size > FSUM_THRESHOLD:
         return _exact_sum(terms)
-    return float(np.sum(_padded(terms, values.size)))
+    return float(np.sum(_padded(terms, size)))
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -297,10 +301,16 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
     ``step_exact`` integrates the step function analytically over
     [0, coverage]; adding ``truncation_correction`` recovers the heat
-    trace to roundoff.  ``quadrature`` applies adaptive Simpson to the
-    same integrand, with panels aligned to the eigenvalue jumps and the
-    domain extended until the boundary term is below 1e-12 of the result.
-    In both modes nothing past lam t = EXP_ZERO is evaluated: there the
+    trace to roundoff.  ``quadrature`` applies Boole's rule to the same
+    integrand from a panel plan fixed before any evaluation: panels
+    aligned to the eigenvalue jumps, the domain extended until the
+    boundary term is below BOUNDARY_DROP (1e-12) of the result, and each
+    panel split into subpanels narrow enough that the rule errs by at most
+    a tenth of that, relatively (``_boole_parts``).  So the quadrature lies
+    within about 1.1e-12 of the heat trace, plus rounding, with no
+    iteration and no subdivision cap; it raises AccuracyError only where
+    the domain end passes the double range (t below about 1e-306).  In
+    both modes nothing past lam t = EXP_ZERO is evaluated: there the
     step-exact terms and the integrand are exactly 0.0 (``_spectral_sum``).
     """
     if not (0 < t < math.inf):
@@ -315,163 +325,83 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
-    scale = max(_spectral_sum(s.values, s.multiplicities, lambda v: np.exp(v * -t), t), 5e-324)
+    values = s.values
+    # one exponential pass gives the terms of the domain end's scale and the
+    # panels' left-edge factors e^(-a t)
+    factors = np.exp(values[: _live(values, t)] * -t)
+    scale = max(_sum_over(factors * s.multiplicities[: factors.size], values.size), 5e-324)
     # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
-    # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.
+    # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.  A
+    # coverage past 2 EXP_ZERO / t is cut there: the integrand is 0.0 beyond.
     drop = BOUNDARY_DROP * scale
     log_drop = math.log(drop) if drop > 0 else math.log(BOUNDARY_DROP) + math.log(scale)
     needed = (math.log(s.total_count) - log_drop) / t
-    lam_hi = max(s.coverage, needed)
-    if not (math.isfinite(lam_hi) and math.isfinite(scale / t)):
-        # below t ~ 1e-306 the domain end or the tolerance passes the double range
+    lam_hi = max(min(s.coverage, 2 * EXP_ZERO / t), needed)
+    if not math.isfinite(lam_hi):
+        # below t ~ 1e-306 the domain end passes the double range
         raise AccuracyError(
             "laplace quadrature overflowed", estimate=math.inf, error_estimate=math.nan
         )
 
-    values = s.values
     lo = np.searchsorted(values, 0.0, side="right")
     hi = np.searchsorted(values, lam_hi, side="left")
     # The panels run from 0 through the values in (0, lam_hi) to lam_hi.
     # N restricted to each open panel (lam_k, lam_{k+1}) is the inclusive
     # count at its left edge, a slice of the cumulative counts since the
-    # values increase strictly; endpoint evaluations use the interior
-    # value so the jump carries no quadrature weight.  Only the panels up
-    # to ``_live``'s cut are built: past it the integrand is 0.0.
-    stop = lo + _live(values[lo:hi], t)
-    edges = np.concatenate(([0.0], values[lo:stop], [values[stop] if stop < hi else lam_hi]))
-    panel_n = s.cumulative[lo : stop + 1].astype(np.float64)
-
-    try:
-        # near t ~ 1e-306 panel sums can pass the double range; the
-        # non-finite values that follow end in AccuracyError, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            integral, error = _adaptive_simpson_exp(
-                edges, panel_n, t, QUAD_TOL_SCALE * scale / t, hi - lo + 1, lam_hi
-            )
-    except AccuracyError as exc:
-        raise AccuracyError(
-            "laplace quadrature did not converge",
-            estimate=t * exc.estimate,
-            error_estimate=t * exc.error_estimate,
-        ) from exc
-    if not math.isfinite(integral):
-        # below t ~ 1e-306 the integral, about K(t) / t, passes the double range
-        raise AccuracyError("laplace quadrature overflowed", estimate=t * integral, error_estimate=t * error)
-    return t * integral
+    # values increase strictly.  Only the panels up to ``_live``'s cut are
+    # built: past it the integrand is 0.0.
+    stop = min(factors.size, hi)
+    x = np.diff(values[lo:stop], prepend=0.0, append=values[stop] if stop < hi else lam_hi)
+    x *= t
+    return _exact_sum(_boole_parts(x, s.cumulative[lo : stop + 1], factors[lo:stop]))
 
 
-def _adaptive_simpson_exp(edges, n_const, t, tol, panels, total_len):
-    """Vectorized adaptive Simpson for f(lam) = N(lam) * exp(-lam * t).
+def _boole_parts(x, counts, factors):
+    """t times Boole's rule for N(lam) e^(-lam t) over subpanels of the
+    panels of scaled widths x = w t, counts N and left-edge factors e^(-a t)
+    (the first panel starts at 0, factor 1).
 
-    The initial panels are aligned with the eigenvalues, so N is the
-    constant ``n_const`` on each of them and every subpanel inherits it.
-    Budget: per-panel tolerance proportional to panel length;
-    Richardson-extrapolated acceptance at |S2 - S1|/15.
-
-    ``edges`` bounds only the live panels, those up to ``_live``'s cut of
-    the ``panels`` over a domain of length ``total_len``.  A panel whose
-    left edge a has a t > EXP_ZERO has an integrand of exactly 0.0 at every
-    node, so it would pass at depth 0 with zero sum and zero error: the cut
-    panels enter only the two depth-0 reductions, as the zeros that keep
-    numpy's pairwise sum over every panel.
-
-    Each depth forms its arrays with in-place operations that round as the
-    written expressions do: a quarter point's integrand is its exponent,
-    exp and count multiply in one array; b - a is taken once, for the
-    budget and, at depth 0, for S1; d = (S2 - S1)/15 overwrites S1 and
-    gives both the error |d| and the accepted value S2 + d.  That is about
-    36 passes over the depth's panels, two of them exp.  Failing panels are
-    zeroed by index and split by gathering only their own entries.
+    On a subpanel of scaled width x the integrand is n e^(-a t) r^k at its
+    five nodes, r = e^(-x/4), so the rule's part is
+    n e^(-a t) x P(r) / 90, P(r) = 7 + r(32 + r(12 + r(32 + 7r))).  The rule
+    errs by (8/945) (w/4)^7 f^(6) at some node, which is positive and at
+    most x^6 / (1935360 (1 - x/2)) of the subpanel's integral
+    (P. J. Davis and P. Rabinowitz, "Methods of Numerical Integration",
+    2nd ed., 1984, section 2.1).  A panel wider than x_tau, where
+    x_tau^6 = 1935360 tau and tau = BOUNDARY_DROP / 10, is split into
+    ceil(x / x_tau) equal subpanels, so every part errs by at most
+    tau / (1 - x_tau/2) of its integral.  Subpanel j of a split panel is its
+    first part times e^(-j x); those with j x past EXP_ZERO are 0.0 and are
+    not formed.  The parts of the panels come first, then those of the
+    subpanels j >= 1: at most about 2 * 746 / x_tau of them for the live
+    panels and as many again for the last one.
     """
-    a, b = edges[:-1], edges[1:]
-    e = edges * -t
-    np.exp(e, out=e)
-    fa = e[:-1] * n_const
-    fb = e[1:]
-    fb *= n_const
-    mid = a + b
-    mid *= 0.5
-    fm = _integrand(mid, n_const, t)
-    budget = b - a  # the panel widths, scaled to the budget at each depth
-    s_whole = _simpson(budget / 6.0, fa, fm, fb)
-
-    result = 0.0
-    err_accum = 0.0
-    reduced = panels  # length of the depth-0 reductions
-    for depth in range(QUAD_MAX_DEPTH + 1):
-        # length-proportional budget with a roundoff floor: panels whose
-        # Simpson correction is at machine noise cannot refine further.
-        # The length fraction is taken first: at tiny t both tol and b - a
-        # are near the top of the double range, and their product overflows.
-        budget /= total_len
-        budget *= tol
-        lm = a + mid
-        lm *= 0.5
-        rm = mid + b
-        rm *= 0.5
-        flm = _integrand(lm, n_const, t)
-        frm = _integrand(rm, n_const, t)
-        s_left = mid - a
-        s_left /= 6.0
-        s_left = _simpson(s_left, fa, flm, fm)
-        s_right = b - mid
-        s_right /= 6.0
-        s_right = _simpson(s_right, fm, frm, fb)
-        s2 = s_left + s_right
-        floor = np.abs(s2)
-        floor *= 32.0 * 2.3e-16
-        np.maximum(budget, floor, out=budget)
-        d = np.subtract(s2, s_whole, out=s_whole)
-        d /= 15.0
-        err = np.abs(d, out=floor)
-        ok = err <= budget
-        d += s2  # the accepted value s2 + d
-        failed = np.flatnonzero(~ok)
-        lost = err[failed]
-        d[failed] = 0.0
-        err[failed] = 0.0
-        result += float(np.sum(_padded(d, reduced)))
-        err_accum += float(np.sum(_padded(err, reduced)))
-        if not failed.size:
-            return result, err_accum
-        panels += 2 * failed.size
-        if depth == QUAD_MAX_DEPTH or panels > QUAD_MAX_PANELS:
-            raise AccuracyError(
-                "adaptive Simpson did not converge within the subdivision cap",
-                estimate=result + float(np.sum(s2[failed])),
-                error_estimate=err_accum + float(np.sum(lost)),
-            )
-        # split failing panels into halves
-        a, b = _halves(a, mid, failed), _halves(mid, b, failed)
-        fa, fb = _halves(fa, fm, failed), _halves(fm, fb, failed)
-        mid, fm = _halves(lm, rm, failed), _halves(flm, frm, failed)
-        s_whole = _halves(s_left, s_right, failed)
-        n_const = _halves(n_const, n_const, failed)
-        budget = b - a
-        reduced = a.size
-    raise AssertionError("unreachable")
-
-
-def _integrand(x, n_const, t):
-    """n_const * exp(-x * t) in one new array, rounded as written."""
-    f = x * -t
-    np.exp(f, out=f)
-    f *= n_const
-    return f
-
-
-def _simpson(sixth, fa, fm, fb):
-    """sixth * (fa + 4.0 * fm + fb), rounded as written, into ``sixth``."""
-    s = fm * 4.0
-    s += fa
-    s += fb
-    sixth *= s
-    return sixth
-
-
-def _halves(left, right, index):
-    """The panels at ``index`` of left, then those of right."""
-    return np.concatenate((left[index], right[index]))
+    x_tau = (193_536 * BOUNDARY_DROP) ** (1 / 6)
+    split = np.flatnonzero(x > x_tau)
+    pieces = np.ceil(x[split] / x_tau)
+    x[split] /= pieces
+    pieces = np.minimum(pieces, np.ceil(EXP_ZERO / x[split])).astype(np.int64) - 1
+    parts = np.empty(x.size + int(pieces.sum()))
+    part = parts[: x.size]
+    r = x * -0.25
+    np.exp(r, out=r)
+    np.multiply(r, 7.0, out=part)
+    for c in (32.0, 12.0, 32.0):
+        part += c
+        part *= r
+    part += 7.0
+    part *= x
+    part *= counts
+    part[1:] *= factors
+    part /= 90.0
+    # subpanels j >= 1 of each split panel, in order
+    first = np.cumsum(pieces) - pieces
+    j = np.arange(1, parts.size - x.size + 1) - np.repeat(first, pieces)
+    rest = parts[x.size :]
+    np.multiply(np.repeat(x[split], pieces), -j, out=rest)
+    np.exp(rest, out=rest)
+    rest *= np.repeat(part[split], pieces)
+    return parts
 
 
 @dataclass(frozen=True)

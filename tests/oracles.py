@@ -122,85 +122,42 @@ def step_terms(values, mults, coverage: float, t: float):
     return mults * (np.exp(-values * t) - math.exp(-coverage * t))
 
 
-class NotConverged(Exception):
-    """Where the package raises AccuracyError; the estimates are those of
-    the integral, not yet multiplied by t."""
+def boole_quadrature(values, mults, coverage: float, t: float, drop_share: float = 1e-12) -> float:
+    """t * integral_0^L N(lam) e^(-lam t) dlam by Boole's rule on the
+    package's panel plan, written out with every panel up to L built.
 
-    def __init__(self, estimate: float, error_estimate: float):
-        super().__init__(estimate, error_estimate)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-
-
-def adaptive_simpson_exp(edges, n_const, t, tol, max_depth=30, max_panels=1 << 21):
-    """(integral, error) of N(lam) e^(-lam t) by vectorized adaptive Simpson
-    on panels aligned with the eigenvalues, N = n_const on each.
-
-    Every panel is evaluated.  One whose left edge a has a t past 746 has
-    an integrand of exactly 0.0 at all five nodes, so it passes at depth 0
-    with sum and error 0.0.
+    L is the package's domain end for a boundary drop of ``drop_share``
+    (the package's 1e-12 by default).  A panel of scaled width x = w t is
+    split into ceil(x / x_tau) subpanels when x > x_tau, x_tau^6 =
+    193536 drop_share; subpanel j >= 1 is the first one's part times e^(-j x) and
+    is dropped once j x reaches 746, where that factor is 0.0.  A part is
+    N e^(-a t) x P(e^(-x/4)) / 90 with P by Horner's rule, as numpy rounds
+    each expression; the parts are added by math.fsum.  Raises
+    OverflowError where L passes the double range.
     """
-    panels = edges.size - 1
-    total_len = edges[-1] - edges[0]
-    a, b = edges[:-1], edges[1:]
-
-    def f(x, n_const):
-        return n_const * np.exp(-x * t)
-
-    e = np.exp(-edges * t)
-    fa = n_const * e[:-1]
-    fb = n_const * e[1:]
-    mid = 0.5 * (a + b)
-    fm = f(mid, n_const)
-    s_whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    result = 0.0
-    err_accum = 0.0
-    for depth in range(max_depth + 1):
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm = f(lm, n_const)
-        frm = f(rm, n_const)
-        s_left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        s2 = s_left + s_right
-        err = np.abs(s2 - s_whole) / 15.0
-        ok = err <= np.maximum(tol * ((b - a) / total_len), 32.0 * 2.3e-16 * np.abs(s2))
-        result += float(np.sum(np.where(ok, s2 + (s2 - s_whole) / 15.0, 0.0)))
-        err_accum += float(np.sum(np.where(ok, err, 0.0)))
-        if bool(np.all(ok)):
-            return result, err_accum
-        keep = ~ok
-        panels += 2 * int(np.count_nonzero(keep))
-        if depth == max_depth or panels > max_panels:
-            raise NotConverged(result + float(np.sum(s2[keep])), err_accum + float(np.sum(err[keep])))
-        a, b = np.concatenate((a[keep], mid[keep])), np.concatenate((mid[keep], b[keep]))
-        fa, fb = np.concatenate((fa[keep], fm[keep])), np.concatenate((fm[keep], fb[keep]))
-        mid, fm = np.concatenate((lm[keep], rm[keep])), np.concatenate((flm[keep], frm[keep]))
-        s_whole = np.concatenate((s_left[keep], s_right[keep]))
-        n_const = np.concatenate((n_const[keep], n_const[keep]))
-    raise AssertionError("unreachable")
-
-
-def laplace_quadrature(values, mults, coverage: float, t: float, max_depth=30) -> float:
-    """t * integral_0^L N(lam) e^(-lam t) dlam by ``adaptive_simpson_exp``,
-    with the package's domain end L, panels and tolerance; raises
-    NotConverged where the package raises AccuracyError."""
     cumulative = np.concatenate(([0], np.cumsum(mults)))
     scale = max(full_sum(exponential_terms(values, mults, t)), 5e-324)
-    drop = 1e-12 * scale
-    log_drop = math.log(drop) if drop > 0 else math.log(1e-12) + math.log(scale)
-    lam_hi = max(coverage, (math.log(int(cumulative[-1])) - log_drop) / t)
-    if not (math.isfinite(lam_hi) and math.isfinite(scale / t)):
-        raise NotConverged(math.inf, math.nan)
+    drop = drop_share * scale
+    log_drop = math.log(drop) if drop > 0 else math.log(drop_share) + math.log(scale)
+    needed = (math.log(int(cumulative[-1])) - log_drop) / t
+    lam_hi = max(min(coverage, 2 * 746.0 / t), needed)
+    if not math.isfinite(lam_hi):
+        raise OverflowError("domain end overflows")
     lo = np.searchsorted(values, 0.0, side="right")
     hi = np.searchsorted(values, lam_hi, side="left")
     edges = np.concatenate(([0.0], values[lo:hi], [lam_hi]))
-    panel_n = cumulative[lo : hi + 1].astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        integral, error = adaptive_simpson_exp(edges, panel_n, t, 1e-10 * scale / t, max_depth)
-    if not math.isfinite(integral):
-        raise NotConverged(integral, error)
-    return t * integral
+    x_tau = (193536 * drop_share) ** (1 / 6)
+    x = np.diff(edges) * t
+    m = np.where(x > x_tau, np.ceil(x / x_tau), 1.0)
+    x = x / m
+    r = np.exp(-0.25 * x)
+    first = (((r * 7.0 + 32.0) * r + 12.0) * r + 32.0) * r + 7.0
+    first = first * x * cumulative[lo : hi + 1].astype(np.float64) * np.exp(-edges[:-1] * t) / 90.0
+    parts = [first]
+    for i in np.flatnonzero(m > 1):
+        j = np.arange(1, min(m[i], math.ceil(746.0 / x[i])))
+        parts.append(np.exp(-(j * x[i])) * first[i])
+    return math.fsum(np.concatenate(parts).tolist())
 
 
 def pairs(spectrum):

@@ -221,25 +221,18 @@ class TestVerify:
                        *extra, "--out", out2) in (0, 1)
             assert out1.read_bytes() == out2.read_bytes()
 
-    def test_unconverged_quadrature_fails_its_row(self, tmp_path, monkeypatch):
-        from heatcount import AccuracyError, transforms
-
-        spectrum = tmp_path / "interval2000.json"
-        run("generate", "--shape", "interval", "--length", math.pi, "--count", 2000,
-            "--out", spectrum)
-        s = load_spectrum(spectrum)
-        monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", 3)
+    def test_overflowing_quadrature_fails_its_row(self, tmp_path, interval_file):
+        # at t = 1e-307 the quadrature's domain end passes the double range:
+        # its AccuracyError leaves an infinite estimate and no deviation
         out = tmp_path / "t1.csv"
-        code = run("verify", "--spectrum", spectrum, "--theorem", 1, "--out", out)
+        code = run("verify", "--spectrum", interval_file, "--theorem", 1,
+                   "--t", "1e-307,1", "--out", out)
         assert code == 1
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert [row[0] for row in rows] == ["0.01", "0.10000000000000001", "1", "10"]
-        for row in rows:
-            # the quadrature column keeps the estimate of the raised AccuracyError
-            with pytest.raises(AccuracyError) as info:
-                transforms.laplace_of_counting(s, float(row[0]), "quadrature")
-            assert float(row[3]) == info.value.estimate
-            assert row[-1] == "no"
+        assert rows[0][0] == "9.9999999999999991e-308"
+        assert rows[0][3] == "inf"
+        assert rows[0][-2:] == ["nan", "no"]
+        assert rows[1][-1] == "yes"
 
     def test_theorem_1_trace_underflowing_to_zero_fails_its_row(self, tmp_path, interval_file):
         # K(1000) = e^-1000 + ... rounds to 0, so no relative deviation exists

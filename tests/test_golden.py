@@ -5,12 +5,22 @@ compares the CSV it writes, byte for byte, with the file of the same name
 under ``tests/golden/``; the spectrum JSON that ``generate`` writes is held
 to a pinned sha256 the same way.  A refactor must leave every file
 unchanged; a change that means to alter an output regenerates its golden
-file or digest and says so.  The bytes depend on the floating-point
-results of numpy and its BLAS, but not on the number of BLAS threads:
-every case is also rerun in a fresh interpreter with one OpenBLAS thread.
-The files were produced on x86-64 with numpy 2.4.
-"""
+file or digest and says so.  The files were produced on x86-64 with
+numpy 2.4, at numpy's AVX-512 dispatch level and OpenBLAS's SkylakeX
+kernel.
 
+Every case is also rerun in a fresh interpreter with one OpenBLAS thread,
+and, where the host has AVX-512, with numpy held to its AVX2 level
+(``NPY_DISABLE_CPU_FEATURES``), whose ``exp`` rounds some arguments
+differently.  So all nine files are portable across BLAS thread counts
+and across those two numpy dispatch levels; the theorem-1 quadrature adds
+its parts correctly rounded (``_exact_sum``), so its bytes do not depend
+on the order of that sum.  Not portable: ``invert`` and ``verify-2`` take
+their contour traces from a BLAS complex matrix product, whose bytes
+follow the OpenBLAS kernel the CPU selects (they change under
+``OPENBLAS_CORETYPE=Haswell``), and their contour coefficients from
+numpy's ``exp``, whose bytes change again at numpy's x86-64-v2 baseline.
+"""
 import hashlib
 import math
 import os
@@ -18,6 +28,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heatcount.cli import main
@@ -78,18 +89,39 @@ def test_csv_matches_golden_bytes(name, spectra, tmp_path):
     assert got == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-def test_csv_bytes_at_one_blas_thread(spectra, tmp_path):
-    # OpenBLAS reads its thread count once, when it loads, so this takes a new process
+def rerun_differs(spectra: Path, out: Path, **env) -> list:
+    """The cases whose CSV differs from its golden file when every case is
+    rerun in a fresh interpreter with ``env`` added to the environment."""
     script = (
         "import sys; from pathlib import Path; from test_golden import CASES, run_case\n"
         "for name in CASES: assert run_case(name, Path(sys.argv[1]), Path(sys.argv[2])) == 0"
     )
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run([sys.executable, "-c", script, str(spectra), str(tmp_path)],
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script, str(spectra), str(out)],
                    env=env, check=True, capture_output=True)
-    differ = [name for name in sorted(CASES)
-              if (tmp_path / f"{name}.csv").read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()]
-    assert differ == []
+    return [name for name in sorted(CASES)
+            if (out / f"{name}.csv").read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()]
+
+
+def test_csv_bytes_at_one_blas_thread(spectra, tmp_path):
+    # OpenBLAS reads its thread count once, when it loads, so this takes a new process
+    assert rerun_differs(spectra, tmp_path, OPENBLAS_NUM_THREADS="1") == []
+
+
+def dispatched(features) -> bool:
+    """Whether numpy dispatches to every one of ``features`` on this host."""
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    host = getattr(umath, "__cpu_features__", {})
+    return all(host.get(f) and f in getattr(umath, "__cpu_dispatch__", ()) for f in features)
+
+
+AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+@pytest.mark.skipif(not dispatched(AVX512), reason="numpy dispatches to no AVX-512 level here")
+def test_csv_bytes_at_numpy_avx2_dispatch(spectra, tmp_path):
+    # numpy reads the disabled features once, when it loads
+    assert rerun_differs(spectra, tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512)) == []
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRA))

@@ -1,7 +1,6 @@
 """The heat trace, step-exact and quadrature transforms, whose kernels work
 in place, held bit for bit to the naive expressions they compute
-(``oracles.exponential_terms``, ``step_terms`` and ``laplace_quadrature``),
-with AccuracyError raised at the same inputs."""
+(``oracles.exponential_terms``, ``step_terms`` and ``boole_quadrature``)."""
 
 import functools
 import math
@@ -54,26 +53,11 @@ spectra = st.one_of(st.sampled_from(sorted(NAMED)).map(named), file_spectra)
 log_uniform_t = st.floats(math.log(1e-6), math.log(10.0)).map(math.exp)
 
 
-def quadrature_outcome(s, t):
-    """The hex of the quadrature, or its AccuracyError's estimates."""
-    try:
-        return laplace_of_counting(s, t, "quadrature").hex()
-    except AccuracyError as exc:
-        return "AccuracyError", exc.estimate.hex(), exc.error_estimate.hex()
-
-
-def oracle_outcome(s, t, max_depth=30):
-    try:
-        return oracles.laplace_quadrature(s.values, s.multiplicities, s.coverage, t, max_depth).hex()
-    except oracles.NotConverged as exc:
-        return "AccuracyError", (t * exc.estimate).hex(), (t * exc.error_estimate).hex()
-
-
 @given(spectra, log_uniform_t)
 @example(named("const-150001"), 1e-6)
 @example(named("file-120k"), 10.0)
-@example(named("torus-1e4"), 0.1)  # panels refined six depths down
-# panels past the zero cut, whose zeros the depth-0 sums must still add
+@example(named("torus-1e4"), 0.1)  # every panel split, into up to 25 subpanels
+# panels past the zero cut, which the oracle builds and the package does not
 @example(named("const-150001"), 0.0018679135990207828)
 @example(named("interval-10k"), 7.5752502587719205e-06)
 @settings(max_examples=60, deadline=None)
@@ -83,17 +67,30 @@ def test_transforms_equal_naive_expressions(s, t):
     assert heat_trace(s, t).value.hex() == expected.hex()
     steps = oracles.step_terms(values, mults, s.coverage, t)
     assert laplace_of_counting(s, t, "step_exact").hex() == oracles.full_sum(steps).hex()
-    assert quadrature_outcome(s, t) == oracle_outcome(s, t)
+    quad = oracles.boole_quadrature(values, mults, s.coverage, t)
+    assert laplace_of_counting(s, t, "quadrature").hex() == quad.hex()
 
 
-@pytest.mark.parametrize("max_depth", [0, 1, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3])
 @pytest.mark.parametrize("t", [1e-3, 0.05, 2.0])
 @pytest.mark.parametrize("name", ["torus-1e4", "rectangle-1x3", "const-150001"])
-def test_subdivision_cap_raises_where_the_naive_kernel_does(name, t, max_depth, monkeypatch):
-    # a low cap makes the failing panels of the last depth the estimate's
-    monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", max_depth)
+def test_subdivision_cap_raises_where_the_naive_kernel_does(name, t, depth, monkeypatch):
+    # The plan has no subdivision cap: a panel is split down to x_tau however
+    # many subpanels that takes.  Dividing BOUNDARY_DROP by 64 halves x_tau,
+    # one depth finer; at each depth the kernel raises exactly where the
+    # naive expression does, and otherwise returns its bits.
+    drop_share = transforms.BOUNDARY_DROP / 64**depth
+    monkeypatch.setattr(transforms, "BOUNDARY_DROP", drop_share)
     s = named(name)
-    assert quadrature_outcome(s, t) == oracle_outcome(s, t, max_depth)
+    try:
+        outcome = laplace_of_counting(s, t, "quadrature").hex()
+    except AccuracyError:
+        outcome = "overflow"
+    try:
+        expected = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, t, drop_share).hex()
+    except OverflowError:
+        expected = "overflow"
+    assert outcome == expected
 
 
 def test_a_term_returning_its_input_cannot_overwrite_the_spectrum():

@@ -263,8 +263,8 @@ class TestLaplaceOfCounting:
     @pytest.mark.filterwarnings("error")
     def test_quadrature_at_tiny_t_is_right_or_raises(self, interval_pi_200, t):
         # the domain end is about 28 / t: near the top of the double range the
-        # panel budget must not overflow, and an overflowing integral must raise,
-        # with no numpy warning on the way
+        # scaled widths must not overflow, and an overflowing domain end must
+        # raise, with no numpy warning on the way
         k_val = heat_trace(interval_pi_200, t).value
         try:
             quad = laplace_of_counting(interval_pi_200, t, "quadrature")
@@ -279,17 +279,19 @@ class TestLaplaceOfCounting:
         def no_panels(*args, **kwargs):
             raise AssertionError("panels built for an infinite domain")
 
-        monkeypatch.setattr(transforms, "_adaptive_simpson_exp", no_panels)
+        monkeypatch.setattr(transforms, "_boole_parts", no_panels)
         with pytest.raises(AccuracyError, match="overflowed"):
             laplace_of_counting(interval_pi_200, t, "quadrature")
 
-    def test_subdivision_cap_raises_accuracy_error(self, interval_pi_200, monkeypatch):
-        monkeypatch.setattr(transforms, "QUAD_MAX_DEPTH", 2)
+    def test_wide_panels_are_split_not_capped(self, interval_pi_200):
+        # at t = 1 the live panels (k^2, (k+1)^2) are up to 55 scaled widths
+        # wide; each is split, with no cap to hit.  N e^(-L t) is 0.0, so no
+        # boundary term is dropped, and Boole's rule errs upwards by at most
+        # tau / (1 - x_tau/2) of the integral, about 1.04e-13
+        assert truncation_correction(interval_pi_200, 1.0) == 0.0
         step = laplace_of_counting(interval_pi_200, 1.0, "step_exact")
-        with pytest.raises(AccuracyError) as info:
-            laplace_of_counting(interval_pi_200, 1.0, "quadrature")
-        assert info.value.estimate == pytest.approx(step, rel=1e-4)
-        assert info.value.error_estimate > 0
+        quad = laplace_of_counting(interval_pi_200, 1.0, "quadrature")
+        assert 9e-14 * step < quad - step <= 1.1e-13 * step
 
 
 class TestDensityEstimate:

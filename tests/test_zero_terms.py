@@ -1,6 +1,7 @@
 """Sums that skip the exponentials which round to 0.0, held bit for bit to
 the sum of every term (``oracles.full_sum``), and the quadrature that skips
-the panels past them, held to values pinned before the skipping."""
+the panels past them, held to its panel plan with every panel built
+(``oracles.boole_quadrature``)."""
 
 import functools
 import math
@@ -120,22 +121,15 @@ def test_live_keeps_every_value_at_zero_and_tiny_rate():
     assert _live(values, 5e-324) == 3  # EXP_ZERO / rate passes the double range
 
 
-# laplace_of_counting(s, t, "quadrature").hex(), computed before the quadrature
-# skipped the panels past EXP_ZERO / t; const-200k and torus-1e6 hold more than
-# FSUM_THRESHOLD values, torus-1e5 holds 24,029
-QUADRATURE_HEX = {
-    ("const-200k", 1e-3): "0x1.f3c002bb0cf7bp+9",
-    ("const-200k", 1e-2): "0x1.8e00da73f5caep+6",
-    ("const-200k", 0.1): "0x1.3044415aca44fp+3",
-    ("torus-1e5", 1e-3): "0x1.88b2f704a9409p+11",
-    ("torus-1e5", 1e-2): "0x1.3a28c59d5433ap+8",
-    ("torus-1e5", 0.1): "0x1.f6a7a2955385fp+4",
-    ("torus-1e6", 1e-3): "0x1.88b2f704a940ap+11",
-    ("torus-1e6", 1e-2): "0x1.3a28c59d5433ap+8",
-    ("torus-1e6", 0.1): "0x1.f6a7a2955385dp+4",
-}
+# const-200k and torus-1e6 hold more than FSUM_THRESHOLD values, torus-1e5
+# holds 24,029
+QUADRATURE_CASES = [(name, t) for name in ("const-200k", "torus-1e5", "torus-1e6")
+                    for t in (1e-3, 1e-2, 0.1)]
 
 
-@pytest.mark.parametrize("name, t", sorted(QUADRATURE_HEX))
+@pytest.mark.parametrize("name, t", QUADRATURE_CASES)
 def test_quadrature_bits_are_pinned(name, t):
-    assert laplace_of_counting(large(name), t, "quadrature").hex() == QUADRATURE_HEX[name, t]
+    # the oracle builds every panel up to the domain end, those past the zero cut too
+    s = large(name)
+    quad = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, t)
+    assert laplace_of_counting(s, t, "quadrature").hex() == quad.hex()
