@@ -52,11 +52,5 @@ class AccuracyError(HeatcountError, RuntimeError):
 
     Theorem 1's quadrature follows a fixed Boole panel plan whose error
     bound holds by construction, so it raises only where its domain end
-    passes the double range (t below about 1e-306).  ``estimate`` is then
-    inf and ``error_estimate`` nan.
+    passes the double range (t below about 1e-306).
     """
-
-    def __init__(self, message: str, estimate: float, error_estimate: float):
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-        super().__init__(f"{message} (estimate={estimate!r}, error_estimate={error_estimate!r})")

@@ -32,13 +32,17 @@ from .spectrum import Spectrum
 BOUNDARY_DROP = 1e-12
 
 # Sums over more than this many terms are correctly rounded (equal to
-# math.fsum): _exact_sum reads them in seven passes, an error-free
-# extraction and a pairwise sum held to its a-priori bound.  Smaller ones
-# use numpy's pairwise sum, one pass.
+# math.fsum, ``_exact_sum``).  Smaller ones use numpy's pairwise sum, one pass.
 FSUM_THRESHOLD = 100_000
 # e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
 # occupation factors whose exponent passes EXP_ZERO are not evaluated.
 EXP_ZERO = 746.0
+# e^(-x) lies below 2**-1022, the smallest normal double, for every x above
+# 708.3964; in correctly rounded sums the terms whose exponent passes
+# EXP_NORMAL are bounded, not evaluated, unless the bound leaves the sum open.
+EXP_NORMAL = 708.4
+# Correctly rounded sums read their terms in blocks of this many values.
+BLOCK = 1 << 15
 
 
 class CountingMode(Enum):
@@ -80,21 +84,23 @@ def counting(s: Spectrum, lam: float, mode: CountingMode = CountingMode.STRICT) 
     return int(s.cumulative[s.values.searchsorted(lam, side=side)])
 
 
-def _live(values: np.ndarray, rate: float, origin: float = 0.0) -> int:
-    """Length of the prefix of the sorted values past which every
+def _live(values: np.ndarray, rate: float, origin: float = 0.0, exponent: float = EXP_ZERO) -> int:
+    """Length of the prefix of the sorted values past which every exponent
+    rate (lam - origin) passes ``exponent``: with EXP_ZERO, every
     e^(-rate (lam - origin)) is exactly +0.0.
 
     A value whose exponent, rounded as numpy rounds rate * (lam - origin),
-    is at most EXP_ZERO satisfies lam - origin <= (EXP_ZERO / rate)(1 + 3u),
-    u = 2**-53.  The threshold widens the rounded quotient by 2**-30 and
-    steps past the rounded sum, so it lies above every such value: no live
-    value is cut, and the few kept past EXP_ZERO give terms of +0.0.
-    rate = 0 keeps every value.
+    is at most ``exponent`` satisfies
+    lam - origin <= (exponent / rate)(1 + 3u), u = 2**-53.  The threshold
+    widens the rounded quotient by 2**-30 and steps past the rounded sum, so
+    it lies above every such value: no value is cut whose exponent is at
+    most ``exponent``.  With EXP_ZERO the few kept past it give terms of
+    +0.0.  rate = 0 keeps every value.
     """
     rate, origin = float(rate), float(origin)
     if not rate > 0:
         return values.size
-    limit = math.nextafter(origin + EXP_ZERO / rate * (1 + 2**-30), math.inf)
+    limit = math.nextafter(origin + exponent / rate * (1 + 2**-30), math.inf)
     return int(np.searchsorted(values, limit, side="right"))
 
 
@@ -111,83 +117,135 @@ def _spectral_sum(values, mults, term, rate: float, origin: float = 0.0) -> floa
     """sum_n mults_n * term(values_n) over the sorted values, in ascending order.
 
     ``term`` is an array function of the values that returns a fresh array
-    (``Spectrum``'s arrays are read-only, so a view would raise) and is
+    (``Spectrum``'s arrays are read-only, so a view would raise).  It is
     exactly +0.0 at every value whose exponent rate * (lam - origin) passes
-    EXP_ZERO; it is evaluated only on the prefix ``_live`` keeps, and the
-    multiplicities scale its array in place, one pass (an exponential term
-    ``np.exp(v * -t)`` makes two more).  Over more than FSUM_THRESHOLD
-    values the sum is correctly rounded and bit-identical to math.fsum, so
-    the dropped zeros change nothing.  At or below it, it is numpy's
-    pairwise sum, whose rounding depends on the length, so the terms are
-    padded with +0.0 back to ``values.size``.
+    EXP_ZERO, and below 2**-1022 in magnitude at every value whose exponent
+    passes EXP_NORMAL.  It is evaluated only on the prefix ``_live`` keeps,
+    and the multiplicities scale its array in place (``_terms``).  At or
+    below FSUM_THRESHOLD values the sum is numpy's pairwise sum, whose
+    rounding depends on the length, so the terms are padded with +0.0 back
+    to ``values.size``.
+
+    Above it the sum is correctly rounded and bit-identical to math.fsum,
+    so the dropped zeros change nothing.  The terms are formed and summed
+    block by block (``_two_level_sum``), so no array of the spectrum's
+    length is allocated, and only up to a second ``_live`` cut, at
+    EXP_NORMAL.  The values between the two cuts, the band, give terms
+    below mult * 2**-1022 each (e^(-708.4) is 0.9964 * 2**-1022, which
+    leaves room for the rounding of the exponential and of the scaling), so
+    their sum lies within sum mult * 2**52 units of 2**-1074 of 0, taken
+    exactly from the band's multiplicities as slack for the stop test.
+    Only where the test leaves the sum open (at totals within about that
+    much of a rounding boundary, at 0 or at a tie) is every live term formed
+    and summed by ``_exact_sum``.
     """
     k = _live(values, rate, origin)
-    terms = term(values[:k])
-    terms *= mults[:k]
-    return _sum_over(terms, values.size)
+    if values.size <= FSUM_THRESHOLD:
+        return _sum_over(_terms(term, values[:k], mults), values.size)
+    cut = _live(values[:k], rate, origin, EXP_NORMAL)
+    blocks = (_terms(term, values[i : min(i + BLOCK, cut)], mults[i:]) for i in range(0, cut, BLOCK))
+    total = _two_level_sum(blocks, cut, int(mults[cut:k].sum()) << 52)
+    return _exact_sum(_terms(term, values[:k], mults)) if total is None else total
+
+
+def _terms(term, values, mults) -> np.ndarray:
+    """term(values) scaled in place by the leading multiplicities."""
+    terms = term(values)
+    terms *= mults[: terms.size]
+    return terms
 
 
 def _sum_over(terms: np.ndarray, size: int) -> float:
-    """The sum of ``terms`` followed by size - terms.size zeros (+0.0), as
-    ``_spectral_sum`` adds it."""
+    """The sum of ``terms`` followed by size - terms.size zeros (+0.0), with
+    the bits ``_spectral_sum`` gives it."""
     if size > FSUM_THRESHOLD:
         return _exact_sum(terms)
     return float(np.sum(_padded(terms, size)))
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms), computed with numpy by error-free extraction and
-    one pairwise sum.
+    """math.fsum(terms), computed with numpy: two levels over blocks of the
+    terms (``_two_level_sum``), which allocate one block-sized array, and
+    where those leave the sum open, extraction levels over all of them
+    (``_extracted_sum``)."""
+    blocks = (terms[i : i + BLOCK] for i in range(0, terms.size, BLOCK))
+    total = _two_level_sum(blocks, terms.size, 0)
+    return _extracted_sum(terms) if total is None else total
 
-    With n terms, 2**w >= n and |x| <= 2**e for the terms, the first level
-    takes sigma = 2**m, m = max(e + w, -1022), and splits every term into
+
+def _two_level_sum(blocks, n: int, slack: int) -> float | None:
+    """The correctly rounded sum of the n terms that ``blocks`` yields,
+    plus any value within ``slack`` units of 2**-1074 of 0, or None where
+    two levels leave it open.
+
+    The first level is an error-free extraction per block.  With b terms
+    in the block, 2**w >= b and |x| <= 2**e for them, it takes
+    sigma = 2**m, m = max(e + w, -1022), and splits every term into
     q = (sigma + x) - sigma and the residual r = x - q.  Both steps are
     exact; every q is a multiple of 2**(m - 53) with |q| <= 2**e, so their
     sum, at most 2**m, is exact in any order, and |r| <= 2**(m - 53)
     (S. M. Rump, T. Ogita and S. Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput. 31, 2008).  The second level
-    is numpy's pairwise sum of the residuals.  Any order of n - 1 additions
-    errs by at most gamma_(n-1) sum |r| <= n**2 * 2**(m - 105), since
-    n u <= 1/2 (N. J. Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2nd ed., SIAM 2002, section 4.2); additions that underflow
-    are exact.  The sum stops there once every value within that bound of
-    the two level sums rounds to the same double (``_rounds_to``).
+    summation, part I", SIAM J. Sci. Comput. 31, 2008); where 2**(m - 53)
+    is below 2**-1074 every r is 0.  The second level sums the residuals,
+    pairwise within each block and the block sums in turn.  Any order of
+    n - 1 additions errs by at most gamma_(n-1) sum |r|, and since
+    n u <= 1/2 that is at most n**2 * 2**(m - 105) summed over the blocks
+    (N. J. Higham, "Accuracy and Stability of Numerical Algorithms",
+    2nd ed., SIAM 2002, section 4.2); additions that underflow are exact.
+    The sum is decided once every value within that bound plus ``slack``
+    of the exact block sums and the residual sum rounds to the same double
+    (``_rounds_to``).
 
-    That decides every total farther than the bound from a rounding
-    boundary.  For one at or near 0 or a tie, extraction levels run on the
-    residuals, each with e that of the largest residual, and stop once the
-    exact level sums decide within
-    n * 2**(m - 53), or once no residual is left: every residual is 0 or
-    m - 53 passes 2**-1074.  The hot path reads the terms in seven passes
-    (min, max, two for q, its sum, the residuals, their sum) and allocates
-    one array.  Non-finite terms, sums that could overflow inside
-    math.fsum and exact zeros, whose sign math.fsum decides, are left to
-    math.fsum itself.
+    Each block is read in seven passes while it is in cache (min, max, two
+    for q, its sum, the residuals over q's array, their sum), through one
+    block-sized array.  None is also returned for a total of 0, whose sign
+    math.fsum decides, and at the first block with a non-finite term or
+    one large enough that the sum could overflow inside math.fsum.
+    """
+    parts, low, bound = [], 0.0, slack
+    buffer = np.empty(min(n, BLOCK))
+    for x in blocks:
+        top = max(-x.min(), x.max())
+        # below this, sum |term| < 2**1020 and no partial sum inside math.fsum overflows
+        if not top < math.ldexp(1.0, 1020) / n:  # also true on nan
+            return None
+        if not top:
+            continue
+        m = max(math.frexp(top)[1] + (x.size - 1).bit_length(), -1022)
+        sigma = math.ldexp(1.0, m)
+        q = buffer[: x.size]
+        np.add(x, sigma, out=q)
+        q -= sigma
+        parts.append(float(np.sum(q)))  # exact
+        if m - 53 >= -1074:  # else every residual is 0
+            np.subtract(x, q, out=q)
+            low += float(np.sum(q))
+            bound += _pairwise_bound(n, m)
+    parts.append(low)
+    total = math.fsum(parts)
+    return total if _rounds_to(total, parts, bound) and total else None
+
+
+def _extracted_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms) by extraction levels alone.
+
+    Each level takes e from the largest remaining residual and splits the
+    residuals as ``_two_level_sum``'s first level does; the level sums are
+    exact, and the levels stop once every value within n * 2**(m - 53) of
+    their sum rounds to the same double, or once no residual is left: every
+    residual is 0 or 2**(m - 53) is below 2**-1074.  Non-finite terms, sums that
+    could overflow inside math.fsum and exact zeros, whose sign math.fsum
+    decides, are left to math.fsum itself.  Two arrays are allocated.
     """
     n = terms.size
     top = max(-terms.min(), terms.max()) if n else 0.0
-    # below this, sum |term| < 2**1020 and no partial sum inside math.fsum overflows
     if not 0.0 < top < math.ldexp(1.0, 1020) / n:  # also false on nan
         return math.fsum(terms)
     w = (n - 1).bit_length()
-    m = max(math.frexp(top)[1] + w, -1022)
-    sigma = math.ldexp(1.0, m)
-    q = np.add(terms, sigma)
-    q -= sigma
-    parts = [float(np.sum(q))]
-    if m - 53 < -1074:  # every term lies on the grid 2**-1074: no residual
-        return parts[0] if parts[0] else math.fsum(terms)
-    r = np.subtract(terms, q, out=q)
-    rest = float(np.sum(r))
-    total = parts[0] + rest  # one addition of two doubles: math.fsum of them
-    if _rounds_to(total, parts + [rest], _pairwise_bound(n, m)):
-        return total if total else math.fsum(terms)
+    r = terms.copy()
     q = np.empty(n)
-    while True:
-        top = max(-r.min(), r.max())
-        if not top:  # the level sums are exact parts of the total
-            total = math.fsum(parts)
-            return total if total else math.fsum(terms)
+    parts = []
+    while top:
         m = max(math.frexp(top)[1] + w, -1022)
         sigma = math.ldexp(1.0, m)
         np.add(r, sigma, out=q)
@@ -195,8 +253,12 @@ def _exact_sum(terms: np.ndarray) -> float:
         parts.append(float(np.sum(q)))
         total = math.fsum(parts)
         if m - 53 < -1074 or _rounds_to(total, parts, n << (m - 53 + 1074)):
-            return total if total else math.fsum(terms)
+            break
         r -= q
+        top = max(-r.min(), r.max())
+    else:  # the level sums are exact parts of the total
+        total = math.fsum(parts)
+    return total if total else math.fsum(terms)
 
 
 def _pairwise_bound(n: int, m: int) -> int:
@@ -339,9 +401,7 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     lam_hi = max(min(s.coverage, 2 * EXP_ZERO / t), needed)
     if not math.isfinite(lam_hi):
         # below t ~ 1e-306 the domain end passes the double range
-        raise AccuracyError(
-            "laplace quadrature overflowed", estimate=math.inf, error_estimate=math.nan
-        )
+        raise AccuracyError("laplace quadrature overflowed")
 
     lo = np.searchsorted(values, 0.0, side="right")
     hi = np.searchsorted(values, lam_hi, side="left")

@@ -69,6 +69,14 @@ def test_exact_sum_is_fsum_under_cancellation(x, y):
     assert outcome(_exact_sum, z) == outcome(fsum_list, z)
 
 
+@given(term_arrays, st.sampled_from([1, 7, 64]))
+def test_exact_sum_is_fsum_in_small_blocks(x, block):
+    # every block takes its own sigma and adds its own share of the bound
+    with mock.patch.object(transforms, "BLOCK", block):
+        got = outcome(_exact_sum, x)
+    assert got == outcome(fsum_list, x)
+
+
 def random_terms(rng, n):
     """Mixed signs and magnitudes from subnormal to 1e300, with cancellation."""
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
@@ -324,6 +332,20 @@ def test_heat_trace_memory_stays_within_two_copies():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * s.values.size + 64 * 1024
+
+
+def test_heat_trace_memory_stays_within_one_copy_and_a_block():
+    # the terms are formed and summed a block at a time: what is allocated
+    # is a few blocks, far below one copy of the 200,000 live values
+    s = generate_constant_density(1.0, 200_000)
+    heat_trace(s, 1e-4)
+    tracemalloc.start()
+    try:
+        heat_trace(s, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * s.values.size + 8 * transforms.BLOCK + 64 * 1024
 
 
 def test_exact_sum_memory_stays_within_two_copies():

@@ -1,10 +1,12 @@
 """Sums that skip the exponentials which round to 0.0, held bit for bit to
-the sum of every term (``oracles.full_sum``), and the quadrature that skips
-the panels past them, held to its panel plan with every panel built
-(``oracles.boole_quadrature``)."""
+the sum of every term (``oracles.full_sum``), correctly rounded sums that
+bound the subnormal band instead of evaluating it, held to math.fsum of
+every term, and the quadrature that skips the panels past them, held to its
+panel plan with every panel built (``oracles.boole_quadrature``)."""
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from heatcount import (
     Spectrum,
     generate_constant_density,
     generate_interval,
+    generate_rectangle,
     generate_torus,
     heat_trace,
     laplace_of_counting,
@@ -24,7 +27,8 @@ from heatcount import (
     smoothed_counting,
     smoothing_error_bound,
 )
-from heatcount.transforms import EXP_ZERO, FSUM_THRESHOLD, _live
+from heatcount import transforms
+from heatcount.transforms import BLOCK, EXP_NORMAL, EXP_ZERO, FSUM_THRESHOLD, _live
 
 # spectra on both sides of FSUM_THRESHOLD, with and without multiplicities
 LARGE = {
@@ -119,6 +123,171 @@ def test_live_keeps_every_value_at_zero_and_tiny_rate():
     values = np.array([0.0, 1.0, 1e300])
     assert _live(values, 0.0) == 3
     assert _live(values, 5e-324) == 3  # EXP_ZERO / rate passes the double range
+
+
+@given(sorted_values, st.floats(1e-6, 1e16), st.floats(-1e6, 1e6))
+def test_normal_cut_drops_only_exponents_past_exp_normal(values, rate, origin):
+    k = _live(values, rate, origin, EXP_NORMAL)
+    with np.errstate(over="ignore"):
+        exponents = rate * (values - origin)
+    assert 0 <= k <= _live(values, rate, origin)
+    assert np.all(exponents[k:] > EXP_NORMAL)
+
+
+# -- the subnormal band of correctly rounded sums ---------------------------
+#
+# Above FSUM_THRESHOLD the terms whose exponent passes EXP_NORMAL (the band)
+# are bounded, not evaluated, unless that bound leaves the sum open.  The
+# threshold and the block length are lowered here so small spectra take that
+# path across many block boundaries; every sum is held to math.fsum of every
+# term, the band's included.
+
+SMALL = {
+    "interval-3000": lambda: generate_interval(math.pi, 3000),
+    "const-2000": lambda: generate_constant_density(0.37, 2000),
+    "rectangle-4e3": lambda: generate_rectangle(math.pi, 2.0, 4e3),
+    "torus-5e3": lambda: generate_torus(5e3),
+}
+
+
+@functools.cache
+def small(name):
+    return SMALL[name]()
+
+
+# values 700 to 745 at t = 1: a total near 2**-1010, within the band's bound
+# of rounding boundaries, so the band must be evaluated
+NEAR_SUBNORMAL = Spectrum.from_entries(np.linspace(700.0, 745.0, 2000), [3] * 2000)
+# at t = 1 the normal cut lies at EXP_NORMAL (1 + 2**-30), widened by one
+# rounding step; these values run 40 ulps either side of it, and either side
+# of 1022 ln 2, where e^-v crosses 2**-1022 (``from_entries`` would merge them)
+AT_THE_CUT = Spectrum(
+    np.array(
+        [1.0, 700.0]
+        + [1022 * math.log(2) + i * 2.0**-43 for i in range(-10, 11)]
+        + [EXP_NORMAL * (1 + 2**-30) + i * 2.0**-43 for i in range(-40, 41)]
+        + [720.0, 745.0]
+    ),
+    np.arange(1, 107),
+)
+
+
+# values within 50 of an offset up to 1e4: at an offset near 1000 they span
+# about the band's ratio 746 / 708.4, so one t can put most of them in it
+clustered_spectra = st.builds(
+    lambda entries, offset: Spectrum.from_entries([offset + v for v, _ in entries], [m for _, m in entries]),
+    st.lists(st.tuples(st.floats(0.0, 50.0), st.integers(1, 1000)), min_size=1, max_size=300),
+    st.floats(0.0, 1e4),
+)
+
+
+def fsum(x):
+    return math.fsum(x.tolist())
+
+
+def every_term_sum(s, t, lam, beta):
+    """The four sums over every term, by math.fsum, as hex."""
+    values, mults = s.values, s.multiplicities
+    terms = np.exp(-values * t)
+    x = beta * (values - lam)
+    e = np.exp(-np.abs(x))
+    d = np.exp(-beta * np.abs(values - lam))
+    return (
+        fsum(mults * terms).hex(),
+        fsum(mults * (terms - math.exp(-s.coverage * t))).hex(),
+        fsum(mults * (np.where(x > 0, e, 1.0) / (1.0 + e))).hex(),
+        fsum(mults * (d / (1.0 + d))).hex(),
+    )
+
+
+def band_sums(s, t, lam, beta):
+    return (
+        heat_trace(s, t).value.hex(),
+        laplace_of_counting(s, t, "step_exact").hex(),
+        smoothed_counting(s, lam, SmoothingConfig(beta=beta)).hex(),
+        smoothing_error_bound(s, lam, beta).hex(),
+    )
+
+
+@given(
+    st.one_of(st.sampled_from(sorted(SMALL)).map(small), file_spectra, clustered_spectra),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.one_of(st.floats(600.0, EXP_ZERO), st.floats(700.0, 712.0)),
+    st.sampled_from([5, 64, BLOCK]),
+)
+@example(NEAR_SUBNORMAL, 0.0, 0.0, 700.0, BLOCK)
+@example(AT_THE_CUT, 0.0, 0.5, 1.0, 7)
+@example(AT_THE_CUT, 0.0, 0.01, 1.0, BLOCK)
+@example(small("torus-5e3"), 0.02, 0.5, 709.0, 64)
+@settings(max_examples=80, deadline=None)
+def test_band_sums_equal_fsum_of_every_term(s, where, above, x, block):
+    # t puts the value at quantile ``where`` at exponent x, so for small
+    # ``where`` and x near EXP_NORMAL the band holds most live values; beta
+    # does the same for the values above lam, at quantile ``above`` of them
+    values = s.values
+    i = int(where * (values.size - 1))
+    t = x / float(values[i]) if values[i] > 0 else x
+    assume(t < math.inf)
+    k = int(above * (values.size - 1))
+    lam = float(values[k]) + 0.5 * (float(values[k + 1] - values[k]) if k + 1 < values.size else 1.0)
+    assume(lam not in values)
+    j = min(k + 1 + int(above * (values.size - k - 1)), values.size - 1)
+    beta = x / (float(values[j]) - lam) if values[j] > lam else x
+    assume(0 < beta < math.inf)
+    with mock.patch.object(transforms, "FSUM_THRESHOLD", 0), mock.patch.object(transforms, "BLOCK", block):
+        got = band_sums(s, t, lam, beta)
+    assert got == every_term_sum(s, t, lam, beta)
+
+
+def recorded(monkeypatch, name):
+    """Replace transforms.<name> by a wrapper; returns the list of
+    (arguments, result) of its calls."""
+    calls, real = [], getattr(transforms, name)
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(transforms, name, wrapper)
+    return calls
+
+
+def test_band_is_bounded_not_evaluated(monkeypatch):
+    # torus-1e6 at t = 1e-3: 7,903 values between exponents 708.4 and 746
+    s = large("torus-1e6")
+    t = 1e-3
+    live, cut = _live(s.values, t), _live(s.values, t, 0.0, EXP_NORMAL)
+    assert live - cut > 7000
+    two_level = recorded(monkeypatch, "_two_level_sum")
+    exact = recorded(monkeypatch, "_exact_sum")
+    value = heat_trace(s, t).value
+    assert [args[1] for args, _ in two_level] == [cut]  # the band's terms are not summed
+    assert not exact
+    assert value.hex() == fsum(s.multiplicities * np.exp(-s.values * t)).hex()
+
+
+def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
+    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
+    s = NEAR_SUBNORMAL
+    exact = recorded(monkeypatch, "_exact_sum")
+    value = heat_trace(s, 1.0).value
+    # every live term, the band's included, went to the exact sum
+    assert [args[0].size for args, _ in exact] == [_live(s.values, 1.0)]
+    assert value.hex() == fsum(s.multiplicities * np.exp(-s.values)).hex()
+
+
+def test_sum_that_two_levels_leave_open_is_still_fsum(monkeypatch):
+    # const-200k at this t has no band, but a total that two levels do not
+    # decide, so the extraction levels run
+    s = large("const-200k")
+    t = 0.0008209421999999999
+    two_level = recorded(monkeypatch, "_two_level_sum")
+    extracted = recorded(monkeypatch, "_extracted_sum")
+    value = heat_trace(s, t).value
+    assert [result for _, result in two_level] == [None, None]  # blocks of the terms, then of the array
+    assert len(extracted) == 1
+    assert value.hex() == fsum(s.multiplicities * np.exp(-s.values * t)).hex()
 
 
 # const-200k and torus-1e6 hold more than FSUM_THRESHOLD values, torus-1e5
