@@ -52,7 +52,7 @@ def smoothed_counting(s: Spectrum, lam: float, cfg: SmoothingConfig) -> float:
     """
     _check_lambda(lam)
     beta = cfg.beta
-    return _spectral_sum(s.values, s.multiplicities, lambda v: _occupation(beta * (v - lam)), beta, lam)
+    return _spectral_sum(s, lambda v: _occupation(beta * (v - lam)), beta, lam)
 
 
 def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
@@ -66,12 +66,13 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
     _check_lambda(lam)
     if not (beta > 0):
         raise DomainError(f"beta must be positive, got {beta!r}")
-    if float(lam) in s.values:
+    i = int(np.searchsorted(s.values, lam))
+    if i < s.values.size and s.values[i] == lam:
         raise DomainError(
             f"lam={lam!r} is an eigenvalue; the smoothed value converges to the "
             "jump midpoint there, not to the counting function"
         )
-    return _spectral_sum(s.values, s.multiplicities, lambda v: _occupation(beta * np.abs(v - lam)), beta, lam)
+    return _spectral_sum(s, lambda v: _occupation(beta * np.abs(v - lam)), beta, lam)
 
 
 def default_beta(s: Spectrum, lam: float) -> float:

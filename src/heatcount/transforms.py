@@ -104,48 +104,80 @@ def _live(values: np.ndarray, rate: float, origin: float = 0.0, exponent: float 
     return int(np.searchsorted(values, limit, side="right"))
 
 
-def _padded(terms: np.ndarray, size: int) -> np.ndarray:
-    """terms followed by size - terms.size zeros (+0.0)."""
-    if terms.size == size:
-        return terms
-    out = np.zeros(size)
-    out[: terms.size] = terms
-    return out
+def _pairwise_sum(terms: np.ndarray, size: int) -> float:
+    """numpy's pairwise sum of ``terms`` followed by size - terms.size zeros
+    (+0.0): its rounding depends on the length, so the zeros are added."""
+    if terms.size < size:
+        terms = np.concatenate((terms, np.zeros(size - terms.size)))
+    return float(np.sum(terms))
 
 
-def _spectral_sum(values, mults, term, rate: float, origin: float = 0.0) -> float:
-    """sum_n mults_n * term(values_n) over the sorted values, in ascending order.
+def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int | None = None) -> float:
+    """sum_n mult_n * term(lam_n) over the first ``size`` values of s (all
+    of them by default), in ascending order.
 
     ``term`` is an array function of the values that returns a fresh array
-    (``Spectrum``'s arrays are read-only, so a view would raise).  It is
-    exactly +0.0 at every value whose exponent rate * (lam - origin) passes
-    EXP_ZERO, and below 2**-1022 in magnitude at every value whose exponent
-    passes EXP_NORMAL.  It is evaluated only on the prefix ``_live`` keeps,
-    and the multiplicities scale its array in place (``_terms``).  At or
-    below FSUM_THRESHOLD values the sum is numpy's pairwise sum, whose
-    rounding depends on the length, so the terms are padded with +0.0 back
-    to ``values.size``.
+    (``Spectrum``'s arrays are read-only, so a view would raise), with
+    0 <= term(lam) <= e^(-rate (lam - origin)) at every value: the heat
+    trace's and step-exact terms, the occupation factors and their
+    deviations all satisfy it.  So it is exactly +0.0 at every value whose
+    exponent passes EXP_ZERO, and below 2**-1022 where it passes
+    EXP_NORMAL.  It is evaluated only on the prefix ``_live`` keeps, and
+    the multiplicities scale its array in place (``_terms``).  At or below
+    FSUM_THRESHOLD values the sum is numpy's pairwise sum, so the terms are
+    padded with +0.0 back to the full length (``_pairwise_sum``).
 
     Above it the sum is correctly rounded and bit-identical to math.fsum,
-    so the dropped zeros change nothing.  The terms are formed and summed
-    block by block (``_two_level_sum``), so no array of the spectrum's
-    length is allocated, and only up to a second ``_live`` cut, at
-    EXP_NORMAL.  The values between the two cuts, the band, give terms
-    below mult * 2**-1022 each (e^(-708.4) is 0.9964 * 2**-1022, which
-    leaves room for the rounding of the exponential and of the scaling), so
-    their sum lies within sum mult * 2**52 units of 2**-1074 of 0, taken
-    exactly from the band's multiplicities as slack for the stop test.
-    Only where the test leaves the sum open (at totals within about that
-    much of a rounding boundary, at 0 or at a tie) is every live term formed
-    and summed by ``_exact_sum``.
+    and the terms are formed and summed block by block (``_TwoLevelSum``),
+    so no array of the spectrum's length is allocated.  By the contract,
+    the terms from value j on add at most (sum_(n >= j) mult_n)
+    e^(-rate (lam_j - origin)), the multiplicities read from the cumulative
+    counts (``_tail_units`` widens it for rounding).  After each block the
+    sum stops once every value within that tail bound of the running total
+    rounds to the same double, which is then the correctly rounded sum of
+    every live term; a float test first skips the exact one while the bound
+    is above 2**-52 of the total.  Each block ends at most at the value
+    where the tail bound falls below 2**-62 of a lower bound on the total:
+    the running total, or before the first block the first term.  So the
+    sum ends within about a block of where it could.  No block runs past a
+    second ``_live`` cut at EXP_NORMAL: the values between the cuts, whose
+    exponentials are subnormal, are bounded by the last test, never
+    evaluated.  A sum the test leaves open runs on block by block; only
+    where it is still open at the cut (a total near the subnormal range,
+    at 0 or at a tie) is every live term formed and summed by
+    ``_exact_sum``.
     """
+    values, mults = s.values[:size], s.multiplicities
     k = _live(values, rate, origin)
     if values.size <= FSUM_THRESHOLD:
-        return _sum_over(_terms(term, values[:k], mults), values.size)
+        return _pairwise_sum(_terms(term, values[:k], mults), values.size)
     cut = _live(values[:k], rate, origin, EXP_NORMAL)
-    blocks = (_terms(term, values[i : min(i + BLOCK, cut)], mults[i:]) for i in range(0, cut, BLOCK))
-    total = _two_level_sum(blocks, cut, int(mults[cut:k].sum()) << 52)
-    return _exact_sum(_terms(term, values[:k], mults)) if total is None else total
+    counts, count = s.cumulative, int(s.cumulative[k])
+    running = _TwoLevelSum(cut)
+    # a lower bound on the total: before the first block, on prefixes past
+    # an eighth of a block, the first term
+    estimate = float(_terms(term, values[:1], mults)[0]) if cut > BLOCK // 8 else 0.0
+    at = _stop_exponent(count, estimate)
+    i = 0
+    while i < cut:
+        end = min(i + BLOCK, cut)
+        # end the block where the tail bound falls below 2**-62 of the estimate
+        if rate * (float(values[end - 1]) - origin) > at:
+            stop = _live(values[:end], rate, origin, at)
+            end = stop if stop > i else end
+        if not running.add(_terms(term, values[i:end], mults[i:])):
+            break
+        i = end
+        tail = count - int(counts[i])  # the live multiplicity not yet formed
+        exponent = rate * (float(values[i]) - origin) if tail else math.inf
+        at = _stop_exponent(tail, running.estimate())
+        # a float test skips the exact one while the tail bound is above
+        # 2**-52 of the total (e^7 > 2**10)
+        if not tail or exponent > at - 7.0:
+            total = running.rounded(_tail_units(tail, exponent, tail))
+            if total is not None:
+                return total
+    return _exact_sum(_terms(term, values[:k], mults))
 
 
 def _terms(term, values, mults) -> np.ndarray:
@@ -155,12 +187,21 @@ def _terms(term, values, mults) -> np.ndarray:
     return terms
 
 
-def _sum_over(terms: np.ndarray, size: int) -> float:
-    """The sum of ``terms`` followed by size - terms.size zeros (+0.0), with
-    the bits ``_spectral_sum`` gives it."""
-    if size > FSUM_THRESHOLD:
-        return _exact_sum(terms)
-    return float(np.sum(_padded(terms, size)))
+def _stop_exponent(weight: int, total: float) -> float:
+    """The exponent x past which weight * e^(-x) is below 2**-62 of total:
+    +inf where weight is 0 or total is not positive."""
+    if not (weight and total > 0):  # also on nan
+        return math.inf
+    return math.log(weight) - math.log(total) + 62 * math.log(2)
+
+
+def _tail_units(weight: int, exponent: float, pieces: int) -> int:
+    """Units of 2**-1074 that bound the sum of terms of total weight
+    ``weight`` times e^(-exponent) each, plus 16 units for each of
+    ``pieces`` terms: widened by 2**-30 relative for the rounding of the
+    exponent, of the exponential and of the products, and by the units for
+    their absolute rounding where they are subnormal."""
+    return weight * (_units(math.exp(-exponent) * (1 + 2**-30)) + 1) + 16 * pieces
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -168,15 +209,23 @@ def _exact_sum(terms: np.ndarray) -> float:
     terms (``_two_level_sum``), which allocate one block-sized array, and
     where those leave the sum open, extraction levels over all of them
     (``_extracted_sum``)."""
-    blocks = (terms[i : i + BLOCK] for i in range(0, terms.size, BLOCK))
-    total = _two_level_sum(blocks, terms.size, 0)
+    total = _two_level_sum(terms, 0)
     return _extracted_sum(terms) if total is None else total
 
 
-def _two_level_sum(blocks, n: int, slack: int) -> float | None:
-    """The correctly rounded sum of the n terms that ``blocks`` yields,
-    plus any value within ``slack`` units of 2**-1074 of 0, or None where
-    two levels leave it open.
+def _two_level_sum(terms: np.ndarray, slack: int) -> float | None:
+    """The correctly rounded sum of ``terms`` plus any value within
+    ``slack`` units of 2**-1074 of 0, summed a block at a time
+    (``_TwoLevelSum``), or None where two levels leave it open."""
+    running = _TwoLevelSum(terms.size)
+    for i in range(0, terms.size, BLOCK):
+        if not running.add(terms[i : i + BLOCK]):
+            return None
+    return running.rounded(slack)
+
+
+class _TwoLevelSum:
+    """A correctly rounded sum of up to n terms added a block at a time.
 
     The first level is an error-free extraction per block.  With b terms
     in the block, 2**w >= b and |x| <= 2**e for them, it takes
@@ -192,45 +241,59 @@ def _two_level_sum(blocks, n: int, slack: int) -> float | None:
     n u <= 1/2 that is at most n**2 * 2**(m - 105) summed over the blocks
     (N. J. Higham, "Accuracy and Stability of Numerical Algorithms",
     2nd ed., SIAM 2002, section 4.2); additions that underflow are exact.
-    The sum is decided once every value within that bound plus ``slack``
-    of the exact block sums and the residual sum rounds to the same double
+    The sum is decided once every value within that bound plus a slack of
+    the exact block sums and the residual sum rounds to the same double
     (``_rounds_to``).
 
     Each block is read in seven passes while it is in cache (min, max, two
     for q, its sum, the residuals over q's array, their sum), through one
-    block-sized array.  None is also returned for a total of 0, whose sign
-    math.fsum decides, and at the first block with a non-finite term or
-    one large enough that the sum could overflow inside math.fsum.
+    block-sized array.
     """
-    parts, low, bound = [], 0.0, slack
-    buffer = np.empty(min(n, BLOCK))
-    for x in blocks:
+
+    def __init__(self, n: int):
+        self.n, self.parts, self.low, self.bound = n, [], 0.0, 0
+        self.buffer = np.empty(min(n, BLOCK))
+
+    def add(self, x: np.ndarray) -> bool:
+        """Adds a block of terms; False, the sum left open, at a non-finite
+        term or one large enough that the sum could overflow inside
+        math.fsum."""
         top = max(-x.min(), x.max())
         # below this, sum |term| < 2**1020 and no partial sum inside math.fsum overflows
-        if not top < math.ldexp(1.0, 1020) / n:  # also true on nan
-            return None
+        if not top < math.ldexp(1.0, 1020) / self.n:  # also true on nan
+            return False
         if not top:
-            continue
+            return True
         m = max(math.frexp(top)[1] + (x.size - 1).bit_length(), -1022)
         sigma = math.ldexp(1.0, m)
-        q = buffer[: x.size]
+        q = self.buffer[: x.size]
         np.add(x, sigma, out=q)
         q -= sigma
-        parts.append(float(np.sum(q)))  # exact
+        self.parts.append(float(np.sum(q)))  # exact
         if m - 53 >= -1074:  # else every residual is 0
             np.subtract(x, q, out=q)
-            low += float(np.sum(q))
-            bound += _pairwise_bound(n, m)
-    parts.append(low)
-    total = math.fsum(parts)
-    return total if _rounds_to(total, parts, bound) and total else None
+            self.low += float(np.sum(q))
+            self.bound += _pairwise_bound(self.n, m)
+        return True
+
+    def estimate(self) -> float:
+        """The running total, to about its last bit."""
+        return math.fsum(self.parts) + self.low
+
+    def rounded(self, slack: int) -> float | None:
+        """The correctly rounded sum of the terms added plus any value within
+        ``slack`` units of 2**-1074 of 0, or None where that is left open,
+        and for a total of 0, whose sign math.fsum decides."""
+        parts = self.parts + [self.low]
+        total = math.fsum(parts)
+        return total if _rounds_to(total, parts, self.bound + slack) and total else None
 
 
 def _extracted_sum(terms: np.ndarray) -> float:
     """math.fsum(terms) by extraction levels alone.
 
     Each level takes e from the largest remaining residual and splits the
-    residuals as ``_two_level_sum``'s first level does; the level sums are
+    residuals as ``_TwoLevelSum``'s first level does; the level sums are
     exact, and the levels stop once every value within n * 2**(m - 53) of
     their sum rounds to the same double, or once no residual is left: every
     residual is 0 or 2**(m - 53) is below 2**-1074.  Non-finite terms, sums that
@@ -297,8 +360,21 @@ def heat_trace(s: Spectrum, t: float) -> HeatTraceResult:
     """
     if not (0 < t < math.inf):
         raise DomainError(f"heat trace requires finite t > 0, got {t!r}")
-    value = _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(v * -t), t)
+    value = _spectral_sum(s, _heat(t), t)
     return HeatTraceResult(value, _tail_bound(s, t))
+
+
+def _heat(t: float, less: float = 0.0):
+    """The term function e^(-lam t) - less, formed in one array."""
+
+    def term(values):
+        x = values * -t
+        np.exp(x, out=x)
+        if less:
+            x -= less
+        return x
+
+    return term
 
 
 def _tail_bound(s: Spectrum, t: float) -> TailBound:
@@ -348,7 +424,7 @@ def partial_exponential_sum(s: Spectrum, u: float, t: float) -> float:
     if math.isnan(u):
         raise DomainError(f"partial exponential sum is undefined at u={u!r}")
     idx = int(np.searchsorted(s.values, u, side="right"))
-    return _spectral_sum(s.values[:idx], s.multiplicities[:idx], lambda v: np.exp(v * -t), t)
+    return _spectral_sum(s, _heat(t), t, size=idx)
 
 
 def truncation_correction(s: Spectrum, t: float) -> float:
@@ -374,13 +450,24 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     the domain end passes the double range (t below about 1e-306).  In
     both modes nothing past lam t = EXP_ZERO is evaluated: there the
     step-exact terms and the integrand are exactly 0.0 (``_spectral_sum``).
+
+    Both modes also stop where what is left cannot change the last bit.
+    Above FSUM_THRESHOLD values the step-exact sum and the quadrature's
+    scale, the heat trace, are correctly rounded sums that stop once their
+    unformed terms are bounded below it (``_spectral_sum``).  At every size
+    the quadrature builds the panels only up to the value a_p from which
+    t * integral N(lam) e^(-lam t) dlam <= N e^(-t a_p) falls below 2**-62
+    of the scale, and forms left-edge factors only for them.  Their parts
+    are summed correctly rounded with that bound, widened by the rule's
+    upward error and by rounding, as slack; where it leaves the sum open,
+    every panel of the plan is built and summed.
     """
     if not (0 < t < math.inf):
         raise DomainError(f"laplace transform requires finite t > 0, got {t!r}")
     if method == "step_exact":
         # a dropped term is mult * (0.0 - 0.0): coverage lies past every value
         big = math.exp(-s.coverage * t)
-        return _spectral_sum(s.values, s.multiplicities, lambda v: np.exp(v * -t) - big, t)
+        return _spectral_sum(s, _heat(t, big), t)
     if method == "quadrature":
         return _laplace_quadrature(s, t)
     raise InvalidParameterError("method", f"expected 'step_exact' or 'quadrature', got {method!r}")
@@ -388,10 +475,15 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
     values = s.values
-    # one exponential pass gives the terms of the domain end's scale and the
-    # panels' left-edge factors e^(-a t)
-    factors = np.exp(values[: _live(values, t)] * -t)
-    scale = max(_sum_over(factors * s.multiplicities[: factors.size], values.size), 5e-324)
+    live = _live(values, t)
+    if values.size > FSUM_THRESHOLD:
+        # correctly rounded, so equal to the sum over every live factor; the
+        # factors are formed below only for the panels that are built
+        factors, scale = None, _spectral_sum(s, _heat(t), t)
+    else:
+        factors = _heat(t)(values[:live])
+        scale = _pairwise_sum(factors * s.multiplicities[:live], values.size)
+    scale = max(scale, 5e-324)
     # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
     # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.  A
     # coverage past 2 EXP_ZERO / t is cut there: the integrand is 0.0 beyond.
@@ -408,12 +500,31 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     # The panels run from 0 through the values in (0, lam_hi) to lam_hi.
     # N restricted to each open panel (lam_k, lam_{k+1}) is the inclusive
     # count at its left edge, a slice of the cumulative counts since the
-    # values increase strictly.  Only the panels up to ``_live``'s cut are
-    # built: past it the integrand is 0.0.
-    stop = min(factors.size, hi)
-    x = np.diff(values[lo:stop], prepend=0.0, append=values[stop] if stop < hi else lam_hi)
-    x *= t
-    return _exact_sum(_boole_parts(x, s.cumulative[lo : stop + 1], factors[lo:stop]))
+    # values increase strictly.  No panel past ``_live``'s cut is built:
+    # past it the integrand is 0.0.
+    stop = min(live, hi)
+
+    def parts(end):
+        """The parts of the panels from 0 to values[end], or to lam_hi."""
+        x = np.diff(values[lo:end], prepend=0.0, append=values[end] if end < hi else lam_hi)
+        x *= t
+        edges = _heat(t)(values[lo:end]) if factors is None else factors[lo:end]
+        return _boole_parts(x, s.cumulative[lo : end + 1], edges)
+
+    # The panels from values[p] on add at most N e^(-t values[p]), widened
+    # by the rule's upward error (1 + 1.04e-13) and by rounding: below
+    # 2**-62 of the scale.  Their parts number at most the panels plus
+    # 4 EXP_ZERO / x_tau subpanels, and where one is subnormal, its rounding
+    # (a subnormal factor's, times a count of at most N) is below 16 (N + 1)
+    # units of 2**-1074.
+    count = s.total_count
+    p = max(lo, _live(values[:stop], t, 0.0, _stop_exponent(count, scale)))
+    if p < stop:
+        pieces = (count + 1) * (values.size + 2 + int(4 * EXP_ZERO / _split_width()))
+        total = _two_level_sum(parts(p), _tail_units(count, float(values[p]) * t, pieces))
+        if total is not None:
+            return total
+    return _exact_sum(parts(stop))
 
 
 def _boole_parts(x, counts, factors):
@@ -434,9 +545,13 @@ def _boole_parts(x, counts, factors):
     first part times e^(-j x); those with j x past EXP_ZERO are 0.0 and are
     not formed.  The parts of the panels come first, then those of the
     subpanels j >= 1: at most about 2 * 746 / x_tau of them for the live
-    panels and as many again for the last one.
+    panels and as many again for the last one.  The panels given may end
+    before the plan's domain end (``_laplace_quadrature``): every part is
+    positive and at most (1 + 1.04e-13) times its integral, plus rounding,
+    so the parts of the panels left out add at most N e^(-t a) from their
+    first left edge a on.
     """
-    x_tau = (193_536 * BOUNDARY_DROP) ** (1 / 6)
+    x_tau = _split_width()
     split = np.flatnonzero(x > x_tau)
     pieces = np.ceil(x[split] / x_tau)
     x[split] /= pieces
@@ -462,6 +577,12 @@ def _boole_parts(x, counts, factors):
     np.exp(rest, out=rest)
     rest *= np.repeat(part[split], pieces)
     return parts
+
+
+def _split_width() -> float:
+    """x_tau, the widest scaled panel Boole's rule takes unsplit:
+    x_tau^6 = 1935360 BOUNDARY_DROP / 10."""
+    return (193_536 * BOUNDARY_DROP) ** (1 / 6)
 
 
 @dataclass(frozen=True)

@@ -99,5 +99,5 @@ def test_a_term_returning_its_input_cannot_overwrite_the_spectrum():
     s = named("interval-10k")
     before = s.values.copy()
     with pytest.raises(ValueError, match="read-only"):
-        transforms._spectral_sum(s.values, s.multiplicities, lambda v: v, 1.0)
+        transforms._spectral_sum(s, lambda v: v, 1.0)
     assert s.values.tobytes() == before.tobytes()

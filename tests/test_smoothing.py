@@ -125,6 +125,23 @@ class TestErrorBound:
         with pytest.raises(DomainError, match="midpoint"):
             smoothing_error_bound(const_density_200, 5.0, 10.0)
 
+    # the spectrum holds 1, 2, ..., 200: at an eigenvalue (the first, an
+    # inner and the last), between two, below the first and above the last
+    @pytest.mark.parametrize("lam", [1.0, 5.0, 200.0, 5.5, 0.5, -3.0, 200.5, 1e300])
+    def test_eigenvalue_rejected_exactly_where_it_is_stored(self, const_density_200, lam):
+        s = const_density_200
+        assert (lam in s.values.tolist()) == (lam in (1.0, 5.0, 200.0))
+        if lam in s.values.tolist():
+            with pytest.raises(DomainError, match="midpoint"):
+                smoothing_error_bound(s, lam, 10.0)
+        else:
+            assert smoothing_error_bound(s, lam, 10.0) >= 0.0
+
+    def test_negative_zero_is_the_eigenvalue_zero(self):
+        s = Spectrum.from_entries([0.0, 1.0], [1, 1])
+        with pytest.raises(DomainError, match="midpoint"):
+            smoothing_error_bound(s, -0.0, 10.0)
+
 
 class TestBetaSweep:
     def test_deviations_strictly_decreasing(self, interval_pi_100):

@@ -1,8 +1,9 @@
 """Sums that skip the exponentials which round to 0.0, held bit for bit to
 the sum of every term (``oracles.full_sum``), correctly rounded sums that
-bound the subnormal band instead of evaluating it, held to math.fsum of
-every term, and the quadrature that skips the panels past them, held to its
-panel plan with every panel built (``oracles.boole_quadrature``)."""
+bound the subnormal band and stop once the terms not formed cannot change
+the last bit, held to math.fsum of every term, and the quadrature that
+skips the panels past them, held to its panel plan with every panel built
+(``oracles.boole_quadrature``)."""
 
 import functools
 import math
@@ -188,10 +189,11 @@ def fsum(x):
 def every_term_sum(s, t, lam, beta):
     """The four sums over every term, by math.fsum, as hex."""
     values, mults = s.values, s.multiplicities
-    terms = np.exp(-values * t)
-    x = beta * (values - lam)
-    e = np.exp(-np.abs(x))
-    d = np.exp(-beta * np.abs(values - lam))
+    with np.errstate(over="ignore"):  # an exponent past the double range gives a term of 0.0
+        terms = np.exp(-values * t)
+        x = beta * (values - lam)
+        e = np.exp(-np.abs(x))
+        d = np.exp(-beta * np.abs(values - lam))
     return (
         fsum(mults * terms).hex(),
         fsum(mults * (terms - math.exp(-s.coverage * t))).hex(),
@@ -253,18 +255,50 @@ def recorded(monkeypatch, name):
     return calls
 
 
+def stop_prefix(s, t, total, bits):
+    """The first index j at which (sum_(n >= j) mult_n) e^(-t lam_j), the
+    bound on the terms from j on, is at most 2**-bits of the total."""
+    tail = (s.cumulative[-1] - s.cumulative[:-1]) * np.exp(-s.values * t)
+    return int(np.argmax(tail <= 2.0**-bits * total))
+
+
 def test_band_is_bounded_not_evaluated(monkeypatch):
-    # torus-1e6 at t = 1e-3: 7,903 values between exponents 708.4 and 746
+    # torus-1e6 at t = 1e-3: 7,903 values between exponents 708.4 and 746,
+    # and the rest below 2**-60 of the total from about the 12,100th value on
     s = large("torus-1e6")
     t = 1e-3
     live, cut = _live(s.values, t), _live(s.values, t, 0.0, EXP_NORMAL)
     assert live - cut > 7000
-    two_level = recorded(monkeypatch, "_two_level_sum")
+    expected = fsum(s.multiplicities * np.exp(-s.values * t))
+    enough = stop_prefix(s, t, expected, 60)
+    assert enough < 12_500
+    formed = recorded(monkeypatch, "_terms")
     exact = recorded(monkeypatch, "_exact_sum")
     value = heat_trace(s, t).value
-    assert [args[1] for args, _ in two_level] == [cut]  # the band's terms are not summed
+    # the band's terms are not formed
+    assert sum(args[1].size for args, _ in formed) <= enough + BLOCK < cut
     assert not exact
-    assert value.hex() == fsum(s.multiplicities * np.exp(-s.values * t)).hex()
+    assert value.hex() == expected.hex()
+
+
+def test_quadrature_builds_no_panel_past_its_stop(monkeypatch):
+    # from the stop on the panels add at most N e^(-t a) of the total
+    s = large("torus-1e6")
+    t = 1e-3
+    parts = recorded(monkeypatch, "_boole_parts")
+    formed = recorded(monkeypatch, "_terms")
+    exact = recorded(monkeypatch, "_exact_sum")
+    value = laplace_of_counting(s, t, "quadrature")
+    total = fsum(s.multiplicities * np.exp(-s.values * t))
+    (x, counts, factors), _ = parts[0]
+    assert len(parts) == 1 and not exact
+    # the panels start at 0 and at each value below the stop; 2**-64 leaves
+    # room for the stop's margin
+    stop = stop_prefix(s, t, total, 64)
+    assert x.size <= stop + 1 and factors.size == x.size - 1
+    # the scale stops too
+    assert sum(args[1].size for args, _ in formed) <= stop_prefix(s, t, total, 60) + BLOCK
+    assert value.hex() == oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, t).hex()
 
 
 def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
@@ -279,15 +313,90 @@ def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
 
 def test_sum_that_two_levels_leave_open_is_still_fsum(monkeypatch):
     # const-200k at this t has no band, but a total that two levels do not
-    # decide, so the extraction levels run
+    # decide: the blocks run on to the end, and the extraction levels run
+    # on every live term
     s = large("const-200k")
     t = 0.0008209421999999999
     two_level = recorded(monkeypatch, "_two_level_sum")
     extracted = recorded(monkeypatch, "_extracted_sum")
     value = heat_trace(s, t).value
-    assert [result for _, result in two_level] == [None, None]  # blocks of the terms, then of the array
+    assert _live(s.values, t) == s.values.size
+    assert [(args[0].size, result) for args, result in two_level] == [(s.values.size, None)]
     assert len(extracted) == 1
     assert value.hex() == fsum(s.multiplicities * np.exp(-s.values * t)).hex()
+
+
+# -- sums that stop once the terms not formed cannot change the last bit -----
+#
+# Each stopped sum is held to math.fsum of every term, and the quadrature to
+# its plan with every panel built, bit for bit.  The threshold and the block
+# length are lowered so that small spectra stop across block boundaries.
+
+
+@st.composite
+def spectra_and_t(draw):
+    """A spectrum and a t that puts its largest value at exponent 0.5 to
+    5,000, so that the sums stop anywhere from the first block to the end."""
+    s = draw(st.one_of(st.sampled_from(sorted(SMALL)).map(small), file_spectra, clustered_spectra))
+    top = draw(st.floats(0.5, 5000.0))
+    largest = float(s.values[-1])
+    return s, top / largest if largest > 0 else top
+
+
+@given(spectra_and_t(), st.floats(0.0, 1.0), st.sampled_from([5, 64, 1000, BLOCK]))
+# every term is needed
+@example((large("const-200k"), 1e-4), 0.5, 1000)
+# the sum stops inside the first block
+@example((large("torus-1e6"), 1e-3), 0.01, BLOCK)
+@example((NEAR_SUBNORMAL, 1.0), 0.0, 64)
+# the stop test leaves the sum open, at every block end
+@example((large("const-200k"), 0.0008209421999999999), 0.9, BLOCK)
+@settings(max_examples=60, deadline=None)
+def test_stopped_sums_equal_fsum_of_every_term(s_t, where, block):
+    s, t = s_t
+    assume(t < math.inf)
+    values, mults = s.values, s.multiplicities
+    k = int(where * (values.size - 1))
+    lam = float(values[k]) + 0.5 * (float(values[k + 1] - values[k]) if k + 1 < values.size else 1.0)
+    assume(lam not in values)
+    # beta puts the largest value at the exponent t puts it at
+    beta = t * float(values[-1]) / (float(values[-1]) - lam) if values[-1] > lam else t
+    assume(0 < beta < math.inf)
+    u = float(values[k])
+    with mock.patch.object(transforms, "FSUM_THRESHOLD", 0), mock.patch.object(transforms, "BLOCK", block):
+        got = band_sums(s, t, lam, beta) + (
+            partial_exponential_sum(s, u, t).hex(),
+            laplace_of_counting(s, t, "quadrature").hex(),
+        )
+    with np.errstate(over="ignore"):
+        below = mults[: k + 1] * np.exp(-values[: k + 1] * t)
+    quad = oracles.boole_quadrature(values, mults, s.coverage, t, fsum_above=0)
+    assert got == every_term_sum(s, t, lam, beta) + (fsum(below).hex(), quad.hex())
+
+
+def test_stop_waits_for_a_tail_that_moves_the_last_bit(monkeypatch):
+    # at t = 1 the first two terms sum to 2**-58 below the midpoint between
+    # 1 and the next double, and the third, 2**-56, carries the total past
+    # it: the tail bound after two terms is below 2**-52 of the total, so
+    # the float test lets the exact one run, but that must not stop there
+    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
+    monkeypatch.setattr(transforms, "BLOCK", 1)
+    s = Spectrum(np.array([0.0, -math.log(2.0**-53 - 2.0**-58), 56 * math.log(2)]), np.ones(3, np.int64))
+    terms = np.exp(-s.values)
+    assert math.fsum(terms[:2]) == 1.0 < math.fsum(terms)
+    assert heat_trace(s, 1.0).value.hex() == fsum(terms).hex() == math.nextafter(1.0, 2.0).hex()
+
+
+def test_quadrature_stop_waits_for_panels_that_move_the_last_bit(monkeypatch):
+    # a random spectrum at t = 0.8 whose panels past the stop carry the sum
+    # of the parts built across a rounding boundary (found by a search over
+    # seeds with the quadrature's slack dropped): the stop test must leave
+    # that sum open and build the whole plan
+    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
+    rng = np.random.default_rng(456)
+    s = Spectrum.from_entries(rng.uniform(0.0, 100.0, 400), rng.integers(1, 5, 400))
+    expected = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, 0.8, fsum_above=0)
+    assert laplace_of_counting(s, 0.8, "quadrature").hex() == expected.hex()
 
 
 # const-200k and torus-1e6 hold more than FSUM_THRESHOLD values, torus-1e5
