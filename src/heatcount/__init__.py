@@ -26,8 +26,7 @@ _EXPORTS = {
     "evaltable": ("EvalTable",),
     "inversion": ("InversionConfig", "InversionResult", "abscissa_estimate", "bromwich_invert",
                   "invert_profile"),
-    "smoothing": ("SmoothingConfig", "beta_sweep", "default_beta", "smoothed_counting",
-                  "smoothing_error_bound"),
+    "smoothing": ("beta_sweep", "default_beta", "smoothed_counting", "smoothing_error_bound"),
     "spectrum": ("Spectrum", "generate_constant_density", "generate_interval", "generate_rectangle",
                  "generate_torus", "load_spectrum", "save_spectrum"),
     "transforms": ("CountingMode", "DensityResult", "HeatTraceResult", "TailBound", "counting",

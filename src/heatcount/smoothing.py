@@ -10,7 +10,6 @@ becomes a smooth sum over the whole spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +21,14 @@ from .transforms import CountingMode, _spectral_sum, counting
 SHARPNESS = 50.0  # default_beta: beta times the distance to the nearest other eigenvalue
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Sharpness beta (inverse eigenvalue units)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (self.beta > 0):
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
-
-
 def _check_lambda(lam: float) -> None:
     if not math.isfinite(lam):
         raise DomainError(f"smoothing requires a finite lambda, got {lam!r}")
+
+
+def _check_beta(beta: float) -> None:
+    if not (beta > 0):
+        raise DomainError(f"beta must be positive, got {beta!r}")
 
 
 def _occupation(x: np.ndarray) -> np.ndarray:
@@ -44,14 +37,15 @@ def _occupation(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, e, 1.0) / (1.0 + e)
 
 
-def smoothed_counting(s: Spectrum, lam: float, cfg: SmoothingConfig) -> float:
+def smoothed_counting(s: Spectrum, lam: float, beta: float) -> float:
     """sum_n mult_n / (e^(beta(lam_n - lam)) + 1), in [0, total count].
 
-    Terms with beta (lam_n - lam) > EXP_ZERO are exactly +0.0 and are not
-    evaluated (``_spectral_sum``).  lam must be finite.
+    The sharpness beta is in inverse eigenvalue units.  Terms with
+    beta (lam_n - lam) > EXP_ZERO are exactly +0.0 and are not evaluated
+    (``_spectral_sum``).  lam must be finite and beta positive.
     """
     _check_lambda(lam)
-    beta = cfg.beta
+    _check_beta(beta)
     return _spectral_sum(s, lambda v: _occupation(beta * (v - lam)), beta, lam)
 
 
@@ -64,8 +58,7 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
     beta (lam_n - lam) = EXP_ZERO are exactly +0.0 and are not evaluated.
     """
     _check_lambda(lam)
-    if not (beta > 0):
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    _check_beta(beta)
     i = int(np.searchsorted(s.values, lam))
     if i < s.values.size and s.values[i] == lam:
         raise DomainError(
@@ -102,7 +95,7 @@ def beta_sweep(s: Spectrum, lam: float, beta_list) -> EvalTable:
         metadata={"lambda": lam, "oracle": oracle},
     )
     for beta in betas:
-        value = smoothed_counting(s, lam, SmoothingConfig(beta=beta))
+        value = smoothed_counting(s, lam, beta)
         try:
             bound = smoothing_error_bound(s, lam, beta)
         except DomainError:

@@ -145,7 +145,8 @@ def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int
     evaluated.  A sum the test leaves open runs on block by block; only
     where it is still open at the cut (a total near the subnormal range,
     at 0 or at a tie) is every live term formed and summed by
-    ``_exact_sum``.
+    ``_exact_sum``: in two levels again, now with the band's terms and no
+    slack, and by math.fsum where those leave it open too.
     """
     values, mults = s.values[:size], s.multiplicities
     k = _live(values, rate, origin)
@@ -205,12 +206,11 @@ def _tail_units(weight: int, exponent: float, pieces: int) -> int:
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms), computed with numpy: two levels over blocks of the
-    terms (``_two_level_sum``), which allocate one block-sized array, and
-    where those leave the sum open, extraction levels over all of them
-    (``_extracted_sum``)."""
+    """math.fsum(terms): two levels over blocks of the terms
+    (``_two_level_sum``), which allocate one block-sized array, and where
+    those leave the sum open, math.fsum itself, over the array."""
     total = _two_level_sum(terms, 0)
-    return _extracted_sum(terms) if total is None else total
+    return math.fsum(terms) if total is None else total
 
 
 def _two_level_sum(terms: np.ndarray, slack: int) -> float | None:
@@ -237,13 +237,15 @@ class _TwoLevelSum:
     summation, part I", SIAM J. Sci. Comput. 31, 2008); where 2**(m - 53)
     is below 2**-1074 every r is 0.  The second level sums the residuals,
     pairwise within each block and the block sums in turn.  Any order of
-    n - 1 additions errs by at most gamma_(n-1) sum |r|, and since
-    n u <= 1/2 that is at most n**2 * 2**(m - 105) summed over the blocks
-    (N. J. Higham, "Accuracy and Stability of Numerical Algorithms",
-    2nd ed., SIAM 2002, section 4.2); additions that underflow are exact.
-    The sum is decided once every value within that bound plus a slack of
-    the exact block sums and the residual sum rounds to the same double
-    (``_rounds_to``).
+    the additions of at most n residuals errs by at most
+    gamma_(n-1) sum |r| (N. J. Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., SIAM 2002, section 4.2), and
+    gamma_(n-1) < 2 n u = n 2**-52 since n u <= 1/2.  A block of b terms
+    adds at most b 2**(m - 53) to sum |r|, with m its own, so the error is
+    at most n b 2**(m - 105) summed over the blocks; additions that
+    underflow are exact.  The sum is decided once every value within that
+    bound plus a slack of the exact block sums and the residual sum rounds
+    to the same double (``_rounds_to``).
 
     Each block is read in seven passes while it is in cache (min, max, two
     for q, its sum, the residuals over q's array, their sum), through one
@@ -273,7 +275,7 @@ class _TwoLevelSum:
         if m - 53 >= -1074:  # else every residual is 0
             np.subtract(x, q, out=q)
             self.low += float(np.sum(q))
-            self.bound += _pairwise_bound(self.n, m)
+            self.bound += _pairwise_bound(self.n, x.size, m)
         return True
 
     def estimate(self) -> float:
@@ -289,46 +291,12 @@ class _TwoLevelSum:
         return total if _rounds_to(total, parts, self.bound + slack) and total else None
 
 
-def _extracted_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms) by extraction levels alone.
-
-    Each level takes e from the largest remaining residual and splits the
-    residuals as ``_TwoLevelSum``'s first level does; the level sums are
-    exact, and the levels stop once every value within n * 2**(m - 53) of
-    their sum rounds to the same double, or once no residual is left: every
-    residual is 0 or 2**(m - 53) is below 2**-1074.  Non-finite terms, sums that
-    could overflow inside math.fsum and exact zeros, whose sign math.fsum
-    decides, are left to math.fsum itself.  Two arrays are allocated.
-    """
-    n = terms.size
-    top = max(-terms.min(), terms.max()) if n else 0.0
-    if not 0.0 < top < math.ldexp(1.0, 1020) / n:  # also false on nan
-        return math.fsum(terms)
-    w = (n - 1).bit_length()
-    r = terms.copy()
-    q = np.empty(n)
-    parts = []
-    while top:
-        m = max(math.frexp(top)[1] + w, -1022)
-        sigma = math.ldexp(1.0, m)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        parts.append(float(np.sum(q)))
-        total = math.fsum(parts)
-        if m - 53 < -1074 or _rounds_to(total, parts, n << (m - 53 + 1074)):
-            break
-        r -= q
-        top = max(-r.min(), r.max())
-    else:  # the level sums are exact parts of the total
-        total = math.fsum(parts)
-    return total if total else math.fsum(terms)
-
-
-def _pairwise_bound(n: int, m: int) -> int:
-    """n**2 * 2**(m - 105), the bound on the rounding of a sum of n values
-    of at most 2**(m - 53), in units of 2**-1074, rounded up."""
+def _pairwise_bound(n: int, b: int, m: int) -> int:
+    """n * b * 2**(m - 105), the share of a block of b values of at most
+    2**(m - 53) in the bound on the rounding of a sum of n values, in units
+    of 2**-1074, rounded up."""
     shift = m - 105 + 1074
-    return n * n << shift if shift >= 0 else -(-n * n >> -shift)
+    return n * b << shift if shift >= 0 else -(-n * b >> -shift)
 
 
 def _units(x: float) -> int:

@@ -12,7 +12,6 @@ import pytest
 import oracles
 from heatcount import (
     CountingMode,
-    SmoothingConfig,
     beta_sweep,
     counting,
     generate_constant_density,
@@ -129,7 +128,7 @@ def test_criterion_3_smoothing_convergence(interval_10k, const_200):
         assert devs[-1] < 1e-12
         # eigenvalue semantics at lam_5 of the unit-density spectrum, gap 1
         lam5 = float(const_200.values[4])
-        value = smoothed_counting(const_200, lam5, SmoothingConfig(beta=700.0))
+        value = smoothed_counting(const_200, lam5, 700.0)
         assert abs(value - 4.5) <= 1e-6
 
 

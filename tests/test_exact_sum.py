@@ -5,7 +5,6 @@ import math
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from heatcount import (
-    SmoothingConfig,
     generate_constant_density,
     heat_trace,
     laplace_of_counting,
@@ -137,33 +135,18 @@ def test_exact_sum_leaves_its_input_alone(x):
 
 @contextmanager
 def stop_tests():
-    """The stop tests _exact_sum makes.  ``pairwise`` holds the outcome of
-    the test after its pairwise level (none when the first level leaves no
-    residual); ``extraction`` holds one outcome per extraction level it
-    decides at on the residuals (a level that reaches the 2**-1074 floor
-    makes none); ``parts`` is the list of exact level sums of the last
-    extraction test, which holds one sum per level once it returns."""
-    record = SimpleNamespace(pairwise=[], extraction=[], parts=[])
-    decide, pairwise_bound = transforms._rounds_to, transforms._pairwise_bound
-    pending = []  # a pairwise bound computed for the next stop test
-
-    def recorded_bound(n, m):
-        pending.append(pairwise_bound(n, m))
-        return pending[-1]
+    """The outcomes of the stop tests _exact_sum makes: one, after the
+    second level, unless a block leaves the sum open first (a non-finite
+    term or one near overflow).  Where it is False, or the total is 0,
+    the sum falls back to math.fsum."""
+    outcomes, decide = [], transforms._rounds_to
 
     def recorded(s, parts, bound):
-        outcome = decide(s, parts, bound)
-        if pending:
-            pending.clear()
-            record.pairwise.append(outcome)
-        else:
-            record.extraction.append(outcome)
-            record.parts = parts
-        return outcome
+        outcomes.append(decide(s, parts, bound))
+        return outcomes[-1]
 
-    with mock.patch.object(transforms, "_rounds_to", recorded), \
-            mock.patch.object(transforms, "_pairwise_bound", recorded_bound):
-        yield record
+    with mock.patch.object(transforms, "_rounds_to", recorded):
+        yield outcomes
 
 
 @st.composite
@@ -190,16 +173,18 @@ def test_exact_sum_is_fsum_at_rounding_boundaries(x):
     with stop_tests() as record:
         got = outcome(_exact_sum, x)
     assert got == outcome(fsum_list, x)
-    # the pairwise bound n**2 * 2**(m - 105) must fall below the distance to
-    # the tie, which it does not: these sums reach the extraction levels
-    assert record.pairwise == [False]
+    # the second level's bound, sum n * b * 2**(m - 105) over the blocks, is
+    # above 2**-47 of the large term's ulp here, and the total lies within
+    # 2**-51 of it of the tie: these sums fall back to math.fsum
+    assert record == [False]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("tiny", [0, 1, -3, 2**52 + 1], ids=["zero", "1", "-3", "normal"])
 def test_exact_sum_down_to_the_subnormal_floor(seed, tiny):
     # terms from 1e300 down to subnormals that cancel to a total of tiny * 2**-1074:
-    # no level bound, at least 2**-1074, separates it from its rounding boundaries
+    # the second level's bound, at least 2**-1074, does not separate it from
+    # its rounding boundaries, so it falls back to math.fsum
     rng = np.random.default_rng(seed)
     big = rng.standard_normal(500) * 10.0 ** rng.uniform(-300, 300, 500)
     small = rng.integers(-(2**40), 2**40, 500) * 5e-324
@@ -208,26 +193,27 @@ def test_exact_sum_down_to_the_subnormal_floor(seed, tiny):
     with stop_tests() as record:
         got = _exact_sum(x)
     assert got.hex() == fsum_list(x).hex() == (tiny * 5e-324).hex()
-    assert record.pairwise == [False] and not any(record.extraction)
+    assert record == [False]
 
 
 @pytest.mark.parametrize(
-    "x, most",
+    "x",
     [
         # 1.0 and 2**17 terms of 1e-20, with their negatives: a total of 0
-        (np.concatenate(([1.0], np.full(2**17, 1e-20), np.full(2**17, -1e-20), [-1.0])), 4),
+        np.concatenate(([1.0], np.full(2**17, 1e-20), np.full(2**17, -1e-20), [-1.0])),
         # 1.0 and 2**17 terms of 2**-70, which add up to half its ulp: a tie
-        (np.concatenate(([1.0], np.full(2**17, 2.0**-70))), 3),
+        np.concatenate(([1.0], np.full(2**17, 2.0**-70))),
     ],
     ids=["zero-total", "tie"],
 )
-def test_exact_sum_ends_once_its_parts_are_exact(x, most):
-    # no level bound decides these; the levels end when no residual is left,
-    # not at the 2**-1074 floor 31 levels down
+def test_exact_sum_ends_once_its_parts_are_exact(x):
+    # no bound decides these, over several blocks: a total of 0, whose sign
+    # math.fsum decides, and a tie; after the one stop test of the two
+    # levels, math.fsum ends them
     with stop_tests() as record:
         got = _exact_sum(x)
     assert got.hex() == fsum_list(x).hex()
-    assert len(record.parts) <= most
+    assert len(record) == 1
 
 
 def deep_tie(w, seed, big, k_class):
@@ -250,17 +236,15 @@ def deep_tie(w, seed, big, k_class):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("w", [14, 17])
 def test_exact_sum_of_same_sign_residuals_at_the_top_of_their_binade(w, seed, big, k_class):
-    # The first level leaves the small terms whole, and no pairwise bound
-    # decides a tie, so 2**w - 1 residuals of one sign and nearly 2**e reach
-    # the extraction levels.  Were e taken one smaller there, sigma = 2**(e + w)
-    # would be below their sum, which then needs a 54th bit of their parts'
-    # spacing and rounds; either way of rounding misses the even neighbour of
-    # one of the two tie classes.
+    # The first level leaves the small terms whole, and no bound decides a
+    # tie, so the sum of 2**w - 1 residuals of one sign and nearly 2**e falls
+    # back to math.fsum, which must round to the even neighbour in both tie
+    # classes.
     x = deep_tie(w, seed, big, k_class)
     with stop_tests() as record:
         got = _exact_sum(x)
     assert got.hex() == fsum_list(x).hex()
-    assert record.pairwise == [False] and record.extraction
+    assert record == [False]
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -282,42 +266,51 @@ def test_exact_sum_at_powers_of_two(k, d):
 
 
 @st.composite
-def residuals(draw):
-    """(r, m): n values of at most 2**(m - 53) in magnitude, as _exact_sum's
-    first level leaves them; n up to 2**17, mixed signs, same-sign full
-    mantissas at the top of the bound, equal values just below it, or
-    subnormals."""
-    n = draw(st.integers(1, 2 ** draw(st.integers(0, 17))))
-    kind = draw(st.sampled_from(["mixed", "top", "equal", "subnormal"]))
+def residual_blocks(draw):
+    """[(r, m), ...]: one to four blocks of b values of at most 2**(m - 53)
+    in magnitude each, as _exact_sum's first level leaves them, with m
+    falling from block to block and down to -1022, where the bound is
+    subnormal; up to 2**15 values a block, mixed signs, same-sign full
+    mantissas at the top of the bound, or equal values just below it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "subnormal":
-        m = draw(st.integers(-1022, -970))  # the bound 2**(m - 53) is subnormal
-        steps = int(math.ldexp(1.0, m - 53) / 5e-324)
-        return rng.integers(-steps, steps, n, endpoint=True) * 5e-324, m
-    m = draw(st.integers(-969, 1020))
-    cap = math.ldexp(1.0, m - 53)
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    if kind == "mixed":
-        return cap * rng.uniform(-1.0, 1.0, n), m
-    if kind == "top":
-        return sign * cap * rng.uniform(1 - 2**-10, 1.0, n), m
-    return np.full(n, sign * math.nextafter(cap, 0.0)), m
+    m = draw(st.one_of(st.integers(-1022, -970), st.integers(-969, 1020)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.integers(1, 2 ** draw(st.integers(0, 15))))
+        kind = draw(st.sampled_from(["mixed", "top", "equal"]))
+        cap = math.ldexp(1.0, m - 53)
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if kind == "mixed":
+            r = cap * rng.uniform(-1.0, 1.0, b)
+        elif kind == "top":
+            r = sign * cap * rng.uniform(1 - 2**-10, 1.0, b)
+        else:
+            r = np.full(b, sign * math.nextafter(cap, 0.0))
+        blocks.append((r, m))
+        m = max(m - draw(st.integers(0, 60)), -1022)
+    return blocks
 
 
 @settings(max_examples=40, deadline=None)
-@given(residuals())
-@example((np.full(2**17, math.nextafter(1.0, 0.0)), 53))
-@example((np.random.default_rng(5).uniform(-(2.0**-53), 2.0**-53, 2**17), 0))
-def test_pairwise_level_errs_within_its_bound(case):
-    # |np.sum(r) - sum r| <= gamma_(n-1) sum |r| <= n**2 * 2**(m - 105), in
-    # units of 2**-1074, the bound _exact_sum's pairwise level stops on
-    r, m = case
-    n = r.size
-    exact = sum(map(transforms._units, r.tolist()))
-    error = abs(transforms._units(float(np.sum(r))) - exact)
-    bound = Fraction(n * n) * Fraction(2) ** (m - 105 + 1074)
-    assert error <= bound
-    assert transforms._pairwise_bound(n, m) == math.ceil(bound)
+@given(residual_blocks())
+@example([(np.full(2**17, math.nextafter(1.0, 0.0)), 53)])
+@example([(np.random.default_rng(5).uniform(-(2.0**-53), 2.0**-53, 2**17), 0)])
+@example([(np.full(2**15, math.nextafter(1.0, 0.0)), 53), (np.full(2**15, -(2.0**-60)), 0)])
+def test_pairwise_level_errs_within_its_bound(blocks):
+    # each block summed pairwise, and the block sums in turn: with n values
+    # in all, |error| <= gamma_(n-1) sum |r| <= sum n * b * 2**(m - 105) over
+    # the blocks, in units of 2**-1074, the bound _exact_sum's second level
+    # stops on
+    n = sum(r.size for r, _ in blocks)
+    low = 0.0
+    for r, _ in blocks:
+        low += float(np.sum(r))
+    exact = sum(transforms._units(x) for r, _ in blocks for x in r.tolist())
+    error = abs(transforms._units(low) - exact)
+    shares = [Fraction(n * r.size) * Fraction(2) ** (m - 105 + 1074) for r, m in blocks]
+    assert error <= sum(shares)
+    for (r, m), share in zip(blocks, shares):
+        assert transforms._pairwise_bound(n, r.size, m) == math.ceil(share)
 
 
 def test_heat_trace_memory_stays_within_two_copies():
@@ -384,7 +377,7 @@ def test_large_smoothing_equals_fsum_oracle(const_above_threshold, beta):
     x = beta * (values - lam)
     e = np.exp(-np.abs(x))
     occupation = np.where(x > 0, e, 1.0) / (1.0 + e)
-    smoothed = smoothed_counting(s, lam, SmoothingConfig(beta=beta))
+    smoothed = smoothed_counting(s, lam, beta)
     assert smoothed.hex() == fsum_list(mults * occupation).hex()
     d = np.exp(-beta * np.abs(values - lam))
     assert smoothing_error_bound(s, lam, beta).hex() == fsum_list(mults * (d / (1.0 + d))).hex()

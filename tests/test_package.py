@@ -1,6 +1,8 @@
 """The public API of the package: its names, their home modules, lazy loading."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,7 @@ HOMES = {
     "evaltable": ["EvalTable"],
     "inversion": ["InversionConfig", "InversionResult", "abscissa_estimate", "bromwich_invert",
                   "invert_profile"],
-    "smoothing": ["SmoothingConfig", "beta_sweep", "default_beta", "smoothed_counting",
-                  "smoothing_error_bound"],
+    "smoothing": ["beta_sweep", "default_beta", "smoothed_counting", "smoothing_error_bound"],
     "spectrum": ["Spectrum", "generate_constant_density", "generate_interval",
                  "generate_rectangle", "generate_torus", "load_spectrum", "save_spectrum"],
     "transforms": ["CountingMode", "DensityResult", "HeatTraceResult", "TailBound", "counting",
@@ -30,7 +31,7 @@ NAMES = [(home, name) for home, names in HOMES.items() for name in names]
 
 def test_all_is_the_pinned_list():
     assert heatcount.__all__ == sorted(name for _, name in NAMES)
-    assert len(heatcount.__all__) == 43
+    assert len(heatcount.__all__) == 42
 
 
 @pytest.mark.parametrize("home, name", NAMES, ids=[name for _, name in NAMES])
@@ -72,3 +73,37 @@ def test_layer_modules_are_attributes_on_first_access():
     proc, loaded = fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert "heatcount.smoothing" in loaded and "heatcount.inversion" not in loaded
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_names():
+    """The package names the benchmark reaches, read from its source without
+    importing it: ``heatcount.<module>.<name>`` for each entry of
+    ``spans.TARGETS``, which ``spans.install`` looks up with a bare getattr,
+    and each ``hc.<name>`` or ``heatcount.<module>.<name>`` in ``workloads``."""
+    names = set()
+    for node in ast.parse((BENCH / "spans.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            names |= {f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in node.value.elts}
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id == "hc":
+            names.add(node.attr)
+        elif isinstance(node.value, ast.Attribute) and ast.unparse(node.value.value) == "heatcount":
+            names.add(f"{node.value.attr}.{node.attr}")
+    return names
+
+
+def test_names_the_benchmark_reaches_resolve():
+    names = bench_names()
+    assert {"transforms.heat_trace", "cli.main", "heat_trace", "beta_sweep"} <= names
+    missing = []
+    for name in sorted(names):
+        module, _, attr = name.rpartition(".")
+        home = importlib.import_module(f"heatcount.{module}") if module else heatcount
+        if not hasattr(home, attr):
+            missing.append(name)
+    assert missing == []

@@ -17,7 +17,6 @@ from heatcount import (
     ConfigurationError,
     CountingMode,
     InversionConfig,
-    SmoothingConfig,
     Spectrum,
     ValidationError,
     counting,
@@ -117,7 +116,7 @@ def test_partial_sum_full_prefix_equals_heat_trace(entries, t):
 )
 def test_smoothed_counting_range(entries, lam, beta):
     s = build(entries)
-    v = smoothed_counting(s, lam, SmoothingConfig(beta=beta))
+    v = smoothed_counting(s, lam, beta)
     assert 0.0 <= v <= s.total_count
 
 
@@ -129,8 +128,7 @@ def test_smoothed_counting_range(entries, lam, beta):
 )
 def test_smoothed_counting_monotone_in_lambda(entries, lam, step, beta):
     s = build(entries)
-    cfg = SmoothingConfig(beta=beta)
-    assert smoothed_counting(s, lam, cfg) <= smoothed_counting(s, lam + step, cfg)
+    assert smoothed_counting(s, lam, beta) <= smoothed_counting(s, lam + step, beta)
 
 
 def load_payload(tmp_path_factory, payload):

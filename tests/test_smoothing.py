@@ -6,7 +6,6 @@ import pytest
 import oracles
 from heatcount import (
     DomainError,
-    SmoothingConfig,
     Spectrum,
     beta_sweep,
     counting,
@@ -32,31 +31,30 @@ def occupation_direct(spectrum, lam, beta):
 
 class TestSmoothedCounting:
     def test_interval_at_twelve(self, interval_pi_100):
-        cfg = SmoothingConfig(beta=10.0)
-        got = smoothed_counting(interval_pi_100, 12.0, cfg)
+        got = smoothed_counting(interval_pi_100, 12.0, 10.0)
         assert got == pytest.approx(occupation_direct(interval_pi_100, 12.0, 10.0), rel=1e-14)
         assert abs(got - 3.0) <= 1e-8
 
     def test_constant_density_at_eigenvalue(self, const_density_200):
         # the resonant term contributes exactly 1/2
-        got = smoothed_counting(const_density_200, 5.0, SmoothingConfig(beta=100.0))
+        got = smoothed_counting(const_density_200, 5.0, 100.0)
         assert got == pytest.approx(4.5, abs=1e-12)
 
     def test_far_below_spectrum_is_exactly_zero(self, interval_pi_100):
-        got = smoothed_counting(interval_pi_100, -100.0, SmoothingConfig(beta=10.0))
+        got = smoothed_counting(interval_pi_100, -100.0, 10.0)
         assert got == 0.0
 
     def test_far_above_spectrum_is_exactly_total(self):
         s = generate_constant_density(1.0, 50)
-        got = smoothed_counting(s, 1e6, SmoothingConfig(beta=10.0))
+        got = smoothed_counting(s, 1e6, 10.0)
         assert got == 50.0
 
     def test_single_eigenvalue_closed_form(self):
         s = Spectrum.from_entries([1.0])
-        assert smoothed_counting(s, 2.0, SmoothingConfig(beta=1.0)) == pytest.approx(
+        assert smoothed_counting(s, 2.0, 1.0) == pytest.approx(
             1.0 / (math.exp(-1.0) + 1.0), rel=1e-15
         )
-        assert smoothed_counting(s, 2.0, SmoothingConfig(beta=10.0)) == pytest.approx(
+        assert smoothed_counting(s, 2.0, 10.0) == pytest.approx(
             1.0 / (math.exp(-10.0) + 1.0), rel=1e-15
         )
 
@@ -64,36 +62,35 @@ class TestSmoothedCounting:
         total = torus_400.total_count
         for lam in (-10.0, 0.0, 3.7, 200.0, 1e4):
             for beta in (0.1, 1.0, 100.0):
-                v = smoothed_counting(torus_400, lam, SmoothingConfig(beta=beta))
+                v = smoothed_counting(torus_400, lam, beta)
                 assert 0.0 <= v <= total
 
     def test_monotone_in_lambda(self, interval_pi_100):
-        cfg = SmoothingConfig(beta=3.0)
         probes = np.linspace(0.0, 30.0, 50)
-        values = [smoothed_counting(interval_pi_100, lam, cfg) for lam in probes]
+        values = [smoothed_counting(interval_pi_100, lam, 3.0) for lam in probes]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_symmetric_pair_cancels(self):
         # dyadic offsets: both terms share one exp() evaluation
         s = Spectrum.from_entries([4.5, 5.5])
-        v = smoothed_counting(s, 5.0, SmoothingConfig(beta=7.0))
+        v = smoothed_counting(s, 5.0, 7.0)
         assert v == 1.0
 
     def test_symmetric_pair_generic_offsets(self):
         s = Spectrum.from_entries([5.0 - 0.3, 5.0 + 0.3])
-        v = smoothed_counting(s, 5.0, SmoothingConfig(beta=2.0))
+        v = smoothed_counting(s, 5.0, 2.0)
         assert v == pytest.approx(1.0, abs=5e-16)
 
     def test_invalid_beta(self, interval_pi_100):
         with pytest.raises(DomainError):
-            smoothed_counting(interval_pi_100, 1.0, SmoothingConfig(beta=0.0))
+            smoothed_counting(interval_pi_100, 1.0, 0.0)
 
 
 class TestErrorBound:
     def test_interval_bound_tiny_at_beta_ten(self, interval_pi_100):
         bound = smoothing_error_bound(interval_pi_100, 12.0, 10.0)
         assert bound < 1e-12
-        deviation = abs(smoothed_counting(interval_pi_100, 12.0, SmoothingConfig(beta=10.0)) - 3.0)
+        deviation = abs(smoothed_counting(interval_pi_100, 12.0, 10.0) - 3.0)
         assert deviation <= bound
 
     def test_constant_density_termwise_value(self, const_density_200):
@@ -110,7 +107,7 @@ class TestErrorBound:
         slack = 64 * 2.3e-16 * torus_400.total_count
         for lam in (2.5, 7.3, 101.5):
             for beta in (0.5, 2.0, 20.0):
-                v = smoothed_counting(torus_400, lam, SmoothingConfig(beta=beta))
+                v = smoothed_counting(torus_400, lam, beta)
                 dev = abs(v - counting(torus_400, lam))
                 assert dev <= smoothing_error_bound(torus_400, lam, beta) + slack
 
@@ -183,12 +180,25 @@ def test_non_finite_lambda_rejected(interval_pi_100, lam):
     s = interval_pi_100
     calls = [
         lambda: default_beta(s, lam),
-        lambda: smoothed_counting(s, lam, SmoothingConfig(beta=1.0)),
+        lambda: smoothed_counting(s, lam, 1.0),
         lambda: smoothing_error_bound(s, lam, 1.0),
         lambda: beta_sweep(s, lam, [1.0]),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="finite lambda"):
+            call()
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_non_positive_beta_rejected(interval_pi_100, beta):
+    s = interval_pi_100
+    calls = [
+        lambda: smoothed_counting(s, 12.0, beta),
+        lambda: smoothing_error_bound(s, 12.0, beta),
+        lambda: beta_sweep(s, 12.0, [1.0, beta]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="beta must be positive"):
             call()
 
 

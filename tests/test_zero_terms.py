@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from heatcount import (
-    SmoothingConfig,
     Spectrum,
     generate_constant_density,
     generate_interval,
@@ -97,7 +96,7 @@ def test_smoothing_sums_match_full_sums(s, top, where):
     x = beta * (values - lam)
     e = np.exp(-np.abs(x))
     occupation = np.where(x > 0, e, 1.0) / (1.0 + e)
-    smoothed = smoothed_counting(s, lam, SmoothingConfig(beta=beta))
+    smoothed = smoothed_counting(s, lam, beta)
     assert smoothed.hex() == oracles.full_sum(mults * occupation).hex()
     d = np.exp(-beta * np.abs(values - lam))
     assert smoothing_error_bound(s, lam, beta).hex() == oracles.full_sum(mults * (d / (1.0 + d))).hex()
@@ -206,7 +205,7 @@ def band_sums(s, t, lam, beta):
     return (
         heat_trace(s, t).value.hex(),
         laplace_of_counting(s, t, "step_exact").hex(),
-        smoothed_counting(s, lam, SmoothingConfig(beta=beta)).hex(),
+        smoothed_counting(s, lam, beta).hex(),
         smoothing_error_bound(s, lam, beta).hex(),
     )
 
@@ -311,19 +310,37 @@ def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
     assert value.hex() == fsum(s.multiplicities * np.exp(-s.values)).hex()
 
 
-def test_sum_that_two_levels_leave_open_is_still_fsum(monkeypatch):
-    # const-200k at this t has no band, but a total that two levels do not
-    # decide: the blocks run on to the end, and the extraction levels run
-    # on every live term
+def test_sum_decided_on_the_per_block_bound(monkeypatch):
+    # const-200k at this t has no band and a total close to a rounding
+    # boundary: a bound of n**2 * 2**(m - 105) for every block left it open
+    # to the end, the per-block n * b * 2**(m - 105) decides it in the blocks
     s = large("const-200k")
     t = 0.0008209421999999999
-    two_level = recorded(monkeypatch, "_two_level_sum")
-    extracted = recorded(monkeypatch, "_extracted_sum")
+    exact = recorded(monkeypatch, "_exact_sum")
     value = heat_trace(s, t).value
     assert _live(s.values, t) == s.values.size
-    assert [(args[0].size, result) for args, result in two_level] == [(s.values.size, None)]
-    assert len(extracted) == 1
+    assert not exact
     assert value.hex() == fsum(s.multiplicities * np.exp(-s.values * t)).hex()
+
+
+def test_sum_that_two_levels_leave_open_is_still_fsum(monkeypatch):
+    # the step-exact terms of a one-value spectrum at its coverage are
+    # mult * (e^(-L t) - e^(-L t)) = 0.0: a total of 0, whose sign math.fsum
+    # decides, so two levels leave it open and it falls back to math.fsum
+    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
+    s = Spectrum(np.array([3.5]), np.array([7]))
+    two_level = recorded(monkeypatch, "_two_level_sum")
+    exact = recorded(monkeypatch, "_exact_sum")
+    fallback = mock.Mock(wraps=math.fsum)
+    with mock.patch.object(transforms.math, "fsum", fallback):
+        value = laplace_of_counting(s, 0.3, "step_exact")
+    assert [(args[0].size, result) for args, result in exact] == [(1, 0.0)]
+    assert [result for _, result in two_level] == [None]
+    # math.fsum over the terms' array itself, not the lists of block sums
+    arrays = [args[0] for args, _ in fallback.call_args_list if isinstance(args[0], np.ndarray)]
+    assert [x.tolist() for x in arrays] == [[0.0]]
+    steps = s.multiplicities * (np.exp(-s.values * 0.3) - math.exp(-s.coverage * 0.3))
+    assert value.hex() == fsum(steps).hex() == "0x0.0p+0"
 
 
 # -- sums that stop once the terms not formed cannot change the last bit -----
@@ -349,7 +366,7 @@ def spectra_and_t(draw):
 # the sum stops inside the first block
 @example((large("torus-1e6"), 1e-3), 0.01, BLOCK)
 @example((NEAR_SUBNORMAL, 1.0), 0.0, 64)
-# the stop test leaves the sum open, at every block end
+# a total near a rounding boundary, decided a block past the stop
 @example((large("const-200k"), 0.0008209421999999999), 0.9, BLOCK)
 @settings(max_examples=60, deadline=None)
 def test_stopped_sums_equal_fsum_of_every_term(s_t, where, block):
