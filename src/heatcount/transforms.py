@@ -31,15 +31,12 @@ from .spectrum import Spectrum
 # times the result, and splits its panels for a rule error of a tenth of it.
 BOUNDARY_DROP = 1e-12
 
-# Sums over more than this many terms are correctly rounded (equal to
-# math.fsum, ``_exact_sum``).  Smaller ones use numpy's pairwise sum, one pass.
-FSUM_THRESHOLD = 100_000
 # e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
 # occupation factors whose exponent passes EXP_ZERO are not evaluated.
 EXP_ZERO = 746.0
 # e^(-x) lies below 2**-1022, the smallest normal double, for every x above
-# 708.3964; in correctly rounded sums the terms whose exponent passes
-# EXP_NORMAL are bounded, not evaluated, unless the bound leaves the sum open.
+# 708.3964; in spectral sums the terms whose exponent passes EXP_NORMAL are
+# bounded, not evaluated, unless the bound leaves the sum open.
 EXP_NORMAL = 708.4
 # Correctly rounded sums read their terms in blocks of this many values.
 BLOCK = 1 << 15
@@ -104,14 +101,6 @@ def _live(values: np.ndarray, rate: float, origin: float = 0.0, exponent: float 
     return int(np.searchsorted(values, limit, side="right"))
 
 
-def _pairwise_sum(terms: np.ndarray, size: int) -> float:
-    """numpy's pairwise sum of ``terms`` followed by size - terms.size zeros
-    (+0.0): its rounding depends on the length, so the zeros are added."""
-    if terms.size < size:
-        terms = np.concatenate((terms, np.zeros(size - terms.size)))
-    return float(np.sum(terms))
-
-
 def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int | None = None) -> float:
     """sum_n mult_n * term(lam_n) over the first ``size`` values of s (all
     of them by default), in ascending order.
@@ -123,16 +112,16 @@ def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int
     deviations all satisfy it.  So it is exactly +0.0 at every value whose
     exponent passes EXP_ZERO, and below 2**-1022 where it passes
     EXP_NORMAL.  It is evaluated only on the prefix ``_live`` keeps, and
-    the multiplicities scale its array in place (``_terms``).  At or below
-    FSUM_THRESHOLD values the sum is numpy's pairwise sum, so the terms are
-    padded with +0.0 back to the full length (``_pairwise_sum``).
+    the multiplicities scale its array in place (``_terms``).
 
-    Above it the sum is correctly rounded and bit-identical to math.fsum,
-    and the terms are formed and summed block by block (``_TwoLevelSum``),
-    so no array of the spectrum's length is allocated.  By the contract,
-    the terms from value j on add at most (sum_(n >= j) mult_n)
-    e^(-rate (lam_j - origin)), the multiplicities read from the cumulative
-    counts (``_tail_units`` widens it for rounding).  After each block the
+    At every size the sum is correctly rounded and bit-identical to
+    math.fsum of the live terms, so its bits depend neither on the length
+    of the spectrum nor on the order of the terms.  The terms are formed
+    and summed block by block (``_TwoLevelSum``), so no array of the
+    spectrum's length is allocated.  By the contract, the terms from value
+    j on add at most (sum_(n >= j) mult_n) e^(-rate (lam_j - origin)), the
+    multiplicities read from the cumulative counts (``_tail_units`` widens
+    it for rounding).  After each block the
     sum stops once every value within that tail bound of the running total
     rounds to the same double, which is then the correctly rounded sum of
     every live term; a float test first skips the exact one while the bound
@@ -150,8 +139,6 @@ def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int
     """
     values, mults = s.values[:size], s.multiplicities
     k = _live(values, rate, origin)
-    if values.size <= FSUM_THRESHOLD:
-        return _pairwise_sum(_terms(term, values[:k], mults), values.size)
     cut = _live(values[:k], rate, origin, EXP_NORMAL)
     counts, count = s.cumulative, int(s.cumulative[k])
     running = _TwoLevelSum(cut)
@@ -420,10 +407,10 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     step-exact terms and the integrand are exactly 0.0 (``_spectral_sum``).
 
     Both modes also stop where what is left cannot change the last bit.
-    Above FSUM_THRESHOLD values the step-exact sum and the quadrature's
-    scale, the heat trace, are correctly rounded sums that stop once their
-    unformed terms are bounded below it (``_spectral_sum``).  At every size
-    the quadrature builds the panels only up to the value a_p from which
+    The step-exact sum and the quadrature's scale, the heat trace, are
+    correctly rounded sums that stop once their unformed terms are bounded
+    below it (``_spectral_sum``).  The quadrature builds the panels only up
+    to the value a_p from which
     t * integral N(lam) e^(-lam t) dlam <= N e^(-t a_p) falls below 2**-62
     of the scale, and forms left-edge factors only for them.  Their parts
     are summed correctly rounded with that bound, widened by the rule's
@@ -444,14 +431,7 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
     values = s.values
     live = _live(values, t)
-    if values.size > FSUM_THRESHOLD:
-        # correctly rounded, so equal to the sum over every live factor; the
-        # factors are formed below only for the panels that are built
-        factors, scale = None, _spectral_sum(s, _heat(t), t)
-    else:
-        factors = _heat(t)(values[:live])
-        scale = _pairwise_sum(factors * s.multiplicities[:live], values.size)
-    scale = max(scale, 5e-324)
+    scale = max(_spectral_sum(s, _heat(t), t), 5e-324)
     # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
     # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.  A
     # coverage past 2 EXP_ZERO / t is cut there: the integrand is 0.0 beyond.
@@ -476,8 +456,7 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
         """The parts of the panels from 0 to values[end], or to lam_hi."""
         x = np.diff(values[lo:end], prepend=0.0, append=values[end] if end < hi else lam_hi)
         x *= t
-        edges = _heat(t)(values[lo:end]) if factors is None else factors[lo:end]
-        return _boole_parts(x, s.cumulative[lo : end + 1], edges)
+        return _boole_parts(x, s.cumulative[lo : end + 1], _heat(t)(values[lo:end]))
 
     # The panels from values[p] on add at most N e^(-t values[p]), widened
     # by the rule's upward error (1 + 1.04e-13) and by rounding: below

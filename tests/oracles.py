@@ -98,14 +98,10 @@ def heat_trace_direct(eigenvalues, t: float) -> float:
     return math.fsum(mult * math.exp(-value * t) for value, mult in eigenvalues)
 
 
-def full_sum(terms, fsum_above: int = 100_000) -> float:
-    """Sum of every term, zeros included, rounded as the package rounds a
-    sum over that many values: math.fsum above ``fsum_above`` terms (the
-    package's 100,000), numpy's pairwise sum of the whole array at or below."""
-    terms = np.asarray(terms, dtype=np.float64)
-    if terms.size > fsum_above:
-        return math.fsum(terms.tolist())
-    return float(np.sum(terms))
+def full_sum(terms) -> float:
+    """math.fsum of every term, zeros included: the correctly rounded sum
+    the package returns for a spectral sum of any size."""
+    return math.fsum(np.asarray(terms, dtype=np.float64).tolist())
 
 
 # -- the spectral transforms as first written: one expression per array -------
@@ -122,8 +118,7 @@ def step_terms(values, mults, coverage: float, t: float):
     return mults * (np.exp(-values * t) - math.exp(-coverage * t))
 
 
-def boole_quadrature(values, mults, coverage: float, t: float, drop_share: float = 1e-12,
-                     fsum_above: int = 100_000) -> float:
+def boole_quadrature(values, mults, coverage: float, t: float, drop_share: float = 1e-12) -> float:
     """t * integral_0^L N(lam) e^(-lam t) dlam by Boole's rule on the
     package's panel plan, written out with every panel up to L built.
 
@@ -134,11 +129,11 @@ def boole_quadrature(values, mults, coverage: float, t: float, drop_share: float
     is dropped once j x reaches 746, where that factor is 0.0.  A part is
     N e^(-a t) x P(e^(-x/4)) / 90 with P by Horner's rule, as numpy rounds
     each expression; the parts are added by math.fsum.  Raises
-    OverflowError where L passes the double range.  The scale is summed
-    as ``full_sum`` sums with ``fsum_above``.
+    OverflowError where L passes the double range.  The scale is the
+    heat trace, ``full_sum`` of the exponential terms.
     """
     cumulative = np.concatenate(([0], np.cumsum(mults)))
-    scale = max(full_sum(exponential_terms(values, mults, t), fsum_above), 5e-324)
+    scale = max(full_sum(exponential_terms(values, mults, t)), 5e-324)
     drop = drop_share * scale
     log_drop = math.log(drop) if drop > 0 else math.log(drop_share) + math.log(scale)
     needed = (math.log(int(cumulative[-1])) - log_drop) / t

@@ -1,5 +1,6 @@
-"""The exact summation behind large sums, held to math.fsum bit for bit."""
+"""The exact summation behind every spectral sum, held to math.fsum bit for bit."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -15,13 +16,16 @@ from hypothesis.extra import numpy as hnp
 
 from heatcount import (
     generate_constant_density,
+    generate_interval,
+    generate_rectangle,
     heat_trace,
     laplace_of_counting,
+    partial_exponential_sum,
     smoothed_counting,
     smoothing_error_bound,
 )
 from heatcount import transforms
-from heatcount.transforms import FSUM_THRESHOLD, _exact_sum
+from heatcount.transforms import _exact_sum
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 1e300, 1e308, -1e308)
 
@@ -352,32 +356,50 @@ def test_exact_sum_memory_stays_within_two_copies():
     assert peak <= 2 * x.nbytes + 64 * 1024
 
 
-# -- the library's large sums against a math.fsum oracle ---------------------
+# -- the library's sums against a math.fsum oracle, at every size -----------
+
+# 200 to 150,001 distinct values; every spectrum is run at each parameter, so
+# that each case holds small and large sums alike
+ORACLE_SPECTRA = {
+    "interval-200": lambda: generate_interval(math.pi, 200),
+    "const-10k": lambda: generate_constant_density(1.0, 10_000),
+    "rectangle-3e5": lambda: generate_rectangle(math.pi, math.pi, 3e5),
+    "const-100001": lambda: generate_constant_density(1.0, 100_001),
+    "const-150001": lambda: generate_constant_density(0.37, 150_001),
+}
 
 
-@pytest.fixture(scope="module")
-def const_above_threshold():
-    return generate_constant_density(1.0, FSUM_THRESHOLD + 1)
+@functools.cache
+def oracle_spectrum(name):
+    return ORACLE_SPECTRA[name]()
 
 
 @pytest.mark.parametrize("t", [1e-5, 1e-4, 1e-3, 0.01])
-def test_large_transforms_equal_fsum_oracle(const_above_threshold, t):
-    s = const_above_threshold
-    values, mults = s.values, s.multiplicities
-    assert heat_trace(s, t).value.hex() == fsum_list(mults * np.exp(-values * t)).hex()
-    steps = mults * (np.exp(-values * t) - math.exp(-s.coverage * t))
-    assert laplace_of_counting(s, t, "step_exact").hex() == fsum_list(steps).hex()
+def test_large_transforms_equal_fsum_oracle(t):
+    for name in ORACLE_SPECTRA:
+        s = oracle_spectrum(name)
+        values, mults = s.values, s.multiplicities
+        terms = mults * np.exp(-values * t)
+        assert heat_trace(s, t).value.hex() == fsum_list(terms).hex(), name
+        steps = mults * (np.exp(-values * t) - math.exp(-s.coverage * t))
+        assert laplace_of_counting(s, t, "step_exact").hex() == fsum_list(steps).hex(), name
+        # the prefix up to the middle value: 75,001 of const-150001's values
+        half = values.size // 2
+        assert partial_exponential_sum(s, float(values[half]), t).hex() == fsum_list(terms[: half + 1]).hex(), name
 
 
 @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.1])
-def test_large_smoothing_equals_fsum_oracle(const_above_threshold, beta):
-    s = const_above_threshold
-    values, mults = s.values, s.multiplicities
-    lam = 50_000.5
-    x = beta * (values - lam)
-    e = np.exp(-np.abs(x))
-    occupation = np.where(x > 0, e, 1.0) / (1.0 + e)
-    smoothed = smoothed_counting(s, lam, beta)
-    assert smoothed.hex() == fsum_list(mults * occupation).hex()
-    d = np.exp(-beta * np.abs(values - lam))
-    assert smoothing_error_bound(s, lam, beta).hex() == fsum_list(mults * (d / (1.0 + d))).hex()
+def test_large_smoothing_equals_fsum_oracle(beta):
+    for name in ORACLE_SPECTRA:
+        s = oracle_spectrum(name)
+        values, mults = s.values, s.multiplicities
+        # halfway between the two middle values (50,000.5 on const-100001)
+        k = values.size // 2 - 1
+        lam = 0.5 * (float(values[k]) + float(values[k + 1]))
+        x = beta * (values - lam)
+        e = np.exp(-np.abs(x))
+        occupation = np.where(x > 0, e, 1.0) / (1.0 + e)
+        smoothed = smoothed_counting(s, lam, beta)
+        assert smoothed.hex() == fsum_list(mults * occupation).hex(), name
+        d = np.exp(-beta * np.abs(values - lam))
+        assert smoothing_error_bound(s, lam, beta).hex() == fsum_list(mults * (d / (1.0 + d))).hex(), name

@@ -13,9 +13,10 @@ Every case is also rerun in a fresh interpreter with one OpenBLAS thread,
 and, where the host has AVX-512, with numpy held to its AVX2 level
 (``NPY_DISABLE_CPU_FEATURES``), whose ``exp`` rounds some arguments
 differently.  So all nine files are portable across BLAS thread counts
-and across those two numpy dispatch levels; the theorem-1 quadrature adds
-its parts correctly rounded (``_exact_sum``), so its bytes do not depend
-on the order of that sum.  Not portable: ``invert`` and ``verify-2`` take
+and across those two numpy dispatch levels; every spectral sum, the
+theorem-1 quadrature's parts included, is correctly rounded (equal to
+math.fsum of its terms), so no byte depends on the order of a sum or on
+the length of the spectrum.  Not portable: ``invert`` and ``verify-2`` take
 their contour traces from a BLAS complex matrix product, whose bytes
 follow the OpenBLAS kernel the CPU selects (they change under
 ``OPENBLAS_CORETYPE=Haswell``), and their contour coefficients from

@@ -22,7 +22,6 @@ from heatcount import (
     laplace_of_counting,
 )
 from heatcount import transforms
-from heatcount.transforms import FSUM_THRESHOLD
 
 
 def random_file_spectrum(size, seed):
@@ -30,10 +29,10 @@ def random_file_spectrum(size, seed):
     return Spectrum.from_entries(rng.uniform(0.0, 1e4, size), rng.integers(1, 1000, size))
 
 
-# the four generator families and a file spectrum, two of them past FSUM_THRESHOLD
+# the four generator families and a file spectrum, two of them past 100k values
 NAMED = {
     "interval-10k": lambda: generate_interval(math.pi, 10_000),
-    "const-150001": lambda: generate_constant_density(0.37, FSUM_THRESHOLD + 50_001),
+    "const-150001": lambda: generate_constant_density(0.37, 150_001),
     "torus-1e4": lambda: generate_torus(1e4),
     "rectangle-3e4": lambda: generate_rectangle(math.pi, math.pi, 3e4),
     "rectangle-1x3": lambda: generate_rectangle(1.0, 3.0, 2000.0),

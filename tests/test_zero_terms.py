@@ -28,13 +28,13 @@ from heatcount import (
     smoothing_error_bound,
 )
 from heatcount import transforms
-from heatcount.transforms import BLOCK, EXP_NORMAL, EXP_ZERO, FSUM_THRESHOLD, _live
+from heatcount.transforms import BLOCK, EXP_NORMAL, EXP_ZERO, _live
 
-# spectra on both sides of FSUM_THRESHOLD, with and without multiplicities
+# spectra of 10k to 216k distinct values, with and without multiplicities
 LARGE = {
     "interval-10k": lambda: generate_interval(math.pi, 10_000),
-    "const-at-threshold": lambda: generate_constant_density(1.0, FSUM_THRESHOLD),
-    "const-past-threshold": lambda: generate_constant_density(0.37, FSUM_THRESHOLD + 1),
+    "const-100k": lambda: generate_constant_density(1.0, 100_000),
+    "const-100001": lambda: generate_constant_density(0.37, 100_001),
     "torus-1e5": lambda: generate_torus(1e5),
     "torus-1e6": lambda: generate_torus(1e6),
     "const-200k": lambda: generate_constant_density(1.0, 200_000),
@@ -61,8 +61,8 @@ tops = st.one_of(
 
 
 @given(spectra, tops, st.floats(0.0, 1.5))
-@example(large("const-past-threshold"), 745.1332191019412, 0.5)
-@example(large("const-at-threshold"), 1e5, 0.01)
+@example(large("const-100001"), 745.1332191019412, 0.5)
+@example(large("const-100k"), 1e5, 0.01)
 @settings(max_examples=60, deadline=None)
 def test_exponential_sums_match_full_sums(s, top, where):
     values, mults = s.values, s.multiplicities
@@ -83,7 +83,7 @@ def test_exponential_sums_match_full_sums(s, top, where):
 
 @given(spectra, tops, st.floats(0.0, 1.0))
 @example(large("torus-1e6"), 1e5, 0.0)
-@example(large("const-past-threshold"), EXP_ZERO, 0.999)
+@example(large("const-100001"), EXP_ZERO, 0.999)
 @settings(max_examples=60, deadline=None)
 def test_smoothing_sums_match_full_sums(s, top, where):
     values, mults = s.values, s.multiplicities
@@ -136,11 +136,10 @@ def test_normal_cut_drops_only_exponents_past_exp_normal(values, rate, origin):
 
 # -- the subnormal band of correctly rounded sums ---------------------------
 #
-# Above FSUM_THRESHOLD the terms whose exponent passes EXP_NORMAL (the band)
-# are bounded, not evaluated, unless that bound leaves the sum open.  The
-# threshold and the block length are lowered here so small spectra take that
-# path across many block boundaries; every sum is held to math.fsum of every
-# term, the band's included.
+# The terms whose exponent passes EXP_NORMAL (the band) are bounded, not
+# evaluated, unless that bound leaves the sum open.  The block length is
+# lowered here so that small spectra cross many block boundaries; every sum
+# is held to math.fsum of every term, the band's included.
 
 SMALL = {
     "interval-3000": lambda: generate_interval(math.pi, 3000),
@@ -236,7 +235,7 @@ def test_band_sums_equal_fsum_of_every_term(s, where, above, x, block):
     j = min(k + 1 + int(above * (values.size - k - 1)), values.size - 1)
     beta = x / (float(values[j]) - lam) if values[j] > lam else x
     assume(0 < beta < math.inf)
-    with mock.patch.object(transforms, "FSUM_THRESHOLD", 0), mock.patch.object(transforms, "BLOCK", block):
+    with mock.patch.object(transforms, "BLOCK", block):
         got = band_sums(s, t, lam, beta)
     assert got == every_term_sum(s, t, lam, beta)
 
@@ -301,7 +300,6 @@ def test_quadrature_builds_no_panel_past_its_stop(monkeypatch):
 
 
 def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
-    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
     s = NEAR_SUBNORMAL
     exact = recorded(monkeypatch, "_exact_sum")
     value = heat_trace(s, 1.0).value
@@ -327,7 +325,6 @@ def test_sum_that_two_levels_leave_open_is_still_fsum(monkeypatch):
     # the step-exact terms of a one-value spectrum at its coverage are
     # mult * (e^(-L t) - e^(-L t)) = 0.0: a total of 0, whose sign math.fsum
     # decides, so two levels leave it open and it falls back to math.fsum
-    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
     s = Spectrum(np.array([3.5]), np.array([7]))
     two_level = recorded(monkeypatch, "_two_level_sum")
     exact = recorded(monkeypatch, "_exact_sum")
@@ -346,8 +343,8 @@ def test_sum_that_two_levels_leave_open_is_still_fsum(monkeypatch):
 # -- sums that stop once the terms not formed cannot change the last bit -----
 #
 # Each stopped sum is held to math.fsum of every term, and the quadrature to
-# its plan with every panel built, bit for bit.  The threshold and the block
-# length are lowered so that small spectra stop across block boundaries.
+# its plan with every panel built, bit for bit.  The block length is
+# lowered so that small spectra stop across block boundaries.
 
 
 @st.composite
@@ -380,14 +377,14 @@ def test_stopped_sums_equal_fsum_of_every_term(s_t, where, block):
     beta = t * float(values[-1]) / (float(values[-1]) - lam) if values[-1] > lam else t
     assume(0 < beta < math.inf)
     u = float(values[k])
-    with mock.patch.object(transforms, "FSUM_THRESHOLD", 0), mock.patch.object(transforms, "BLOCK", block):
+    with mock.patch.object(transforms, "BLOCK", block):
         got = band_sums(s, t, lam, beta) + (
             partial_exponential_sum(s, u, t).hex(),
             laplace_of_counting(s, t, "quadrature").hex(),
         )
     with np.errstate(over="ignore"):
         below = mults[: k + 1] * np.exp(-values[: k + 1] * t)
-    quad = oracles.boole_quadrature(values, mults, s.coverage, t, fsum_above=0)
+    quad = oracles.boole_quadrature(values, mults, s.coverage, t)
     assert got == every_term_sum(s, t, lam, beta) + (fsum(below).hex(), quad.hex())
 
 
@@ -396,7 +393,6 @@ def test_stop_waits_for_a_tail_that_moves_the_last_bit(monkeypatch):
     # 1 and the next double, and the third, 2**-56, carries the total past
     # it: the tail bound after two terms is below 2**-52 of the total, so
     # the float test lets the exact one run, but that must not stop there
-    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
     monkeypatch.setattr(transforms, "BLOCK", 1)
     s = Spectrum(np.array([0.0, -math.log(2.0**-53 - 2.0**-58), 56 * math.log(2)]), np.ones(3, np.int64))
     terms = np.exp(-s.values)
@@ -409,15 +405,13 @@ def test_quadrature_stop_waits_for_panels_that_move_the_last_bit(monkeypatch):
     # of the parts built across a rounding boundary (found by a search over
     # seeds with the quadrature's slack dropped): the stop test must leave
     # that sum open and build the whole plan
-    monkeypatch.setattr(transforms, "FSUM_THRESHOLD", 0)
     rng = np.random.default_rng(456)
     s = Spectrum.from_entries(rng.uniform(0.0, 100.0, 400), rng.integers(1, 5, 400))
-    expected = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, 0.8, fsum_above=0)
+    expected = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, 0.8)
     assert laplace_of_counting(s, 0.8, "quadrature").hex() == expected.hex()
 
 
-# const-200k and torus-1e6 hold more than FSUM_THRESHOLD values, torus-1e5
-# holds 24,029
+# const-200k holds 200,000 values, torus-1e6 216,342 and torus-1e5 24,029
 QUADRATURE_CASES = [(name, t) for name in ("const-200k", "torus-1e5", "torus-1e6")
                     for t in (1e-3, 1e-2, 0.1)]
 
