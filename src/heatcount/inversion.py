@@ -75,8 +75,11 @@ and the trace on the grid is one complex matrix product P @ E of a
 terms x B table E[n, r] = e^(i (lam - lam_n) r h).  That costs about
 2 sqrt(nodes) * terms complex exponentials and nodes * terms complex
 multiply-adds in one GEMM.  P is built and multiplied in row groups of
-at most BLOCK_BYTES of working arrays, so the transient memory of one
-call is BLOCK_BYTES plus the table E, whatever the height T.  One sweep
+at most BLOCK_BYTES of working arrays, but E is built whole: terms x
+ceil(sqrt(nodes)) complex values, and building it takes about three
+times that.  Both factors grow with lam, so the transient memory of one
+call is BLOCK_BYTES plus a table that grows about as lam^1.5 on a
+Weyl-law spectrum; ROADMAP.md item 12 would tile E as well.  One sweep
 gives both the trapezoid sum and the last period's sum, each reduced by
 np.sum, so no result depends on the number of BLAS threads.  The kept
 terms, their coefficients a_n, phases g_n and frequencies mu_eff are

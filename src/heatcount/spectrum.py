@@ -32,7 +32,8 @@ from .errors import (
 MERGE_RTOL = 1e-12
 
 # Sorted values from_entries compares with their neighbours at a time, so the
-# gaps it tests take bounded memory.
+# gaps it tests take bounded memory; also the integers generate_torus counts
+# at a time.
 _MERGE_BLOCK = 1 << 16
 
 # Items of a column save_spectrum encodes and writes at a time, so no copy of
@@ -150,8 +151,11 @@ class Spectrum:
         distinct value, the smallest of them, while each gap is at most
         ``MERGE_RTOL`` times the larger neighbour; multiplicities add up.
         Without multiplicities every entry counts once.  This is the one
-        merge rule of the package: generators and ``load_spectrum`` build
-        through it.
+        merge rule of the package: ``load_spectrum`` and the interval,
+        rectangle and constant-density generators build through it.  The
+        torus counts its integer eigenvalues exactly and skips it; the
+        rule would not merge consecutive integers below 1e12, where they
+        are further apart than MERGE_RTOL.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
@@ -286,7 +290,8 @@ def generate_rectangle(a: float, b: float, lam_max: float) -> Spectrum:
         raise EmptySpectrumError(
             f"lambda_max={lam_max!r} is below the smallest eigenvalue {float(first[0] + second[0])!r}"
         )
-    merged = Spectrum.from_entries(_lattice(first, second, lam_max * (1 + MERGE_RTOL)))
+    sums = first[:, None] + second[None, :]
+    merged = Spectrum.from_entries(sums[sums <= lam_max * (1 + MERGE_RTOL)])
     kept = np.searchsorted(merged.values, lam_max, side="right")
     return Spectrum(
         merged.values[:kept],
@@ -300,25 +305,79 @@ def generate_rectangle(a: float, b: float, lam_max: float) -> Spectrum:
 def generate_torus(lam_max: float) -> Spectrum:
     """Flat-torus spectrum lam = m^2 + n^2 over integer pairs (m, n).
 
-    Multiplicity of k is the number of lattice points on the circle of
-    squared radius k; the zero mode is included with multiplicity 1.
+    The multiplicity of an integer k >= 1 is r2(k), the number of integer
+    pairs with m^2 + n^2 = k.  The quarter turns of the plane map the pairs
+    with m >= 1, n >= 0 onto all of them, four to one, so
+
+        r2(k) = 4 #{(m, n) : m >= 1, n >= 0, m^2 + n^2 = k},
+
+    and the zero mode has multiplicity 1.  These counts are taken exactly
+    with np.bincount over int64 sums, a window of consecutive k at a time,
+    so no float sum is formed and no value is merged: the values are the
+    integers k with r2(k) > 0, exact in float64.  A window is _MERGE_BLOCK
+    integers wide, or as wide as the largest gap between squares when that
+    is wider (lam_max >= 2^30), so every row m has a sum in every window it
+    reaches and the rows cost no more than the sums.  The value and
+    multiplicity arrays are allocated before any count, at an upper bound
+    on their length, so a lam_max whose spectrum cannot be held fails at
+    once with numpy's MemoryError.
     """
     if not (0 <= lam_max < math.inf):
         raise InvalidParameterError("lambda_max", f"must be finite and >= 0, got {lam_max!r}")
-    side = int(math.floor(math.sqrt(lam_max)))
-    squared = np.arange(-side, side + 1, dtype=np.float64) ** 2  # exact: integers below 2**53
-    return Spectrum.from_entries(
-        _lattice(squared, squared, lam_max),
+    top = math.floor(lam_max)
+    # a k >= 1 with r2(k) > 0 has an odd part of 1 mod 4: there are
+    # (top // 2^a + 3) // 4 of them with exactly a factors 2
+    size = 1 + sum(((top >> a) + 3) // 4 for a in range(top.bit_length()))
+    values = np.empty(size, dtype=np.float64)
+    mults = np.empty(size, dtype=np.int64)
+    values[0], mults[0] = 0.0, 1
+    stored = 1
+    width = max(_MERGE_BLOCK, 2 * math.isqrt(top) + 1)
+    for start in range(1, top + 1, width):
+        stop = min(start + width, top + 1)
+        counts = np.bincount(_quadrant_sums(start, stop) - start, minlength=stop - start)
+        k = np.flatnonzero(counts > 0)  # found several times faster in a bool array
+        values[stored : stored + k.size] = k + start
+        mults[stored : stored + k.size] = 4 * counts[k]
+        stored += k.size
+    # in place, as nothing else refers to the arrays: no copy of the output
+    values.resize(stored, refcheck=False)
+    mults.resize(stored, refcheck=False)
+    return Spectrum(
+        values,
+        mults,
         label="flat torus",
         generator={"kind": "torus", "lambda_max": float(lam_max)},
         cutoff=float(lam_max),
     )
 
 
-def _lattice(first: np.ndarray, second: np.ndarray, bound: float) -> np.ndarray:
-    """The sums first_i + second_j that are <= bound, unsorted."""
-    sums = first[:, None] + second[None, :]
-    return sums[sums <= bound]
+def _quadrant_sums(start: int, stop: int) -> np.ndarray:
+    """The sums m^2 + n^2 in [start, stop) over m >= 1, n >= 0, as int64.
+
+    Row m holds the n from ceil(sqrt(start - m^2)) to floor(sqrt(stop - 1 - m^2)).
+    """
+    squares = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64) ** 2
+    below = np.maximum(start - squares, 0)
+    low = _isqrt(below)
+    low += low * low < below
+    runs = _isqrt(stop - 1 - squares) + 1 - low
+    ends = np.cumsum(runs)
+    # each row's n count up from its low end, restarting at the row's first sum
+    n = np.arange(ends[-1]) + np.repeat(low - (ends - runs), runs)
+    return np.repeat(squares, runs) + n * n
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) of non-negative int64 x, exactly.
+
+    The float square root is off by at most one either way; the integer
+    squares correct it.
+    """
+    root = np.sqrt(x).astype(np.int64)
+    root -= root * root > x
+    root += (root + 1) * (root + 1) <= x
+    return root
 
 
 def generate_constant_density(c: float, count: int) -> Spectrum:

@@ -25,7 +25,7 @@ from heatcount import (
     load_spectrum,
     save_spectrum,
 )
-from heatcount.spectrum import MERGE_RTOL, SAVE_CHUNK
+from heatcount.spectrum import _MERGE_BLOCK, MERGE_RTOL, SAVE_CHUNK
 
 
 class TestIntervalGenerator:
@@ -163,6 +163,56 @@ class TestTorusGenerator:
     def test_negative_cutoff(self):
         with pytest.raises(InvalidParameterError, match="lambda_max"):
             generate_torus(-1.0)
+
+    @staticmethod
+    def assert_counts_lattice(lam_max):
+        s = generate_torus(lam_max)
+        expected = sorted(oracles.torus_multiplicities(lam_max).items())
+        assert s.values.tolist() == [float(k) for k, _ in expected]
+        assert s.multiplicities.tolist() == [m for _, m in expected]
+        assert s.values.dtype == np.float64 and s.multiplicities.dtype == np.int64
+        assert np.array_equal(s.values, np.round(s.values))  # exact integers
+        assert s.label == "flat torus"
+        assert s.generator == {"kind": "torus", "lambda_max": float(lam_max)}
+        assert s.cutoff == float(lam_max)
+
+    @pytest.mark.parametrize("lam_max", [0, 0.5, 1, 2, 24.999999, 25, 25.5, 1e4])
+    def test_counts_at_the_edges_match_lattice_oracle(self, lam_max):
+        self.assert_counts_lattice(lam_max)
+
+    @given(st.floats(0, 5000))
+    @settings(max_examples=50, deadline=None)
+    def test_random_cutoffs_match_lattice_oracle(self, lam_max):
+        self.assert_counts_lattice(lam_max)
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_narrow_windows_match_lattice_oracle(self, monkeypatch, block):
+        # three windows of 1000 integers, or windows widened from 1 to the largest
+        # gap between squares, 109 integers
+        monkeypatch.setattr("heatcount.spectrum._MERGE_BLOCK", block)
+        self.assert_counts_lattice(3000.5)
+
+    @pytest.mark.parametrize("lam_max", [1e5, 1e6])
+    def test_memory_stays_near_the_result(self, lam_max):
+        tracemalloc.start()
+        try:
+            s = generate_torus(lam_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = s.values.nbytes + s.multiplicities.nbytes
+        # the arrays are reserved at about lam_max / 2 entries, 2.1 and 2.3 times the
+        # result here, plus one window of bincount and sums: about 24 B per integer
+        assert peak <= 3 * output + 64 * _MERGE_BLOCK
+
+    def test_spectrum_that_cannot_be_held_fails_before_counting(self, monkeypatch):
+        def count(start, stop):
+            raise AssertionError("counted a window")
+
+        monkeypatch.setattr("heatcount.spectrum._quadrant_sums", count)
+        # 5e14 values reserved, 3.6 PiB, past any address space
+        with pytest.raises(MemoryError):
+            generate_torus(1e15)
 
 
 class TestConstantDensityGenerator:
