@@ -48,9 +48,9 @@ class InsufficientDataError(HeatcountError, ValueError):
 
 
 class AccuracyError(HeatcountError, RuntimeError):
-    """A quadrature could not be formed within the double range.
+    """A result could not be formed to its stated accuracy.
 
-    Theorem 1's quadrature follows a fixed Boole panel plan whose error
-    bound holds by construction, so it raises only where its domain end
-    passes the double range (t below about 1e-306).
+    Nothing in the package raises it: theorem 1's quadrature, which takes
+    the integral past the last eigenvalue exactly, has no failure path.
+    The name stays exported for callers that catch it.
     """

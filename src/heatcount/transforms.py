@@ -9,9 +9,9 @@ analytic integration of the step function N gives
         = K(t) - N(L) e^(-L t),
 
 so the step-exact mode reproduces the heat trace up to an explicit
-truncation correction.  The quadrature mode integrates the same step
-function numerically, by Boole's rule on a fixed panel plan, and extends
-the domain until its own boundary term is negligible.
+truncation correction.  The quadrature mode integrates the whole
+domain: Boole's rule on a fixed panel plan between the stored values, and
+past the last one, where N is the total count, the exact integral.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, CoverageError, DomainError, InvalidParameterError
+from .errors import CoverageError, DomainError, InvalidParameterError
 from .evaltable import EvalTable
 from .spectrum import Spectrum
 
-# The quadrature extends its domain until the boundary term is below this
-# times the result, and splits its panels for a rule error of a tenth of it.
+# The quadrature splits its panels for a rule error of a tenth of this,
+# relative to each panel's integral.
 BOUNDARY_DROP = 1e-12
 
 # e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
@@ -395,16 +395,16 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     ``step_exact`` integrates the step function analytically over
     [0, coverage]; adding ``truncation_correction`` recovers the heat
     trace to roundoff.  ``quadrature`` applies Boole's rule to the same
-    integrand from a panel plan fixed before any evaluation: panels
-    aligned to the eigenvalue jumps, the domain extended until the
-    boundary term is below BOUNDARY_DROP (1e-12) of the result, and each
-    panel split into subpanels narrow enough that the rule errs by at most
-    a tenth of that, relatively (``_boole_parts``).  So the quadrature lies
-    within about 1.1e-12 of the heat trace, plus rounding, with no
-    iteration and no subdivision cap; it raises AccuracyError only where
-    the domain end passes the double range (t below about 1e-306).  In
-    both modes nothing past lam t = EXP_ZERO is evaluated: there the
-    step-exact terms and the integrand are exactly 0.0 (``_spectral_sum``).
+    integrand from a panel plan fixed before any evaluation and read from
+    the stored values alone: a panel between each value and the next,
+    split into subpanels narrow enough that the rule errs by at most
+    tau = BOUNDARY_DROP / 10 relatively (``_boole_parts``), and past the
+    last value, where N is the total count, the exact part
+    N e^(-t lam_last).  So the quadrature lies within
+    tau / (1 - x_tau/2), about 1.04e-13, of the heat trace, plus rounding,
+    at every t > 0, with no iteration and no subdivision cap.  In both
+    modes nothing past lam t = EXP_ZERO is evaluated: there the step-exact
+    terms and the integrand are exactly 0.0 (``_spectral_sum``).
 
     Both modes also stop where what is left cannot change the last bit.
     The step-exact sum and the quadrature's scale, the heat trace, are
@@ -429,34 +429,23 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
-    values = s.values
-    live = _live(values, t)
+    values, count = s.values, s.total_count
+    # Panel k runs from values[k] to values[k + 1], where N is the inclusive
+    # count cumulative[k + 1]; on [0, values[0]] N is 0.  Past the last value
+    # N is the total count, and that piece is exactly N e^(-t values[-1]).
+    # No panel past ``_live``'s cut is built: the last live panel ends at
+    # values[last] or at 2 EXP_ZERO / t, the lower, and the integrand is 0.0
+    # beyond.
+    last = min(_live(values, t), values.size - 1)
+    past = count * math.exp(-t * float(values[-1]))
     scale = max(_spectral_sum(s, _heat(t), t), 5e-324)
-    # Extend past the stored coverage until N(L_q) e^(-L_q t) is negligible;
-    # where BOUNDARY_DROP * scale underflows, its log is taken as a sum.  A
-    # coverage past 2 EXP_ZERO / t is cut there: the integrand is 0.0 beyond.
-    drop = BOUNDARY_DROP * scale
-    log_drop = math.log(drop) if drop > 0 else math.log(BOUNDARY_DROP) + math.log(scale)
-    needed = (math.log(s.total_count) - log_drop) / t
-    lam_hi = max(min(s.coverage, 2 * EXP_ZERO / t), needed)
-    if not math.isfinite(lam_hi):
-        # below t ~ 1e-306 the domain end passes the double range
-        raise AccuracyError("laplace quadrature overflowed")
-
-    lo = np.searchsorted(values, 0.0, side="right")
-    hi = np.searchsorted(values, lam_hi, side="left")
-    # The panels run from 0 through the values in (0, lam_hi) to lam_hi.
-    # N restricted to each open panel (lam_k, lam_{k+1}) is the inclusive
-    # count at its left edge, a slice of the cumulative counts since the
-    # values increase strictly.  No panel past ``_live``'s cut is built:
-    # past it the integrand is 0.0.
-    stop = min(live, hi)
 
     def parts(end):
-        """The parts of the panels from 0 to values[end], or to lam_hi."""
-        x = np.diff(values[lo:end], prepend=0.0, append=values[end] if end < hi else lam_hi)
+        """The parts of the panels from values[0] to values[end], and the
+        exact part past the last value."""
+        x = np.diff(values[:end], append=min(float(values[end]), 2 * EXP_ZERO / t))
         x *= t
-        return _boole_parts(x, s.cumulative[lo : end + 1], _heat(t)(values[lo:end]))
+        return _boole_parts(x, s.cumulative[1 : end + 1], _heat(t)(values[:end]), past)
 
     # The panels from values[p] on add at most N e^(-t values[p]), widened
     # by the rule's upward error (1 + 1.04e-13) and by rounding: below
@@ -464,20 +453,19 @@ def _laplace_quadrature(s: Spectrum, t: float) -> float:
     # 4 EXP_ZERO / x_tau subpanels, and where one is subnormal, its rounding
     # (a subnormal factor's, times a count of at most N) is below 16 (N + 1)
     # units of 2**-1074.
-    count = s.total_count
-    p = max(lo, _live(values[:stop], t, 0.0, _stop_exponent(count, scale)))
-    if p < stop:
+    p = _live(values[:last], t, 0.0, _stop_exponent(count, scale))
+    if p < last:
         pieces = (count + 1) * (values.size + 2 + int(4 * EXP_ZERO / _split_width()))
         total = _two_level_sum(parts(p), _tail_units(count, float(values[p]) * t, pieces))
         if total is not None:
             return total
-    return _exact_sum(parts(stop))
+    return _exact_sum(parts(last))
 
 
-def _boole_parts(x, counts, factors):
+def _boole_parts(x, counts, factors, past):
     """t times Boole's rule for N(lam) e^(-lam t) over subpanels of the
-    panels of scaled widths x = w t, counts N and left-edge factors e^(-a t)
-    (the first panel starts at 0, factor 1).
+    panels of scaled widths x = w t, counts N and left-edge factors
+    e^(-a t), followed by ``past``, the exact part past the last value.
 
     On a subpanel of scaled width x the integrand is n e^(-a t) r^k at its
     five nodes, r = e^(-x/4), so the rule's part is
@@ -491,19 +479,20 @@ def _boole_parts(x, counts, factors):
     tau / (1 - x_tau/2) of its integral.  Subpanel j of a split panel is its
     first part times e^(-j x); those with j x past EXP_ZERO are 0.0 and are
     not formed.  The parts of the panels come first, then those of the
-    subpanels j >= 1: at most about 2 * 746 / x_tau of them for the live
-    panels and as many again for the last one.  The panels given may end
-    before the plan's domain end (``_laplace_quadrature``): every part is
-    positive and at most (1 + 1.04e-13) times its integral, plus rounding,
-    so the parts of the panels left out add at most N e^(-t a) from their
-    first left edge a on.
+    subpanels j >= 1, then ``past``: at most about 746 / x_tau subpanels
+    for the panels before the last live one and 2 * 746 / x_tau for that
+    one, which ends by 2 EXP_ZERO / t.  The panels given may end before
+    the plan's last value (``_laplace_quadrature``): every part is
+    positive and at most (1 + 1.04e-13) times its integral, plus
+    rounding, so the parts of the panels left out add at most N e^(-t a)
+    from their first left edge a on.
     """
     x_tau = _split_width()
     split = np.flatnonzero(x > x_tau)
     pieces = np.ceil(x[split] / x_tau)
     x[split] /= pieces
     pieces = np.minimum(pieces, np.ceil(EXP_ZERO / x[split])).astype(np.int64) - 1
-    parts = np.empty(x.size + int(pieces.sum()))
+    parts = np.empty(x.size + int(pieces.sum()) + 1)
     part = parts[: x.size]
     r = x * -0.25
     np.exp(r, out=r)
@@ -514,15 +503,16 @@ def _boole_parts(x, counts, factors):
     part += 7.0
     part *= x
     part *= counts
-    part[1:] *= factors
+    part *= factors
     part /= 90.0
     # subpanels j >= 1 of each split panel, in order
     first = np.cumsum(pieces) - pieces
-    j = np.arange(1, parts.size - x.size + 1) - np.repeat(first, pieces)
-    rest = parts[x.size :]
+    j = np.arange(1, parts.size - x.size) - np.repeat(first, pieces)
+    rest = parts[x.size : -1]
     np.multiply(np.repeat(x[split], pieces), -j, out=rest)
     np.exp(rest, out=rest)
     rest *= np.repeat(part[split], pieces)
+    parts[-1] = past
     return parts
 
 

@@ -118,39 +118,34 @@ def step_terms(values, mults, coverage: float, t: float):
     return mults * (np.exp(-values * t) - math.exp(-coverage * t))
 
 
-def boole_quadrature(values, mults, coverage: float, t: float, drop_share: float = 1e-12) -> float:
-    """t * integral_0^L N(lam) e^(-lam t) dlam by Boole's rule on the
-    package's panel plan, written out with every panel up to L built.
+def boole_quadrature(values, mults, t: float, drop_share: float = 1e-12) -> float:
+    """t * integral_0^inf N(lam) e^(-lam t) dlam by Boole's rule on the
+    package's panel plan, written out with every panel whose left-edge
+    factor e^(-a t) is nonzero built.
 
-    L is the package's domain end for a boundary drop of ``drop_share``
-    (the package's 1e-12 by default).  A panel of scaled width x = w t is
-    split into ceil(x / x_tau) subpanels when x > x_tau, x_tau^6 =
-    193536 drop_share; subpanel j >= 1 is the first one's part times e^(-j x) and
-    is dropped once j x reaches 746, where that factor is 0.0.  A part is
-    N e^(-a t) x P(e^(-x/4)) / 90 with P by Horner's rule, as numpy rounds
-    each expression; the parts are added by math.fsum.  Raises
-    OverflowError where L passes the double range.  The scale is the
-    heat trace, ``full_sum`` of the exponential terms.
+    A panel runs from each value to the next, where N is the inclusive
+    count; the domain is cut at 2 * 746 / t, where the integrand is 0.0.
+    Past the last value N is the total count, and that piece is added
+    exactly, N e^(-t lam_last).  A panel of scaled width x = w t is split
+    into ceil(x / x_tau) subpanels when x > x_tau, x_tau^6 =
+    193536 drop_share (the package's 1e-12 by default); subpanel j >= 1 is
+    the first one's part times e^(-j x) and is dropped once j x reaches
+    746, where that factor is 0.0.  A part is N e^(-a t) x P(e^(-x/4)) / 90
+    with P by Horner's rule, as numpy rounds each expression; the parts
+    are added by math.fsum.
     """
-    cumulative = np.concatenate(([0], np.cumsum(mults)))
-    scale = max(full_sum(exponential_terms(values, mults, t)), 5e-324)
-    drop = drop_share * scale
-    log_drop = math.log(drop) if drop > 0 else math.log(drop_share) + math.log(scale)
-    needed = (math.log(int(cumulative[-1])) - log_drop) / t
-    lam_hi = max(min(coverage, 2 * 746.0 / t), needed)
-    if not math.isfinite(lam_hi):
-        raise OverflowError("domain end overflows")
-    lo = np.searchsorted(values, 0.0, side="right")
-    hi = np.searchsorted(values, lam_hi, side="left")
-    edges = np.concatenate(([0.0], values[lo:hi], [lam_hi]))
+    cumulative = np.cumsum(mults)
+    factors = np.exp(-values * t)
+    built = min(int(np.count_nonzero(factors)), values.size - 1)
+    right = np.minimum(values[1 : built + 1], 2 * 746.0 / t)
     x_tau = (193536 * drop_share) ** (1 / 6)
-    x = np.diff(edges) * t
+    x = (right - values[:built]) * t
     m = np.where(x > x_tau, np.ceil(x / x_tau), 1.0)
     x = x / m
     r = np.exp(-0.25 * x)
     first = (((r * 7.0 + 32.0) * r + 12.0) * r + 32.0) * r + 7.0
-    first = first * x * cumulative[lo : hi + 1].astype(np.float64) * np.exp(-edges[:-1] * t) / 90.0
-    parts = [first]
+    first = first * x * cumulative[:built].astype(np.float64) * factors[:built] / 90.0
+    parts = [first, [int(cumulative[-1]) * math.exp(-t * values[-1])]]
     for i in np.flatnonzero(m > 1):
         j = np.arange(1, min(m[i], math.ceil(746.0 / x[i])))
         parts.append(np.exp(-(j * x[i])) * first[i])

@@ -221,17 +221,17 @@ class TestVerify:
                        *extra, "--out", out2) in (0, 1)
             assert out1.read_bytes() == out2.read_bytes()
 
-    def test_overflowing_quadrature_fails_its_row(self, tmp_path, interval_file):
-        # at t = 1e-307 the quadrature's domain end passes the double range:
-        # its AccuracyError leaves an infinite estimate and no deviation
+    def test_quadrature_at_tiny_t_passes_its_row(self, tmp_path, interval_file):
+        # at t = 1e-307 a domain end (log N + 28) / t would pass the double
+        # range; the piece past the last value is exact, so the row passes
         out = tmp_path / "t1.csv"
         code = run("verify", "--spectrum", interval_file, "--theorem", 1,
                    "--t", "1e-307,1", "--out", out)
-        assert code == 1
+        assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows[0][0] == "9.9999999999999991e-308"
-        assert rows[0][3] == "inf"
-        assert rows[0][-2:] == ["nan", "no"]
+        assert math.isfinite(float(rows[0][3]))
+        assert rows[0][-1] == "yes"
         assert rows[1][-1] == "yes"
 
     def test_theorem_1_trace_underflowing_to_zero_fails_its_row(self, tmp_path, interval_file):

@@ -1,18 +1,19 @@
 """The quadrature of theorem 1 held to its a-priori bound against the
 independent closed form, the step-exact transform plus its truncation
-correction, and its memory.
+correction, to its independence of the recorded cutoff, and its memory.
 
 The bound is computed from the module's constants.  Boole's rule errs
 upwards by at most tau / (1 - x_tau/2) of the integral, tau =
-BOUNDARY_DROP / 10 and x_tau^6 = 1935360 tau; the domain end drops at most
-BOUNDARY_DROP of the trace.  The rounding term covers exponents lam t of up
-to EXP_ZERO, rounded once in each reference term and at most four times in
-a part (its left edge, its scaled width and a subpanel's offset), plus a
-few dozen roundings of each part and of the two sums: (5 EXP_ZERO + 64)
-units of 2^-53, relative.  Below the normal range each part and term may
-also round by 2^-1074 times a count, absolutely.
+BOUNDARY_DROP / 10 and x_tau^6 = 1935360 tau; the piece past the last
+value is exact, so nothing is dropped.  The rounding term covers exponents
+lam t of up to EXP_ZERO, rounded once in each reference term and at most
+four times in a part (its left edge, its scaled width and a subpanel's
+offset), plus a few dozen roundings of each part and of the two sums:
+(5 EXP_ZERO + 64) units of 2^-53, relative.  Below the normal range each
+part and term may also round by 2^-1074 times a count, absolutely.
 """
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -35,7 +36,7 @@ from heatcount.transforms import BOUNDARY_DROP, EXP_ZERO
 
 TAU = BOUNDARY_DROP / 10
 X_TAU = (1_935_360 * TAU) ** (1 / 6)
-RELATIVE = TAU / (1 - X_TAU / 2) + (5 * EXP_ZERO + 64) * 2.0**-53 + BOUNDARY_DROP
+RELATIVE = TAU / (1 - X_TAU / 2) + (5 * EXP_ZERO + 64) * 2.0**-53
 
 NAMED = {
     "interval-10k": lambda: generate_interval(math.pi, 10_000),
@@ -55,8 +56,9 @@ def assert_within_bound(s, t):
     k_val = heat_trace(s, t).value
     reference = laplace_of_counting(s, t, "step_exact") + truncation_correction(s, t)
     quad = laplace_of_counting(s, t, "quadrature")
-    # at most the live panels, two subpanels per x_tau of the live domain and
-    # as many for the last panel
+    # at most the live panels, the exact part, two subpanels per x_tau of the
+    # live domain and as many for the last live panel, which ends by
+    # 2 EXP_ZERO / t
     parts = s.values.size + 1 + 4 * EXP_ZERO / X_TAU
     floor = s.total_count * (s.values.size + parts) * 2.0**-1074
     assert abs(quad - reference) <= RELATIVE * k_val + floor
@@ -96,6 +98,17 @@ def test_quadrature_meets_its_bound_without_a_cap(name, t):
     # a subdivision cap once raised at these t on torus-1e4, rectangle-1x3
     # and const-150001: the plan is fixed and bounded, so no cap remains
     assert_within_bound(named(name), t)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 1e3])
+@pytest.mark.parametrize("name", ["rectangle-1x3", "rectangle-3e4", "torus-1e4"])
+def test_quadrature_does_not_read_the_cutoff(name, scale):
+    # the plan is read from the values alone: a cutoff recorded further past
+    # the last value changes no bit
+    s = named(name)
+    moved = dataclasses.replace(s, cutoff=float(s.values[-1]) * scale)
+    expected = laplace_of_counting(s, 1e-3, "quadrature")
+    assert laplace_of_counting(moved, 1e-3, "quadrature").hex() == expected.hex()
 
 
 def test_quadrature_memory_stays_within_five_copies():

@@ -288,15 +288,15 @@ def test_quadrature_builds_no_panel_past_its_stop(monkeypatch):
     exact = recorded(monkeypatch, "_exact_sum")
     value = laplace_of_counting(s, t, "quadrature")
     total = fsum(s.multiplicities * np.exp(-s.values * t))
-    (x, counts, factors), _ = parts[0]
+    (x, counts, factors, _), _ = parts[0]
     assert len(parts) == 1 and not exact
-    # the panels start at 0 and at each value below the stop; 2**-64 leaves
-    # room for the stop's margin
+    # the panels start at each value below the stop, each with its left-edge
+    # factor; 2**-64 leaves room for the stop's margin
     stop = stop_prefix(s, t, total, 64)
-    assert x.size <= stop + 1 and factors.size == x.size - 1
+    assert x.size <= stop and factors.size == x.size
     # the scale stops too
     assert sum(args[1].size for args, _ in formed) <= stop_prefix(s, t, total, 60) + BLOCK
-    assert value.hex() == oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, t).hex()
+    assert value.hex() == oracles.boole_quadrature(s.values, s.multiplicities, t).hex()
 
 
 def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
@@ -384,7 +384,7 @@ def test_stopped_sums_equal_fsum_of_every_term(s_t, where, block):
         )
     with np.errstate(over="ignore"):
         below = mults[: k + 1] * np.exp(-values[: k + 1] * t)
-    quad = oracles.boole_quadrature(values, mults, s.coverage, t)
+    quad = oracles.boole_quadrature(values, mults, t)
     assert got == every_term_sum(s, t, lam, beta) + (fsum(below).hex(), quad.hex())
 
 
@@ -407,7 +407,7 @@ def test_quadrature_stop_waits_for_panels_that_move_the_last_bit(monkeypatch):
     # that sum open and build the whole plan
     rng = np.random.default_rng(456)
     s = Spectrum.from_entries(rng.uniform(0.0, 100.0, 400), rng.integers(1, 5, 400))
-    expected = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, 0.8)
+    expected = oracles.boole_quadrature(s.values, s.multiplicities, 0.8)
     assert laplace_of_counting(s, 0.8, "quadrature").hex() == expected.hex()
 
 
@@ -418,7 +418,7 @@ QUADRATURE_CASES = [(name, t) for name in ("const-200k", "torus-1e5", "torus-1e6
 
 @pytest.mark.parametrize("name, t", QUADRATURE_CASES)
 def test_quadrature_bits_are_pinned(name, t):
-    # the oracle builds every panel up to the domain end, those past the zero cut too
+    # the oracle builds every panel with a nonzero left-edge factor
     s = large(name)
-    quad = oracles.boole_quadrature(s.values, s.multiplicities, s.coverage, t)
+    quad = oracles.boole_quadrature(s.values, s.multiplicities, t)
     assert laplace_of_counting(s, t, "quadrature").hex() == quad.hex()
