@@ -38,9 +38,13 @@ _MERGE_BLOCK = 1 << 16
 
 # Items of a column save_spectrum encodes and writes at a time, so no copy of
 # the whole file is held in memory.  A multiple of 3 items is a multiple of 3
-# bytes, whose base64 has no padding, so the chunks join to the base64 of the
-# whole column.
+# bytes at any item width, whose base64 has no padding, so the chunks join to
+# the base64 of the whole column.
 SAVE_CHUNK = 3 * 8192
+
+# Item width in bytes of a saved multiplicity column -> its little-endian
+# dtype; a file without "multiplicity_bytes" holds 8-byte items.
+_MULTIPLICITY_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<i8"}
 
 logger = logging.getLogger(__name__)
 
@@ -492,14 +496,21 @@ def _checked_arrays(pairs, size: int, names: tuple[str, str]):
     return values, mults
 
 
-def _columns(values, mults, names: tuple[str, str]):
+def _columns(values, mults, width, names: tuple[str, str]):
     """Value and multiplicity arrays of a file's two columns: base64 strings
-    when values is one, as save_spectrum writes them, else decimal lists."""
+    when values is one, as save_spectrum writes them, with multiplicities
+    ``width`` bytes an item; else decimal lists, which ignore ``width``."""
     if isinstance(values, str):
         if not isinstance(mults, str):
             raise SpectrumFormatError("multiplicities: must be a base64 string, as values is")
-        values = _decoded(values, "<f8", "values")
-        mults = _decoded(mults, "<i8", "multiplicities")
+        # exact type: bool, an int subclass, and 1.0, equal to 1, are rejected
+        if type(width) is not int or width not in _MULTIPLICITY_DTYPES:
+            raise SpectrumFormatError(f"multiplicity_bytes: must be 1, 2, 4 or 8, got {width!r}")
+        # views of the decoded bytes where the host is little-endian, as most
+        # are; multiplicities narrower than 8 bytes are widened in a copy
+        values = _decoded(values, "<f8", "values").astype(np.float64, copy=False)
+        mults = _decoded(mults, _MULTIPLICITY_DTYPES[width], "multiplicities")
+        mults = mults.astype(np.int64, copy=False)
         if mults.size != values.size:
             raise SpectrumFormatError(
                 f"multiplicities: {values.size} values but {mults.size} multiplicities; "
@@ -514,30 +525,40 @@ def _columns(values, mults, names: tuple[str, str]):
 
 
 def _decoded(text: str, dtype: str, name: str) -> np.ndarray:
-    """The native array of a column's base64 text of little-endian 8-byte items."""
+    """The items of a column's base64 text as ``dtype``, a little-endian
+    type, viewing the decoded bytes."""
     try:
         data = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise SpectrumFormatError(f"{name}: invalid base64: {exc}") from None
-    if not data or len(data) % 8:
+    size = np.dtype(dtype).itemsize
+    if not data or len(data) % size:
         raise SpectrumFormatError(
-            f"{name}: must decode to a positive whole number of 8-byte items, got {len(data)} bytes"
+            f"{name}: must decode to a positive whole number of {size}-byte items, "
+            f"got {len(data)} bytes"
         )
-    # a view of the decoded bytes where the host is little-endian, as most are
-    return np.frombuffer(data, dtype=dtype).astype(dtype[1:], copy=False)
+    return np.frombuffer(data, dtype=dtype)
 
 
 def save_spectrum(s: Spectrum, path) -> None:
     """Write a spectrum as JSON: its header, then its values and
     multiplicities as two base64 strings (RFC 4648) of their items as
-    little-endian float64 and int64, so every value round-trips bit for bit.
+    little-endian float64 and as the narrowest of unsigned 1, 2 or 4-byte
+    integers and int64 that holds the largest multiplicity, so every item
+    round-trips bit for bit.
 
     The bytes are those of ``json.dumps`` of the fields label, generator,
-    cutoff, values and multiplicities, plus a newline.  Each column is
-    encoded ``SAVE_CHUNK`` items at a time, so the memory taken does not
-    grow with the spectrum.
+    cutoff, multiplicity_bytes (that width: 1, 2, 4 or 8), values and
+    multiplicities, plus a newline.  Each column is encoded ``SAVE_CHUNK``
+    items at a time, so the memory taken does not grow with the spectrum.
+    Versions before the multiplicity_bytes field cannot read these files.
     """
-    header = json.dumps({"label": s.label, "generator": s.generator, "cutoff": s.coverage})
+    top = int(s.multiplicities.max())
+    width = next((w for w in (1, 2, 4) if top < 1 << 8 * w), 8)
+    header = json.dumps(
+        {"label": s.label, "generator": s.generator, "cutoff": s.coverage,
+         "multiplicity_bytes": width}
+    )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as handle:
@@ -545,7 +566,7 @@ def save_spectrum(s: Spectrum, path) -> None:
         handle.write(header[:-1].encode() + b', "values": "')
         _write_items(handle, s.values, "<f8")
         handle.write(b'", "multiplicities": "')
-        _write_items(handle, s.multiplicities, "<i8")
+        _write_items(handle, s.multiplicities, _MULTIPLICITY_DTYPES[width])
         handle.write(b'"}\n')
 
 
@@ -559,9 +580,12 @@ def load_spectrum(path) -> Spectrum:
     """Read a spectrum file with ``json.load``.
 
     A file with ``values`` or ``multiplicities`` holds two columns: base64
-    strings of little-endian float64 and int64 items, as save_spectrum
-    writes them, or decimal lists, as one writes by hand and as earlier
-    versions wrote.  One with neither holds an ``entries`` list of objects.
+    strings of little-endian float64 items and of multiplicities
+    ``multiplicity_bytes`` (1, 2, 4 or 8) wide, unsigned below 8 and int64
+    at 8, as save_spectrum writes them; or decimal lists, as one writes by
+    hand and as earlier versions wrote.  A file without the width holds
+    int64 multiplicities, as every file before the field was written.  One
+    with neither column holds an ``entries`` list of objects.
     Base64 columns are decoded to arrays; list columns and entries have the
     types of each column tested at once, with a fall back to per-item
     checks that name the first bad item.  Either way every item is then
@@ -581,7 +605,12 @@ def load_spectrum(path) -> Spectrum:
         logger.debug("%s: read the column layout", path)
         names = ("values[%d]", "multiplicities[%d]")
         # popped, so the texts and lists are freed once their arrays are built
-        arrays = _columns(payload.pop("values", None), payload.pop("multiplicities", None), names)
+        arrays = _columns(
+            payload.pop("values", None),
+            payload.pop("multiplicities", None),
+            payload.get("multiplicity_bytes", 8),
+            names,
+        )
     else:
         logger.debug("%s: read the entries layout", path)
         entries = payload.get("entries")

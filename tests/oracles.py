@@ -183,17 +183,37 @@ def spectrum_to_decimal_columns(spectrum) -> dict:
 
 def base64_column(items, code: str) -> str:
     """The base64 text of the items packed little-endian by struct, code "d"
-    (float64) or "q" (int64)."""
+    (float64), "B", "H", "I" (unsigned 1, 2, 4 bytes) or "q" (int64)."""
     return base64.b64encode(struct.pack("<%d%s" % (len(items), code), *items)).decode("ascii")
 
 
-def base64_columns(payload: dict) -> dict:
+def multiplicity_bytes(mults) -> int:
+    """The narrowest of 1, 2, 4 and 8 bytes that holds the largest multiplicity."""
+    top = max(mults)
+    if top < 256:
+        return 1
+    if top < 65536:
+        return 2
+    if top < 4294967296:
+        return 4
+    return 8
+
+
+def base64_columns(payload: dict, width: int | None = None) -> dict:
     """A payload with decimal-list columns, its values and multiplicities
-    turned into base64 text, every other field kept in place."""
+    turned into base64 text, the multiplicities ``width`` bytes an item
+    (by default the narrowest that holds them) and the width recorded as
+    "multiplicity_bytes" before the columns, every other field kept in place."""
+    if width is None:
+        width = multiplicity_bytes(payload["multiplicities"])
+    header = {k: v for k, v in payload.items() if k not in ("values", "multiplicities")}
     return {
-        **payload,
+        **header,
+        "multiplicity_bytes": width,
         "values": base64_column(payload["values"], "d"),
-        "multiplicities": base64_column(payload["multiplicities"], "q"),
+        "multiplicities": base64_column(
+            payload["multiplicities"], {1: "B", 2: "H", 4: "I", 8: "q"}[width]
+        ),
     }
 
 

@@ -47,11 +47,11 @@ SPECTRA = {
 
 # sha256 of the spectrum JSON that `generate` writes
 SPECTRUM_SHA256 = {
-    "interval-10k": "ef181123e0e821fc3237ac2ff485f3b646a1b82c8b9546b6396991f89ac5a949",
-    "interval-200": "1122c7e0ba3556a9f076e7216646bcbb314aa428352a5fc4f8e57433f1e9369b",
-    "const-10k": "2ec3ebd8bc855d783872c1ecc429089a09cb35879d84a224c45d343490a96b61",
-    "rectangle-10k": "242f7f269d07e8465d22f3e1194979657e68d31d01d11cc6e130f414758fcc36",
-    "torus-10k": "2ec370b9f161f67e6b41ffdbe7f471bfc47c5319b87eb6e3665bd328541dfe2e",
+    "interval-10k": "7f5c31d98b54d12f55a42d2d6ad2315e31c21f34905db6162f03a076f9cc2365",
+    "interval-200": "bdfa93ca17a730c68875fad9ff2c03d68872f96cbf0b6404327080e984621cc3",
+    "const-10k": "e04277aa836da8b8e4a24df1796a7a72161c51d84786af2899aec431d3e72ed4",
+    "rectangle-10k": "d7b70bb27af82ae48bbf5224c2eebaaebbd830a5d283decfe146973a0258e312",
+    "torus-10k": "ece21a9a87ab8898c0bbf5f5208e803c2dc24972bf9eb8b183d616b4ca9687a5",
 }
 
 # golden file stem -> (spectrum, subcommand and its flags)

@@ -434,7 +434,9 @@ def column_entries(draw):
     """Values and multiplicities of a column file: sorted or not, some
     near-duplicates, multiplicities of 2**62 that add up past 2**63 - 1 with
     or without a merge, and sometimes a nan, infinite or negative value or a
-    multiplicity of 0."""
+    multiplicity of 0; and a width of base64 multiplicities that holds them,
+    or None for 8 bytes with no multiplicity_bytes field, as files were
+    written before it."""
     values = draw(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30))
     if draw(st.booleans()):
         values.sort()
@@ -450,24 +452,28 @@ def column_entries(draw):
             [(values, math.nan), (values, math.inf), (values, -1.0), (values, -5e-324), (mults, 0)]
         ))
         column[i] = bad
-    return values, mults
+    top = max(mults)
+    width = draw(st.sampled_from([w for w in (1, 2, 4, 8) if top < 1 << 8 * w] + [None]))
+    return values, mults, width
 
 
 @given(column_entries())
-@example(([3.0, 1.0, 1.0 + 1e-13], [1, 2, 3]))
-@example(([1.0, 1.0 + 1e-13, 2.0], [2**62, 2**62, 1]))
-@example(([1.0, 2.0, math.nan], [2**62, 2**62, 1]))
+@example(([3.0, 1.0, 1.0 + 1e-13], [1, 2, 3], 1))
+@example(([1.0, 2.0], [1, 0], 2))
+@example(([1.0, 1.0 + 1e-13, 2.0], [2**62, 2**62, 1], None))
+@example(([1.0, 2.0, math.nan], [2**62, 2**62, 1], 8))
 @settings(max_examples=200, deadline=None)
 def test_base64_file_matches_decimal_file(tmp_path_factory, columns):
     """The same entries as base64 and as decimal columns give the same
     spectrum and warnings, or the same error naming the same item."""
-    values, mults = columns
+    values, mults, width = columns
     decimal = {"label": "p", "values": values, "multiplicities": mults}
+    encoded = oracles.base64_columns(decimal, width or 8)
+    if width is None:
+        del encoded["multiplicity_bytes"]
     folder = tmp_path_factory.mktemp("encodings")
     (folder / "decimal.json").write_text(json.dumps(decimal), encoding="utf-8")
-    (folder / "base64.json").write_text(
-        json.dumps(oracles.base64_columns(decimal)), encoding="utf-8"
-    )
+    (folder / "base64.json").write_text(json.dumps(encoded), encoding="utf-8")
     assert file_outcome(folder / "base64.json") == file_outcome(folder / "decimal.json")
 
 

@@ -1,3 +1,4 @@
+import base64
 import bisect
 import json
 import logging
@@ -5,6 +6,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from heatcount import (
     save_spectrum,
 )
 from heatcount.spectrum import _MERGE_BLOCK, MERGE_RTOL, SAVE_CHUNK
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestIntervalGenerator:
@@ -500,6 +504,82 @@ class TestPersistence:
         with pytest.raises(SpectrumFormatError, match="^" + message):
             load_spectrum(path)
 
+    @pytest.mark.parametrize(
+        "top, width",
+        [(1, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8),
+         (2**62, 8)],
+    )
+    def test_multiplicities_saved_at_the_narrowest_width(self, tmp_path, top, width):
+        s = Spectrum.from_entries([0.5, 1.0, 2.0], [1, top, 1], label="w")
+        path = tmp_path / "s.json"
+        save_spectrum(s, path)
+        assert json.loads(path.read_text())["multiplicity_bytes"] == width
+        loaded = load_spectrum(path)
+        assert loaded == s
+        assert loaded.values.tobytes() == s.values.tobytes()
+        assert loaded.multiplicities.tobytes() == s.multiplicities.tobytes()
+
+    @pytest.mark.parametrize("width", ["0", "3", "16", "true", "1.0", '"1"', "null"])
+    def test_bad_multiplicity_bytes_named(self, tmp_path, width):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"multiplicity_bytes": %s, "values": "AAAAAAAA8D8=", "multiplicities": "AQ=="}' % width
+        )
+        message = r"^multiplicity_bytes: must be 1, 2, 4 or 8, got "
+        with pytest.raises(SpectrumFormatError, match=message):
+            load_spectrum(path)
+
+    def test_lists_and_entries_ignore_multiplicity_bytes(self, tmp_path):
+        columns = tmp_path / "columns.json"
+        columns.write_text(json.dumps(
+            {"multiplicity_bytes": 3, "values": [1.0, 4.0], "multiplicities": [2, 1]}
+        ))
+        entries = tmp_path / "entries.json"
+        entries.write_text(json.dumps(
+            {"multiplicity_bytes": "x", "entries": [{"value": 1.0, "multiplicity": 2}]}
+        ))
+        assert load_spectrum(columns).multiplicities.tolist() == [2, 1]
+        assert load_spectrum(entries).multiplicities.tolist() == [2]
+
+    @staticmethod
+    def short_multiplicities(path, width, cut):
+        """Write three values and their multiplicities at ``width`` bytes,
+        less the column's last ``cut`` bytes."""
+        payload = oracles.base64_columns({"values": [1.0, 2.0, 3.0], "multiplicities": [1, 2, 3]}, width)
+        items = base64.b64decode(payload["multiplicities"])
+        payload["multiplicities"] = base64.b64encode(items[:-cut]).decode()
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_multiplicities_one_item_short_named(self, tmp_path, width):
+        self.short_multiplicities(tmp_path / "c.json", width, width)
+        message = r"^multiplicities: 3 values but 2 multiplicities; the lengths must match$"
+        with pytest.raises(SpectrumFormatError, match=message):
+            load_spectrum(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("width", [2, 4, 8])  # at width 1 a byte short is an item short
+    def test_multiplicities_one_byte_short_named(self, tmp_path, width):
+        self.short_multiplicities(tmp_path / "c.json", width, 1)
+        message = (
+            rf"^multiplicities: must decode to a positive whole number of {width}-byte items, "
+            rf"got {3 * width - 1} bytes$"
+        )
+        with pytest.raises(SpectrumFormatError, match=message):
+            load_spectrum(tmp_path / "c.json")
+
+    def test_file_written_before_multiplicity_bytes_loads(self, tmp_path):
+        # saved by save_spectrum before the field: int64 multiplicities, no width
+        old = GOLDEN / "torus-100-int64.json"
+        assert "multiplicity_bytes" not in json.loads(old.read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = load_spectrum(old)
+        assert s == generate_torus(100.0)
+        path = tmp_path / "s.json"
+        save_spectrum(s, path)
+        assert json.loads(path.read_text())["multiplicity_bytes"] == 1
+        assert load_spectrum(path) == s
+
     def test_overflow_message_is_the_same_with_and_without_a_merge(self, tmp_path):
         # 2**62 + 2**62 passes 2**63 - 1 at 2.0, merged with a near-duplicate or not
         merged = tmp_path / "merged.json"
@@ -590,6 +670,7 @@ class TestPersistence:
         ]
 
     def test_load_memory_stays_near_the_result(self, tmp_path):
+        # multiplicities of 1: a 1-byte column, copied to int64 on load
         count = 100_000
         path = tmp_path / "const.json"
         save_spectrum(generate_constant_density(1.0, count), path)
@@ -600,6 +681,22 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         # the result alone holds 16 B per entry; parsing the whole file held 290
+        assert peak <= 128 * count
+
+    def test_int64_column_load_memory_stays_near_the_result(self, tmp_path):
+        # one multiplicity of 2**40: an 8-byte column, viewed where it was decoded
+        count = 100_000
+        path = tmp_path / "wide.json"
+        mults = np.ones(count, dtype=np.int64)
+        mults[0] = 2**40
+        save_spectrum(Spectrum(np.arange(1.0, count + 1), mults), path)
+        assert b'"multiplicity_bytes": 8' in path.read_bytes()[:200]
+        tracemalloc.start()
+        try:
+            load_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 128 * count
 
     def test_decimal_column_load_memory_stays_near_the_result(self, tmp_path):
