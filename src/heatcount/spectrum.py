@@ -12,6 +12,7 @@ import base64
 import json
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -402,6 +403,24 @@ def generate_constant_density(c: float, count: int) -> Spectrum:
 # -- persistence ----------------------------------------------------------
 
 
+def _checked_generator(generator) -> dict:
+    """A copy of a file's ``generator`` object, {"kind": "file"} if absent
+    or null; the fields the heat trace's tail bound reads must be positive
+    finite numbers."""
+    if generator is None:
+        return {"kind": "file"}
+    if not isinstance(generator, dict):
+        raise SpectrumFormatError(f"generator: expected an object, got {generator!r}")
+    kind = generator.get("kind")
+    fields = {"interval": ("length",), "constant_density": ("density",), "rectangle": ("a", "b")}
+    for name in fields.get(kind, ()) if isinstance(kind, str) else ():
+        value = generator.get(name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value <= sys.float_info.max):  # also integers past it
+            raise SpectrumFormatError(f"generator.{name}: expected a positive finite number, got {value!r}")
+    return dict(generator)
+
+
 def _file_spectrum(
     header: dict, values: np.ndarray, mults: np.ndarray, names: tuple[str, str]
 ) -> Spectrum:
@@ -417,16 +436,14 @@ def _file_spectrum(
         cutoff = None if cutoff is None else float(cutoff)
     except OverflowError:  # an integer beyond the double range
         raise ValidationError(f"cutoff: must be finite, got {cutoff!r}") from None
-    generator = header.get("generator")
-    if generator is None:
-        generator = {"kind": "file"}
+    generator = _checked_generator(header.get("generator"))
     _check_items(values, mults, names)
     distinct, counts, increasing = _merged(values, mults)
     s = Spectrum(
         distinct,
         counts,
         label=str(header.get("label", "")),
-        generator=dict(generator or {}),
+        generator=generator,
         cutoff=cutoff,
     )
     if not increasing:

@@ -10,8 +10,10 @@ analytic integration of the step function N gives
 
 so the step-exact mode reproduces the heat trace up to an explicit
 truncation correction.  The quadrature mode integrates the whole
-domain: Boole's rule on a fixed panel plan between the stored values, and
-past the last one, where N is the total count, the exact integral.
+domain: Boole's rule on a fixed panel plan between the stored values, one
+part per panel, and past the last one, where N is the total count, the
+exact integral.  Every sum, those parts included, is correctly rounded by
+one loop (``_stopped_sum``).
 """
 
 from __future__ import annotations
@@ -103,48 +105,54 @@ def _live(values: np.ndarray, rate: float, origin: float = 0.0, exponent: float 
 
 def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int | None = None) -> float:
     """sum_n mult_n * term(lam_n) over the first ``size`` values of s (all
-    of them by default), in ascending order.
+    of them by default), correctly rounded (``_stopped_sum``).
 
     ``term`` is an array function of the values that returns a fresh array
     (``Spectrum``'s arrays are read-only, so a view would raise), with
     0 <= term(lam) <= e^(-rate (lam - origin)) at every value: the heat
     trace's and step-exact terms, the occupation factors and their
     deviations all satisfy it.  So it is exactly +0.0 at every value whose
-    exponent passes EXP_ZERO, and below 2**-1022 where it passes
-    EXP_NORMAL.  It is evaluated only on the prefix ``_live`` keeps, and
-    the multiplicities scale its array in place (``_terms``).
-
-    At every size the sum is correctly rounded and bit-identical to
-    math.fsum of the live terms, so its bits depend neither on the length
-    of the spectrum nor on the order of the terms.  The terms are formed
-    and summed block by block (``_TwoLevelSum``), so no array of the
-    spectrum's length is allocated.  By the contract, the terms from value
-    j on add at most (sum_(n >= j) mult_n) e^(-rate (lam_j - origin)), the
-    multiplicities read from the cumulative counts (``_tail_units`` widens
-    it for rounding).  After each block the
-    sum stops once every value within that tail bound of the running total
-    rounds to the same double, which is then the correctly rounded sum of
-    every live term; a float test first skips the exact one while the bound
-    is above 2**-52 of the total.  Each block ends at most at the value
-    where the tail bound falls below 2**-62 of a lower bound on the total:
-    the running total, or before the first block the first term.  So the
-    sum ends within about a block of where it could.  No block runs past a
-    second ``_live`` cut at EXP_NORMAL: the values between the cuts, whose
-    exponentials are subnormal, are bounded by the last test, never
-    evaluated.  A sum the test leaves open runs on block by block; only
-    where it is still open at the cut (a total near the subnormal range,
-    at 0 or at a tie) is every live term formed and summed by
-    ``_exact_sum``: in two levels again, now with the band's terms and no
-    slack, and by math.fsum where those leave it open too.
+    exponent passes EXP_ZERO, and the terms from value j on add at most the
+    live count times e^(-rate (lam_j - origin)), as ``_stopped_sum``
+    requires.  The multiplicities scale its array in place (``_terms``).
     """
     values, mults = s.values[:size], s.multiplicities
+
+    def form(i, end):
+        return _terms(term, values[i:end], mults[i:])
+
+    return _stopped_sum(form, values, s.cumulative, rate, origin)
+
+
+def _stopped_sum(form, values, counts, rate: float, origin: float = 0.0) -> float:
+    """math.fsum of form(0, k), the terms of the sorted values up to
+    ``_live``'s cut k, bit for bit: formed and summed a block at a time
+    (``_TwoLevelSum``), so no array of the values' length is allocated.
+
+    ``form(i, end)`` returns a fresh array of the nonnegative terms of
+    values i to end - 1, for i = 0 with at most one more term.  Those of
+    values j to k - 1 must add at most counts[k] e^(-rate (values[j] -
+    origin)), within ``_tail_units``' widening: 2**-30 relative and
+    16 (counts[k] + 1) units of 2**-1074 for each of up to k + 1 terms.
+    After each block the sum stops once every value within that tail bound
+    of the running total rounds to the same double; a float test first
+    skips the exact one while the bound is above 2**-52 of the total.  Each
+    block ends at most where the bound falls below 2**-62 of a lower bound
+    on the total (the running total, or before the first block the first
+    term), so the sum ends within about a block of where it could.  No
+    block runs past a second ``_live`` cut at EXP_NORMAL: the terms past
+    it are bounded by the last test, never formed.  Only a sum still open
+    there (a total near the subnormal range, at 0 or at a tie) has every
+    term formed and summed by ``_exact_sum``.
+    """
     k = _live(values, rate, origin)
     cut = _live(values[:k], rate, origin, EXP_NORMAL)
-    counts, count = s.cumulative, int(s.cumulative[k])
-    running = _TwoLevelSum(cut)
+    count = int(counts[k])
+    pieces = (count + 1) * (k + 1)
+    running = _TwoLevelSum(cut + 1)
     # a lower bound on the total: before the first block, on prefixes past
     # an eighth of a block, the first term
-    estimate = float(_terms(term, values[:1], mults)[0]) if cut > BLOCK // 8 else 0.0
+    estimate = float(form(0, 1)[0]) if cut > BLOCK // 8 else 0.0
     at = _stop_exponent(count, estimate)
     i = 0
     while i < cut:
@@ -153,19 +161,19 @@ def _spectral_sum(s: Spectrum, term, rate: float, origin: float = 0.0, size: int
         if rate * (float(values[end - 1]) - origin) > at:
             stop = _live(values[:end], rate, origin, at)
             end = stop if stop > i else end
-        if not running.add(_terms(term, values[i:end], mults[i:])):
+        if not running.add(form(i, end)):
             break
         i = end
-        tail = count - int(counts[i])  # the live multiplicity not yet formed
-        exponent = rate * (float(values[i]) - origin) if tail else math.inf
-        at = _stop_exponent(tail, running.estimate())
+        at = _stop_exponent(count, running.estimate())
+        exponent = rate * (float(values[i]) - origin) if i < k else math.inf
         # a float test skips the exact one while the tail bound is above
-        # 2**-52 of the total (e^7 > 2**10)
-        if not tail or exponent > at - 7.0:
-            total = running.rounded(_tail_units(tail, exponent, tail))
+        # 2**-52 of the total (e^7 > 2**10); once every term is formed the
+        # bound is 0
+        if i == k or exponent > at - 7.0:
+            total = running.rounded(_tail_units(count, exponent, pieces) if i < k else 0)
             if total is not None:
                 return total
-    return _exact_sum(_terms(term, values[:k], mults))
+    return _exact_sum(form(0, k))
 
 
 def _terms(term, values, mults) -> np.ndarray:
@@ -194,21 +202,14 @@ def _tail_units(weight: int, exponent: float, pieces: int) -> int:
 
 def _exact_sum(terms: np.ndarray) -> float:
     """math.fsum(terms): two levels over blocks of the terms
-    (``_two_level_sum``), which allocate one block-sized array, and where
+    (``_TwoLevelSum``), which allocate one block-sized array, and where
     those leave the sum open, math.fsum itself, over the array."""
-    total = _two_level_sum(terms, 0)
-    return math.fsum(terms) if total is None else total
-
-
-def _two_level_sum(terms: np.ndarray, slack: int) -> float | None:
-    """The correctly rounded sum of ``terms`` plus any value within
-    ``slack`` units of 2**-1074 of 0, summed a block at a time
-    (``_TwoLevelSum``), or None where two levels leave it open."""
     running = _TwoLevelSum(terms.size)
-    for i in range(0, terms.size, BLOCK):
-        if not running.add(terms[i : i + BLOCK]):
-            return None
-    return running.rounded(slack)
+    if all(running.add(terms[i : i + BLOCK]) for i in range(0, terms.size, BLOCK)):
+        total = running.rounded(0)
+        if total is not None:
+            return total
+    return math.fsum(terms)
 
 
 class _TwoLevelSum:
@@ -236,12 +237,12 @@ class _TwoLevelSum:
 
     Each block is read in seven passes while it is in cache (min, max, two
     for q, its sum, the residuals over q's array, their sum), through one
-    block-sized array.
+    array of a block and one term, the longest block ``_stopped_sum`` adds.
     """
 
     def __init__(self, n: int):
         self.n, self.parts, self.low, self.bound = n, [], 0.0, 0
-        self.buffer = np.empty(min(n, BLOCK))
+        self.buffer = np.empty(min(n, BLOCK + 1))
 
     def add(self, x: np.ndarray) -> bool:
         """Adds a block of terms; False, the sum left open, at a non-finite
@@ -396,26 +397,20 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
     [0, coverage]; adding ``truncation_correction`` recovers the heat
     trace to roundoff.  ``quadrature`` applies Boole's rule to the same
     integrand from a panel plan fixed before any evaluation and read from
-    the stored values alone: a panel between each value and the next,
-    split into subpanels narrow enough that the rule errs by at most
-    tau = BOUNDARY_DROP / 10 relatively (``_boole_parts``), and past the
-    last value, where N is the total count, the exact part
-    N e^(-t lam_last).  So the quadrature lies within
-    tau / (1 - x_tau/2), about 1.04e-13, of the heat trace, plus rounding,
-    at every t > 0, with no iteration and no subdivision cap.  In both
-    modes nothing past lam t = EXP_ZERO is evaluated: there the step-exact
-    terms and the integrand are exactly 0.0 (``_spectral_sum``).
+    the stored values alone: a panel between each value and the next, its
+    subpanels narrow enough that the rule errs by at most
+    tau = BOUNDARY_DROP / 10 relatively and summed in closed form, one part
+    per panel (``_boole_parts``), and past the last value, where N is the
+    total count, the exact part N e^(-t lam_last).  So the quadrature lies
+    within tau / (1 - x_tau/2), about 1.04e-13, of the heat trace, plus
+    rounding, at every t > 0, with no iteration and no subdivision cap.  In
+    both modes nothing past lam t = EXP_ZERO is evaluated: there the
+    step-exact terms and the integrand are exactly 0.0.
 
-    Both modes also stop where what is left cannot change the last bit.
-    The step-exact sum and the quadrature's scale, the heat trace, are
-    correctly rounded sums that stop once their unformed terms are bounded
-    below it (``_spectral_sum``).  The quadrature builds the panels only up
-    to the value a_p from which
-    t * integral N(lam) e^(-lam t) dlam <= N e^(-t a_p) falls below 2**-62
-    of the scale, and forms left-edge factors only for them.  Their parts
-    are summed correctly rounded with that bound, widened by the rule's
-    upward error and by rounding, as slack; where it leaves the sum open,
-    every panel of the plan is built and summed.
+    Both modes are one correctly rounded sum (``_stopped_sum``), which
+    stops once what is left cannot change the last bit: the quadrature
+    forms the panels a block of left edges at a time, and equals math.fsum
+    of every part of the plan.
     """
     if not (0 < t < math.inf):
         raise DomainError(f"laplace transform requires finite t > 0, got {t!r}")
@@ -429,74 +424,58 @@ def laplace_of_counting(s: Spectrum, t: float, method: str = "step_exact") -> fl
 
 
 def _laplace_quadrature(s: Spectrum, t: float) -> float:
-    values, count = s.values, s.total_count
+    values, cumulative = s.values, s.cumulative
     # Panel k runs from values[k] to values[k + 1], where N is the inclusive
     # count cumulative[k + 1]; on [0, values[0]] N is 0.  Past the last value
     # N is the total count, and that piece is exactly N e^(-t values[-1]).
-    # No panel past ``_live``'s cut is built: the last live panel ends at
-    # values[last] or at 2 EXP_ZERO / t, the lower, and the integrand is 0.0
-    # beyond.
+    # No panel past ``_live``'s cut is built: a panel ends at values[k + 1]
+    # or, the last live one only, at 2 EXP_ZERO / t, past which it is 0.0.
     last = min(_live(values, t), values.size - 1)
-    past = count * math.exp(-t * float(values[-1]))
-    scale = max(_spectral_sum(s, _heat(t), t), 5e-324)
+    past = np.array([s.total_count * math.exp(-t * float(values[-1]))])
 
-    def parts(end):
-        """The parts of the panels from values[0] to values[end], and the
+    def form(i, end):
+        """The parts of panels i to end - 1, and in the first block the
         exact part past the last value."""
-        x = np.diff(values[:end], append=min(float(values[end]), 2 * EXP_ZERO / t))
+        x = np.minimum(values[i + 1 : end + 1], 2 * EXP_ZERO / t)
+        x -= values[i:end]
         x *= t
-        return _boole_parts(x, s.cumulative[1 : end + 1], _heat(t)(values[:end]), past)
+        parts = _boole_parts(x, cumulative[i + 1 : end + 1], _heat(t)(values[i:end]))
+        return np.concatenate((parts, past)) if i == 0 else parts
 
-    # The panels from values[p] on add at most N e^(-t values[p]), widened
-    # by the rule's upward error (1 + 1.04e-13) and by rounding: below
-    # 2**-62 of the scale.  Their parts number at most the panels plus
-    # 4 EXP_ZERO / x_tau subpanels, and where one is subnormal, its rounding
-    # (a subnormal factor's, times a count of at most N) is below 16 (N + 1)
-    # units of 2**-1074.
-    p = _live(values[:last], t, 0.0, _stop_exponent(count, scale))
-    if p < last:
-        pieces = (count + 1) * (values.size + 2 + int(4 * EXP_ZERO / _split_width()))
-        total = _two_level_sum(parts(p), _tail_units(count, float(values[p]) * t, pieces))
-        if total is not None:
-            return total
-    return _exact_sum(parts(last))
+    # Every live panel has N <= cumulative[last] and a part of at most
+    # (1 + 1.04e-13) times its integral, plus rounding: below 16 (N + 1)
+    # units of 2**-1074 where it is subnormal.  So the panels from
+    # values[j] on add at most cumulative[last] e^(-t values[j]).
+    return _stopped_sum(form, values[:last], cumulative, t)
 
 
-def _boole_parts(x, counts, factors, past):
-    """t times Boole's rule for N(lam) e^(-lam t) over subpanels of the
-    panels of scaled widths x = w t, counts N and left-edge factors
-    e^(-a t), followed by ``past``, the exact part past the last value.
+def _boole_parts(x, counts, factors):
+    """t times Boole's rule for N(lam) e^(-lam t) over the panels of scaled
+    widths x = w t, counts N and left-edge factors e^(-a t): one part per
+    panel.  ``x`` is overwritten.
 
-    On a subpanel of scaled width x the integrand is n e^(-a t) r^k at its
-    five nodes, r = e^(-x/4), so the rule's part is
-    n e^(-a t) x P(r) / 90, P(r) = 7 + r(32 + r(12 + r(32 + 7r))).  The rule
+    On a subpanel of scaled width y the integrand is n e^(-a t) r^k at its
+    five nodes, r = e^(-y/4), so the rule's part is
+    n e^(-a t) y P(r) / 90, P(r) = 7 + r(32 + r(12 + r(32 + 7r))).  The rule
     errs by (8/945) (w/4)^7 f^(6) at some node, which is positive and at
-    most x^6 / (1935360 (1 - x/2)) of the subpanel's integral
+    most y^6 / (1935360 (1 - y/2)) of the subpanel's integral
     (P. J. Davis and P. Rabinowitz, "Methods of Numerical Integration",
     2nd ed., 1984, section 2.1).  A panel wider than x_tau, where
     x_tau^6 = 1935360 tau and tau = BOUNDARY_DROP / 10, is split into
-    ceil(x / x_tau) equal subpanels, so every part errs by at most
-    tau / (1 - x_tau/2) of its integral.  Subpanel j of a split panel is its
-    first part times e^(-j x); those with j x past EXP_ZERO are 0.0 and are
-    not formed.  The parts of the panels come first, then those of the
-    subpanels j >= 1, then ``past``: at most about 746 / x_tau subpanels
-    for the panels before the last live one and 2 * 746 / x_tau for that
-    one, which ends by 2 EXP_ZERO / t.  The panels given may end before
-    the plan's last value (``_laplace_quadrature``): every part is
-    positive and at most (1 + 1.04e-13) times its integral, plus
-    rounding, so the parts of the panels left out add at most N e^(-t a)
-    from their first left edge a on.
+    m = ceil(x / x_tau) equal subpanels of width y = x / m, so every part
+    errs by at most tau / (1 - x_tau/2) of its integral.  Subpanel j's part
+    is the first one's times e^(-j y), so the panel's part is the first
+    one's times (1 - e^(-x)) / (1 - e^(-y)), with no subpanel formed or cut
+    at EXP_ZERO.  The ratio is taken on split panels only, where
+    y > x_tau / 2: an unsplit panel's x may underflow to 0.0.
     """
     x_tau = _split_width()
-    split = np.flatnonzero(x > x_tau)
-    pieces = np.ceil(x[split] / x_tau)
-    x[split] /= pieces
-    pieces = np.minimum(pieces, np.ceil(EXP_ZERO / x[split])).astype(np.int64) - 1
-    parts = np.empty(x.size + int(pieces.sum()) + 1)
-    part = parts[: x.size]
+    split = x > x_tau
+    whole = x[split]
+    x[split] = whole / np.ceil(whole / x_tau)
     r = x * -0.25
     np.exp(r, out=r)
-    np.multiply(r, 7.0, out=part)
+    part = r * 7.0
     for c in (32.0, 12.0, 32.0):
         part += c
         part *= r
@@ -505,15 +484,8 @@ def _boole_parts(x, counts, factors, past):
     part *= counts
     part *= factors
     part /= 90.0
-    # subpanels j >= 1 of each split panel, in order
-    first = np.cumsum(pieces) - pieces
-    j = np.arange(1, parts.size - x.size) - np.repeat(first, pieces)
-    rest = parts[x.size : -1]
-    np.multiply(np.repeat(x[split], pieces), -j, out=rest)
-    np.exp(rest, out=rest)
-    rest *= np.repeat(part[split], pieces)
-    parts[-1] = past
-    return parts
+    part[split] *= np.expm1(-whole) / np.expm1(-x[split])
+    return part
 
 
 def _split_width() -> float:
@@ -536,7 +508,8 @@ def density_estimate(s: Spectrum, bin_width: float, lam_range: tuple[float, floa
 
     Bins are left-open, right-closed: (lo + k*w, lo + (k+1)*w], so a
     spectrum with exact spacing 1/C lands C*w eigenvalues in every bin.
-    The range is trimmed to whole bins.  The table's error column is the
+    The range is trimmed to whole bins, of which there may be at most a
+    million, as in the CLI's grids.  The table's error column is the
     absolute deviation of each bin from the mean density; the constancy
     diagnostic is the max relative deviation across bins.
     """
@@ -549,7 +522,10 @@ def density_estimate(s: Spectrum, bin_width: float, lam_range: tuple[float, floa
         raise DomainError(f"range must start at >= 0, got {lo!r}")
     if hi > s.coverage * (1 + 1e-12):
         raise CoverageError(f"range end {hi!r} beyond spectral coverage {s.coverage!r}")
-    n_bins = int(math.floor((hi - lo) / bin_width + 1e-9))
+    span = (hi - lo) / bin_width + 1e-9  # inf for a tiny width
+    if not span < 1_000_001:
+        raise DomainError(f"range holds more than 1000000 bins of width {bin_width!r}")
+    n_bins = int(span)
     if n_bins < 1:
         raise DomainError("range shorter than one bin")
     edges = lo + bin_width * np.arange(n_bins + 1, dtype=np.float64)

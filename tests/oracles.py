@@ -120,8 +120,42 @@ def step_terms(values, mults, coverage: float, t: float):
 
 def boole_quadrature(values, mults, t: float, drop_share: float = 1e-12) -> float:
     """t * integral_0^inf N(lam) e^(-lam t) dlam by Boole's rule on the
-    package's panel plan, written out with every panel whose left-edge
-    factor e^(-a t) is nonzero built.
+    package's panel plan, one part per panel, written out with every panel
+    whose left-edge factor e^(-a t) is nonzero built.
+
+    A panel runs from each value to the next, where N is the inclusive
+    count; the domain is cut at 2 * 746 / t, where the integrand is 0.0.
+    Past the last value N is the total count, and that piece is added
+    exactly, N e^(-t lam_last).  A panel of scaled width x = w t is split
+    into m = ceil(x / x_tau) subpanels of width y = x / m when x > x_tau,
+    x_tau^6 = 193536 drop_share (the package's 1e-12 by default).  A part
+    is N e^(-a t) y P(e^(-y/4)) / 90 with P by Horner's rule, times
+    (1 - e^(-x)) / (1 - e^(-y)) on a split panel, the sum of its m
+    subpanels' factors e^(-j y), as numpy rounds each expression; the
+    ratio is left out on unsplit panels, whose x may underflow to 0.0.  The
+    parts are added by math.fsum.
+    """
+    cumulative = np.cumsum(mults)
+    factors = np.exp(-values * t)
+    built = min(int(np.count_nonzero(factors)), values.size - 1)
+    right = np.minimum(values[1 : built + 1], 2 * 746.0 / t)
+    x_tau = (193536 * drop_share) ** (1 / 6)
+    x = (right - values[:built]) * t
+    split = x > x_tau
+    whole = x[split]
+    x[split] = whole / np.ceil(whole / x_tau)
+    r = np.exp(-0.25 * x)
+    parts = (((r * 7.0 + 32.0) * r + 12.0) * r + 32.0) * r + 7.0
+    parts = parts * x * cumulative[:built].astype(np.float64) * factors[:built] / 90.0
+    parts[split] *= np.expm1(-whole) / np.expm1(-x[split])
+    past = int(cumulative[-1]) * math.exp(-t * values[-1])
+    return math.fsum(parts.tolist() + [past])
+
+
+def boole_quadrature_by_subpanels(values, mults, t: float, drop_share: float = 1e-12) -> float:
+    """``boole_quadrature`` with every subpanel's part formed and added on
+    its own: an independent reference for the closed form that sums a
+    panel's subpanels, not for its bits.
 
     A panel runs from each value to the next, where N is the inclusive
     count; the domain is cut at 2 * 746 / t, where the integrand is 0.0.

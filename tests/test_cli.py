@@ -426,6 +426,32 @@ class TestExitCodeContract:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("generator", [
+        '{"kind": "interval"}',
+        '{"kind": "rectangle", "a": 1}',
+        '{"kind": "constant_density", "density": 0, "count": 2}',
+        '{"kind": "interval", "length": "x"}',
+        '"abc"',
+        '[["kind", "interval"], ["length", 1.0]]',
+    ], ids=["no-length", "no-b", "zero-density", "string-length", "string", "list-of-pairs"])
+    def test_bad_generator_is_two_and_named(self, tmp_path, capsys, generator):
+        # unchecked, the first four fail in the heat trace's tail bound with
+        # an error of no package type, which exits 1
+        path = tmp_path / "g.json"
+        path.write_text('{"generator": %s, "values": [1.0, 4.0], "multiplicities": [1, 1]}' % generator)
+        out = tmp_path / "x.csv"
+        assert run("weyl", "--spectrum", path, "--t", 1, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: generator")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", ["1e-300", "5e-324"])
+    def test_density_of_more_than_a_million_bins_is_two(self, tmp_path, interval_file, capsys, width):
+        out = tmp_path / "x.csv"
+        assert run("density", "--spectrum", interval_file, "--bin-width", width,
+                   "--range", "0,100", "--out", out) == 2
+        assert "more than 1000000 bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_argparse_usage_error_is_two(self):
         with pytest.raises(SystemExit) as info:
             run("verify", "--theorem", 9)

@@ -1,6 +1,8 @@
 """The heat trace, step-exact and quadrature transforms, whose kernels work
 in place, held bit for bit to the naive expressions they compute
-(``oracles.exponential_terms``, ``step_terms`` and ``boole_quadrature``)."""
+(``oracles.exponential_terms``, ``step_terms`` and ``boole_quadrature``),
+and the quadrature's closed-form panels held to the sum of every subpanel
+(``oracles.boole_quadrature_by_subpanels``)."""
 
 import functools
 import math
@@ -82,6 +84,22 @@ def test_subdivision_cap_raises_where_the_naive_kernel_does(name, t, depth, monk
     s = named(name)
     expected = oracles.boole_quadrature(s.values, s.multiplicities, t, drop_share)
     assert laplace_of_counting(s, t, "quadrature").hex() == expected.hex()
+
+
+@given(spectra, log_uniform_t)
+@example(named("torus-1e4"), 0.1)  # every panel split, into up to 25 subpanels
+@example(named("const-150001"), 10.0)  # panels of 27 scaled widths, 356 subpanels each
+@example(Spectrum.from_entries([700.0, 745.0], [1, 3]), 1.0)  # a trace near e^-700
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_every_subpanel_summed(s, t):
+    # a split panel's part sums its subpanels in closed form; the reference
+    # forms every subpanel's part and adds them all by math.fsum.  Each part
+    # may round differently by some units of 2**-1074 where it is subnormal.
+    values, mults = s.values, s.multiplicities
+    expected = oracles.boole_quadrature_by_subpanels(values, mults, t)
+    got = laplace_of_counting(s, t, "quadrature")
+    floor = s.total_count * (values.size + 1) * 2.0**-1074
+    assert abs(got - expected) <= 2.0**-48 * expected + floor
 
 
 def test_a_term_returning_its_input_cannot_overwrite_the_spectrum():

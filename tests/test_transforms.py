@@ -1,4 +1,6 @@
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -338,3 +340,21 @@ class TestDensityEstimate:
             density_estimate(interval_pi_100, 1.0, (0.0, 1e9))
         with pytest.raises(DomainError, match="shorter than one bin"):
             density_estimate(interval_pi_100, 50.0, (0.0, 10.0))
+
+    @pytest.mark.parametrize("width", [1e-300, 5e-324, 100 / 1_000_001],
+                             ids=["1e-300", "5e-324", "limit+1"])
+    def test_more_than_a_million_bins_refused(self, interval_pi_100, width):
+        # unchecked, 1e-300 passes numpy's array size limit and 5e-324 makes
+        # the bin count infinite; the limit is that of the CLI's grids
+        with pytest.raises(DomainError, match="more than 1000000 bins"):
+            density_estimate(interval_pi_100, width, (0.0, 100.0))
+
+    def test_a_million_bins_are_allowed(self, interval_pi_100, monkeypatch):
+        # a table that only counts its rows keeps the test small
+        rows = itertools.count()
+        table = types.SimpleNamespace(append=lambda *row: next(rows))
+        monkeypatch.setattr(transforms, "EvalTable", lambda columns: table)
+        result = density_estimate(interval_pi_100, 1e-4, (0.0, 100.0))
+        assert next(rows) == 1_000_000
+        # 1, 4, ..., 100 in (0, 100]
+        assert result.mean_density == pytest.approx(0.1, rel=1e-12)
