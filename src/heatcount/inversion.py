@@ -5,9 +5,9 @@ evaluated along a vertical contour Re(t) = c:
 
     N(lam) = (1/2 pi i) * integral_{c-i inf}^{c+i inf} K(t) e^(lam t) / t dt,
 
-with c above the abscissa of convergence of the Dirichlet series, here
-estimated as the tail maximum of (ln n)/lam_n.  Conjugate symmetry folds
-the contour onto [0, T]:
+for any c > 0: the stored spectrum is finite, so K is entire and c only
+has to damp the aliases of the discretization below.  Conjugate symmetry
+folds the contour onto [0, T]:
 
     N(lam) = (e^(c lam) / pi) * integral_0^T Re[K(c + i w) e^(i lam w) / (c + i w)] dw,
 
@@ -16,11 +16,13 @@ term past T.  At a jump the limit is the midpoint N(lam-) + mult/2.
 
 Contour selection: the trapezoid discretization with step h reproduces
 the counting function plus aliased copies N(lam + 2 pi k / h) damped by
-e^(-2 pi c k / h); with h = pi/(8 lam) and c = kappa/lam the damping is
-e^(-16 kappa k).  kappa = 2 keeps aliases below 1e-12 while keeping the
-e^(c lam) amplification of the truncated-tail error small, and T is
-the smallest height whose predicted error after the tail correction
-stays below AUTO_TRUNCATION_TOL.
+e^(-2 pi c k / h); with h = pi/(8 lam) the aliases of N counted terms
+add at most N e^(-16 c lam) / (1 - e^(-16 c lam)).  The auto contour's
+c lam = max(KAPPA, ln(N / eps) / 16), eps = 1e-3 AUTO_TRUNCATION_TOL,
+holds that within eps and keeps the e^(c lam) amplification of the
+tail error small: c lam is 2 up to N ~ 1.6e8, below 3.6 for any int64
+count.  T is the smallest height whose predicted error after the tail
+correction stays below AUTO_TRUNCATION_TOL.
 
 Tail correction: with a_n = mult_n e^(-c lam_n), z_n = e^(i (lam - lam_n) h)
 and g_j = 1/(c + i j h), node j carries Re sum_n a_n z_n^j g_j.  Stopping
@@ -42,7 +44,8 @@ but not in it keeps its 1 / (mu_eff T) size until T reaches a few
 within a rounding error of lam_n or of an alias lam_n - 2 pi k / h, the
 size is bounded by 2 instead: pi/2 from the sine integral plus c/T and
 h/T.  Near lam_n that bound alone passes the budget and T is the cap;
-an alias carries e^(-32 k) in its weight, so it leaves T as it is.
+an alias carries e^(-16 c lam k) <= e^(-32 k) in its weight, so it
+leaves T as it is.
 
 The expansion runs in powers of 1/(mu_eff T): its k-th term is about
 (k-1)! / (mu_eff T)^(k-1) times the first, so the remainder is smaller
@@ -59,9 +62,7 @@ and the smallest T within budget is the root of a cubic in the first
 interval where the budget is met.  T then stays between
 t_min = max(20 c, 4 pi / lam, 8 h) and the cap T_CAP_FACTOR * c.  Where
 the uncorrected rule needed T ~ 1/tol, the corrected one needs
-T ~ tol^(-1/3).  The model leaves rounding out: the value is a count
-left by terms up to e^(c lam) a_n / (c pi) in size, so near c lam = 30
-and above, double rounding alone can pass the budget.
+T ~ tol^(-1/3).  The model leaves rounding out.
 
 Cost model: K(c + i w) e^(i lam w) is needed at every node w_j = j h,
 j = 0 .. ceil(T/h), for the `terms` spectral values kept.  The nodes
@@ -154,11 +155,11 @@ class InversionResult:
 
 
 def abscissa_estimate(s: Spectrum) -> float:
-    """Estimate the abscissa of convergence from the stored tail.
+    """Estimate the abscissa of convergence from the stored tail, as a diagnostic.
 
-    Uses the cumulative index n_k at each distinct eigenvalue over the
-    top half of the spectrum and returns the maximum of (ln n_k)/lam_k
-    there.
+    The maximum of (ln n_k)/lam_k over the top half of the spectrum, n_k
+    the cumulative index at each distinct eigenvalue.  The contour of
+    bromwich_invert no longer depends on it.
     """
     if s.total_count < 32:
         raise InsufficientDataError(
@@ -176,19 +177,13 @@ def abscissa_estimate(s: Spectrum) -> float:
 
 
 def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig):
-    """The contour for N(lam), and the _terms state of the spectral terms it keeps."""
-    try:
-        est = abscissa_estimate(s)
-    except InsufficientDataError:
-        est = 0.0  # small spectra: fall back to the pure damping target
-    if cfg.c is None:
-        c = max(2.0 * est, KAPPA / lam)
-    elif cfg.c <= est:
-        raise ConfigurationError(
-            f"contour abscissa c={cfg.c!r} does not exceed the convergence abscissa estimate {est!r}"
-        )
-    else:
-        c = cfg.c
+    """The contour for N(lam), and the _terms state of the spectral terms it keeps.
+
+    The auto c bounds the aliases (module docstring); only a manual c can overflow.
+    """
+    c = cfg.c
+    if c is None:
+        c = max(KAPPA, math.log(s.total_count / (1e-3 * AUTO_TRUNCATION_TOL)) / 16.0) / lam
     # checked before _auto_truncation, which evaluates e^(c lam) itself
     if c * lam > 700.0:
         raise ConfigurationError(

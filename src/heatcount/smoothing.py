@@ -71,7 +71,8 @@ def smoothing_error_bound(s: Spectrum, lam: float, beta: float) -> float:
 def default_beta(s: Spectrum, lam: float) -> float:
     """SHARPNESS / (distance from lam to the nearest eigenvalue other than lam)."""
     _check_lambda(lam)
-    dist = np.abs(s.values - lam)
+    i = int(np.searchsorted(s.values, lam))  # that eigenvalue is in values[i - 1 : i + 2]
+    dist = np.abs(s.values[max(i - 1, 0) : i + 2] - lam)
     dist = dist[dist > 0]
     if dist.size == 0:
         return SHARPNESS  # single-point spectrum at lam: no gap scale available

@@ -93,6 +93,13 @@ def count_below(eigenvalues, lam: float, strict: bool = True) -> int:
     return total
 
 
+def default_beta_by_scan(values, lam: float, sharpness: float) -> float:
+    """sharpness / min |v - lam| over every stored v != lam; sharpness if there is none."""
+    dist = np.abs(np.asarray(values) - lam)
+    dist = dist[dist > 0]
+    return sharpness if dist.size == 0 else sharpness / float(np.min(dist))
+
+
 def heat_trace_direct(eigenvalues, t: float) -> float:
     """math.fsum of mult * exp(-value * t)."""
     return math.fsum(mult * math.exp(-value * t) for value, mult in eigenvalues)

@@ -344,14 +344,14 @@ class TestThinWrappers:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_invert_overflowing_contour_is_an_error_row(self, tmp_path):
-        # the auto abscissa of this file spectrum puts c*lam near 887 at lam = 1
-        spectrum = tmp_path / "file.json"
-        entries = [{"value": 0.0, "multiplicity": 27}, {"value": 0.0078125, "multiplicity": 5}]
-        spectrum.write_text(json.dumps({"entries": entries}))
+    def test_invert_overflowing_contour_is_an_error_row(self, tmp_path, interval_file):
+        # c*lam is 300 at lam = 5 and 750 at lam = 12.5: only the second row overflows
         out = tmp_path / "i.csv"
-        assert run("invert", "--spectrum", spectrum, "--lambda", 1, "--out", out) == 0
-        assert ",error: e^(c*lam) overflows" in out.read_text().splitlines()[1]
+        assert run("invert", "--spectrum", interval_file, "--lambda", "5,12.5",
+                   "--c", 60, "--height", 10, "--step", 0.01, "--out", out) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 and "error" not in rows[0]
+        assert ",error: e^(c*lam) overflows" in rows[1]
 
     def test_manifest_params_are_the_parsed_arguments(self, tmp_path, interval_file):
         out = tmp_path / "i.csv"

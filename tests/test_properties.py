@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import oracles
 from heatcount import (
-    ConfigurationError,
     CountingMode,
     InversionConfig,
     Spectrum,
@@ -491,13 +490,8 @@ def assert_conjugate_symmetry(s, lam, height_fraction):
     Folding the contour onto [0, T] rests on this: at one symmetric node
     pair the imaginary parts of the integrand must cancel.
     """
-    try:
-        cfg, _ = _resolve_config(s, lam, InversionConfig())
-    except ConfigurationError as exc:
-        # the one refusal of an auto contour: e^(c lam) above e^700
-        assert "overflows" in str(exc)
-        return
-    assert cfg.c * lam <= 700.0
+    cfg, _ = _resolve_config(s, lam, InversionConfig())
+    assert cfg.c * lam <= 3.6
     c, omega = cfg.c, height_fraction * cfg.T
     keep = c * (s.values - lam) <= TERM_DROP_EXPONENT
     values, mults = s.values[keep], s.multiplicities[keep]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from heatcount import (
@@ -14,6 +16,7 @@ from heatcount import (
     smoothed_counting,
     smoothing_error_bound,
 )
+from heatcount.smoothing import SHARPNESS
 
 
 def occupation_direct(spectrum, lam, beta):
@@ -212,3 +215,30 @@ class TestDefaultBeta:
     def test_single_point_spectrum(self):
         s = Spectrum.from_entries([2.0])
         assert default_beta(s, 2.0) == 50.0
+
+    def test_families_match_the_whole_scan(
+        self, interval_pi_200, const_density_200, rectangle_pi_2000, torus_400
+    ):
+        one_value = Spectrum.from_entries([2.0])
+        for s in (interval_pi_200, const_density_200, rectangle_pi_2000, torus_400, one_value):
+            top = float(s.values[-1])
+            # off the spectrum, on every seventh eigenvalue, and one ulp either side of the first five
+            grid = [-1.0, 0.0, 1e-3, 0.5 * top, top, 2.0 * top, *s.values[:: max(s.values.size // 7, 1)]]
+            grid += [float(np.nextafter(v, d)) for v in s.values[:5] for d in (-np.inf, np.inf)]
+            for lam in map(float, grid):
+                expected = oracles.default_beta_by_scan(s.values, lam, SHARPNESS)
+                assert default_beta(s, lam).hex() == expected.hex(), (s, lam)
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1e3), st.integers(1, 5)), min_size=1, max_size=40),
+        st.floats(-10.0, 1.1e3),
+        st.integers(0, 39),
+    )
+    @settings(deadline=None)
+    def test_file_spectra_match_the_whole_scan(self, entries, lam, k):
+        # k picks a stored value as lam half the time: lam on an eigenvalue
+        s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
+        if k % 2:
+            lam = float(s.values[(k // 2) % s.values.size])
+        expected = oracles.default_beta_by_scan(s.values, lam, SHARPNESS)
+        assert default_beta(s, lam).hex() == expected.hex()
