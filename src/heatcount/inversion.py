@@ -71,23 +71,27 @@ j = q B + r,
 
     e^(i (lam - lam_n) w_j) = e^(i (lam - lam_n) q B h) * e^(i (lam - lam_n) r h),
 
-and the trace on the grid is one complex matrix product P @ E of a
+and the trace on the grid is the complex matrix product P @ E of a
 (nodes/B) x terms table P[q, n] = a_n e^(i (lam - lam_n) q B h) with a
 terms x B table E[n, r] = e^(i (lam - lam_n) r h).  That costs about
 2 sqrt(nodes) * terms complex exponentials and nodes * terms complex
-multiply-adds in one GEMM.  P is built and multiplied in row groups of
-at most BLOCK_BYTES of working arrays, but E is built whole: terms x
-ceil(sqrt(nodes)) complex values, and building it takes about three
-times that.  Both factors grow with lam, so the transient memory of one
-call is BLOCK_BYTES plus a table that grows about as lam^1.5 on a
-Weyl-law spectrum; ROADMAP.md item 12 would tile E as well.  One sweep
-gives both the trapezoid sum and the last period's sum, each reduced by
-np.sum, so no result depends on the number of BLAS threads.  The kept
-terms, their coefficients a_n, phases g_n and frequencies mu_eff are
-derived once per call and shared by the choice of T, the trace and the
-tail.  Choosing T sorts the terms once; the tail takes e^(i pi g_n) and
-z_n^M from one two-row phasor table of the expanded terms, at most 2 *
-terms exponentials.
+multiply-adds.  Both factors are tiled to the one budget BLOCK_BYTES:
+nodes are taken a group at a time, at most BLOCK_BYTES / 16 of them, so
+that the group's trace is at most BLOCK_BYTES; terms are taken a block
+at a time, whose E columns and P rows come from one phasor table of at
+most BLOCK_BYTES / 96 entries, at most BLOCK_BYTES / 2 while it is
+built; and each block's product, at most the size of the trace, is
+added into it.  The transient memory of one call is thus under 3
+BLOCK_BYTES plus a few arrays per kept term, whatever lam.  An auto
+contour has at most 8 T_CAP_FACTOR c lam / pi + 2 <= 9.1e5 nodes, one
+group, so E is formed once per block.  One sweep gives both the
+trapezoid sum and the last period's sum, each reduced by np.sum over
+slices of BLOCK_BYTES / 128 nodes, so no result depends on the number of
+BLAS threads.  The kept terms, their coefficients a_n, phases g_n and
+frequencies mu_eff are derived once per call and shared by the choice of
+T, the trace and the tail.  Choosing T sorts the terms once; the tail
+takes e^(i pi g_n) and z_n^M from one two-row phasor table of the
+expanded terms, at most 2 * terms exponentials.
 
 Phases: (lam - lam_n) j h reaches thousands of radians, and rounding it
 to a double moves it by about 1e-13 rad.  Near a resonance (lam_n close
@@ -100,6 +104,7 @@ phase error of a few 1e-16 rad whatever j.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -114,7 +119,7 @@ KAPPA = 2.0                  # target c * lam for the auto contour
 AUTO_TRUNCATION_TOL = 2e-3   # absolute truncation-error budget for auto T
 T_CAP_FACTOR = 1e5           # hard cap T <= T_CAP_FACTOR * c
 TERM_DROP_EXPONENT = 46.0    # drop spectral terms with c*(lam_n - lam) beyond this
-BLOCK_BYTES = 1 << 24       # working-array budget of one row group of the contour kernel
+BLOCK_BYTES = 1 << 24       # budget of each working array of the contour kernel
 TAIL_EXPANSION_MIN = 4.0     # least mu_eff * T at which a term's tail is expanded
 
 # 1/(2 pi) as the unevaluated sum of two doubles
@@ -202,11 +207,13 @@ def _terms(s: Spectrum, lam: float, c: float, h: float):
     coeffs_n = mult_n e^(-c lam_n); g_hi + g_lo = (lam - lam_n) h / (2 pi),
     the phase per step in turns as a double-double; mu_eff = 2 |sin((lam -
     lam_n) h / 2)| / h, the frequency as the grid sees it, 0 in resonance.
-    Terms further above lam are damped below resolution and dropped.
+    Terms further above lam are damped below resolution and dropped; the
+    rounded c (lam_n - lam) never decreases as lam_n grows, so the kept
+    terms are a prefix of the sorted values.
     """
-    keep = c * (s.values - lam) <= TERM_DROP_EXPONENT
-    values = s.values[keep]
-    coeffs = s.multiplicities[keep] * np.exp(-values * c)
+    kept = bisect.bisect_right(s.values, TERM_DROP_EXPONENT, key=lambda v: c * (v - lam))
+    values = s.values[:kept]
+    coeffs = s.multiplicities[:kept] * np.exp(-values * c)
     mu_eff = np.abs(2.0 * np.sin(0.5 * (lam - values) * h)) / h
     return (coeffs, *_turns_per_step(lam, values, h), mu_eff)
 
@@ -340,25 +347,39 @@ def _tail_sum(terms, c, T, h, m):
 
 
 def _trace_on_grid(terms, count):
-    """Yield (j, sum_n coeffs_n e^(2 pi i (g_hi + g_lo)_n j)) in blocks covering 0 .. count - 1.
+    """Yield (j, sum_n coeffs_n e^(2 pi i (g_hi + g_lo)_n j)) in slices covering 0 .. count - 1.
 
     Node j = q B + r with B = ceil(sqrt(count)): the trace is the product
-    of a row group of P[q, n] = coeffs_n e^(2 pi i g_n q B) with
-    E[n, r] = e^(2 pi i g_n r), row groups sized by BLOCK_BYTES.
+    P @ E of P[q, n] = coeffs_n e^(2 pi i g_n q B) and E[n, r] = e^(2 pi i
+    g_n r).  Nodes are taken a group of whole rows q at a time, at most
+    BLOCK_BYTES / 16 of them, so that the group's trace fits the budget;
+    terms a block at a time, each block's E columns and P rows coming from
+    one phasor table over k = (0 .. B - 1, the group's row starts) of at
+    most BLOCK_BYTES / 96 entries, and each block's product is added into
+    the trace.  The trace is yielded in slices of BLOCK_BYTES / 128 nodes.
     """
     coeffs, g_hi, g_lo, _ = terms
     width = math.isqrt(count - 1) + 1
-    rows = -(-count // width)
-    table = _unit_phasors(g_hi, g_lo, np.arange(width, dtype=np.float64)).T
-    # bytes per row of P: phase arithmetic, exponentials and P itself per
-    # term; trace, node indices and integrand temporaries per column
-    row_bytes = 96 * coeffs.size + 112 * width
-    group = max(BLOCK_BYTES // row_bytes, 1)
-    for q0 in range(0, rows, group):
-        starts = width * np.arange(q0, min(q0 + group, rows))
-        trace = (coeffs * _unit_phasors(g_hi, g_lo, starts.astype(np.float64))) @ table
-        j = np.arange(starts[0], min(starts[-1] + width, count))
-        yield j, trace.ravel()[: j.size]
+    group = max(BLOCK_BYTES // 16 // width, 1) * width  # 16 bytes a node of the trace
+    step = max(BLOCK_BYTES // 128, 1)
+
+    def product(k, n, size):
+        # terms n .. n + size - 1: P's rows at k[width:], E's columns at k[:width]
+        phasors = _unit_phasors(g_hi[n : n + size], g_lo[n : n + size], k)
+        return ((coeffs[n : n + size] * phasors[width:]) @ phasors[:width].T).ravel()
+
+    for j0 in range(0, count, group):
+        j1 = min(j0 + group, count)
+        k = np.concatenate((np.arange(width), np.arange(j0, j1, width))).astype(np.float64)
+        # _unit_phasors peaks at 48 bytes an entry, so a block's table takes
+        # at most half the budget; all of it gave twice the peak, no faster
+        size = max(BLOCK_BYTES // (96 * k.size), 1)
+        trace = product(k, 0, size)  # an empty block where no term is kept
+        for n in range(size, coeffs.size, size):
+            trace += product(k, n, size)
+        for s in range(j0, j1, step):
+            j = np.arange(s, min(s + step, j1))
+            yield j, trace[s - j0 : s - j0 + j.size]
 
 
 def _split(a):

@@ -420,28 +420,32 @@ def trapezoid_tail(values, mults, lam, c, T, h, drop_exponent, expand_min):
 
 
 def trapezoid_limit(values, mults, lam, c, h, drop_exponent):
-    """The limit T -> inf of the contour trapezoid with step h, by Poisson summation.
+    """The limit T -> inf of the contour trapezoid with step h, by Poisson summation, as a Fraction.
 
     sum_{k >= 0} e^(-2 pi c k / h) N_mid(lam + 2 pi k / h) over the kept
     terms, N_mid counting half the multiplicity at a jump; k < 0 adds
-    nothing, as no eigenvalue is negative.  Past the largest kept value
-    every alias counts all kept terms, a geometric series in closed form.
+    nothing, as no eigenvalue is negative.  The k = 0 term N_mid(lam) is
+    the exact count; the aliases k >= 1 are summed in doubles, and past
+    the largest kept value every alias counts all kept terms, a geometric
+    series in closed form.
     """
     pairs = [
         (float(v), int(m)) for v, m in zip(values, mults) if c * (float(v) - lam) <= drop_exponent
     ]
     if not pairs:
-        return 0.0
+        return Fraction(0)
+
+    def twice_mid(x):
+        return sum(2 * m if v < x else m for v, m in pairs if v <= x)
+
     period = 2.0 * math.pi / h
     damping = math.exp(-c * period)
     total = sum(m for _, m in pairs)
-    terms = []
-    k = 0
+    aliases = []
+    k = 1
     top = max(v for v, _ in pairs)
     while lam + k * period <= top:
-        x = lam + k * period
-        mid = math.fsum(m if v < x else 0.5 * m for v, m in pairs if v <= x)
-        terms.append(math.exp(-c * period * k) * mid)
+        aliases.append(math.exp(-c * period * k) * 0.5 * twice_mid(lam + k * period))
         k += 1
-    terms.append(total * math.exp(-c * period * k) / (1.0 - damping))
-    return math.fsum(terms)
+    aliases.append(total * math.exp(-c * period * k) / (1.0 - damping))
+    return Fraction(twice_mid(lam), 2) + Fraction(math.fsum(aliases))

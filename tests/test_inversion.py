@@ -228,11 +228,13 @@ class TestContourKernel:
         "j0, count",
         [(0, 1), (0, 2), (0, 7), (0, 16), (0, 17), (0, 1000), (0, 1001), (5, 1), (977, 2), (12_345, 38)],
     )
-    @pytest.mark.parametrize("budget", [inversion.BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("budget", [inversion.BLOCK_BYTES, 12_288, 1])
     def test_trace_matches_per_term_sum(self, interval_pi_200, monkeypatch, j0, count, budget):
-        # budget 1 forces one row of P per block.  The grid has j0 + count
-        # nodes and its last count are checked, up to j = 12_382, where the
-        # phases values_n * w run past 1e6 rad.
+        # budget 1 forces groups of one row of P and blocks of one term;
+        # 12_288 gives groups of 24 rows and blocks of 2 terms on the grids
+        # of about 1000 nodes, blocks of 12 to 21 terms on the smallest.
+        # The grid has j0 + count nodes and its last count are checked, up
+        # to j = 12_382, where the phases values_n * w run past 1e6 rad.
         monkeypatch.setattr(inversion, "BLOCK_BYTES", budget)
         c, h = 0.05, math.pi / 96.0
         values = interval_pi_200.values[:60]
@@ -320,6 +322,7 @@ class TestContourKernel:
     # longer contour and now sums to 2.2e-2 over 108 nodes (1.6e-16)
     @example(entries=[(9.890625, 1)], lam=1.09765625)
     @example(entries=[(36.64810740122483, 2)], lam=31.019026072892323)
+    @example(entries=[(13.0, 1)], lam=0.5)  # no term kept: the kernel runs one empty block
     @settings(deadline=None)
     def test_random_file_spectra(self, entries, lam):
         s = Spectrum.from_entries([v for v, _ in entries], [m for _, m in entries])
@@ -328,17 +331,25 @@ class TestContourKernel:
         assume(cfg.T / cfg.h <= 100_000)  # the node cap bounds the oracle's cost
         assert_matches_direct_trapezoid(s, lam)
 
-    def test_torus_2000_memory_bounded(self):
-        # the node-by-term exponential matrix of the direct sum peaks above 1 GiB here
-        s = generate_torus(2000.0)
+    @pytest.mark.parametrize("lambda_max, lam", [(2000.0, 263.0), (25000.0, 1000.5)])
+    def test_torus_memory_bounded(self, lambda_max, lam):
+        """One call stays under 3 BLOCK_BYTES: the group's trace and a block's
+        product, each at most BLOCK_BYTES, and a block's phasor table, at
+        most BLOCK_BYTES / 2 while it is built, with the per-term state far
+        smaller.  The node-by-term exponential matrix of the direct sum
+        peaks above 1 GiB on torus-2000; on torus-25000 (6,241 terms,
+        87,755 nodes) a whole E table would take 28.3 MiB and three times
+        that while it is built.
+        """
+        s = generate_torus(lambda_max)
         tracemalloc.start()
         try:
-            res = bromwich_invert(s, 263.0)
+            res = bromwich_invert(s, lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert abs(res.value - counting(s, 263.0)) <= 0.1
-        assert peak < 128 * 2**20
+        assert abs(res.value - counting(s, lam)) <= 0.1
+        assert peak < 3 * inversion.BLOCK_BYTES
 
 
 def assert_within_budget_of_limit(s, lam):
@@ -428,29 +439,47 @@ class TestPoissonLimit:
 huge_multiplicity = st.integers(0, 62).flatmap(lambda bits: st.integers(1, 2**bits))
 
 
-@given(
-    st.one_of(
-        st.sampled_from(["interval", "constant", "rectangle", "torus"]),
-        st.lists(st.tuples(st.floats(0.0, 40.0), huge_multiplicity), min_size=1, max_size=30),
-    ),
-    st.floats(min_value=0.2, max_value=45.0),
+# a generator family by name, or the (value, multiplicity) entries of a file spectrum
+family_or_file = st.one_of(
+    st.sampled_from(["interval", "constant", "rectangle", "torus"]),
+    st.lists(st.tuples(st.floats(0.0, 40.0), huge_multiplicity), min_size=1, max_size=30),
 )
+
+
+@pytest.fixture(scope="module")
+def spectrum_of(interval_pi_200, const_density_200, rectangle_pi_2000, torus_400):
+    families = {"interval": interval_pi_200, "constant": const_density_200,
+                "rectangle": rectangle_pi_2000, "torus": torus_400}
+
+    def make(spectrum):
+        if isinstance(spectrum, str):
+            return families[spectrum]
+        assume(sum(m for _, m in spectrum) < 2**63)
+        return Spectrum.from_entries([v for v, _ in spectrum], [m for _, m in spectrum])
+
+    return make
+
+
+@given(family_or_file, st.floats(min_value=0.2, max_value=45.0))
+# c (v - lam) = 4 (12 - 0.5) is TERM_DROP_EXPONENT exactly; the next double above 12 is past it
+@example(spectrum=[(12.0, 1), (12.000000000000002, 1)], lam=0.5)
+@settings(deadline=None)
+def test_kept_terms_are_the_prefix_the_mask_keeps(spectrum_of, spectrum, lam):
+    s = spectrum_of(spectrum)
+    cfg, terms = _resolve_config(s, lam, InversionConfig())
+    keep = cfg.c * (s.values - lam) <= inversion.TERM_DROP_EXPONENT
+    assert np.flatnonzero(keep).tolist() == list(range(terms[0].size))
+
+
+@given(family_or_file, st.floats(min_value=0.2, max_value=45.0))
 # c lam = 2 alone leaves an alias error of about 12.7 here; the rule's 2.98 leaves 2e-6
 @example(spectrum=[(1.0, 10**15), (3.0, 5)], lam=0.5)
 @settings(deadline=None)
-def test_auto_contour_bounds_the_aliases(
-    interval_pi_200, const_density_200, rectangle_pi_2000, torus_400, spectrum, lam
-):
+def test_auto_contour_bounds_the_aliases(spectrum_of, spectrum, lam):
     # the trapezoid's limit is N(lam) plus aliases of at most N e^(-16 c lam) /
     # (1 - e^(-16 c lam)), which the auto contour holds within eps;
-    # trapezoid_limit rounds each multiplicity and its sums to doubles
-    if isinstance(spectrum, str):
-        families = {"interval": interval_pi_200, "constant": const_density_200,
-                    "rectangle": rectangle_pi_2000, "torus": torus_400}
-        s = families[spectrum]
-    else:
-        assume(sum(m for _, m in spectrum) < 2**63)
-        s = Spectrum.from_entries([v for v, _ in spectrum], [m for _, m in spectrum])
+    # trapezoid_limit counts N(lam) exactly
+    s = spectrum_of(spectrum)
     cfg, _ = _resolve_config(s, lam, InversionConfig())
     limit = oracles.trapezoid_limit(
         s.values, s.multiplicities, lam, cfg.c, cfg.h, inversion.TERM_DROP_EXPONENT
@@ -458,4 +487,4 @@ def test_auto_contour_bounds_the_aliases(
     pairs = oracles.pairs(s)
     n_star = Fraction(oracles.count_below(pairs, lam) + oracles.count_below(pairs, lam, False), 2)
     eps = 1e-3 * inversion.AUTO_TRUNCATION_TOL
-    assert float(abs(Fraction(limit) - n_star)) <= 1.001 * eps + 2.0**-52 * float(n_star)
+    assert float(abs(limit - n_star)) <= 1.001 * eps
