@@ -65,33 +65,31 @@ the uncorrected rule needed T ~ 1/tol, the corrected one needs
 T ~ tol^(-1/3).  The model leaves rounding out.
 
 Cost model: K(c + i w) e^(i lam w) is needed at every node w_j = j h,
-j = 0 .. ceil(T/h), for the `terms` spectral values kept.  The nodes
-form an arithmetic progression, so with B = ceil(sqrt(nodes)) and
-j = q B + r,
-
-    e^(i (lam - lam_n) w_j) = e^(i (lam - lam_n) q B h) * e^(i (lam - lam_n) r h),
-
-and the trace on the grid is the complex matrix product P @ E of a
-(nodes/B) x terms table P[q, n] = a_n e^(i (lam - lam_n) q B h) with a
-terms x B table E[n, r] = e^(i (lam - lam_n) r h).  That costs about
-2 sqrt(nodes) * terms complex exponentials and nodes * terms complex
-multiply-adds.  Both factors are tiled to the one budget BLOCK_BYTES:
-nodes are taken a group at a time, at most BLOCK_BYTES / 16 of them, so
-that the group's trace is at most BLOCK_BYTES; terms are taken a block
-at a time, whose E columns and P rows come from one phasor table of at
-most BLOCK_BYTES / 96 entries, at most BLOCK_BYTES / 2 while it is
-built; and each block's product, at most the size of the trace, is
-added into it.  The transient memory of one call is thus under 3
-BLOCK_BYTES plus a few arrays per kept term, whatever lam.  An auto
+j = 0 .. ceil(T/h), for the `terms` spectral values kept.  With j =
+(q1 B2 + q2) B + r, B = ceil(sqrt(nodes)) and B2 = ceil(sqrt(nodes / B)),
+the trace on the grid is the complex matrix product P @ E of a (nodes/B)
+x terms table P[(q1, q2), n] = a_n U[q1, n] V[q2, n] with a terms x B
+table E[n, r], where U, V and E hold e^(i (lam - lam_n) w) at w =
+q1 B2 B h, q2 B h and r h.  That is sqrt(nodes) + 2 nodes^(1/4) complex
+exponentials and a broadcast multiply of sqrt(nodes) entries a term, and
+nodes * terms complex multiply-adds; a cube-root B would take fewer
+exponentials but page in a P of nodes^(2/3) rows.  Both factors are
+tiled to the one budget BLOCK_BYTES: nodes are taken a group at a time,
+at most BLOCK_BYTES / 16 of them, so that the group's trace is at most
+BLOCK_BYTES; terms are taken a block at a time, whose E, V and U come
+from one phasor table and whose P is formed from it, the two together at
+most BLOCK_BYTES / 2; and each block's product, at most the size of the
+trace, is added into it.  The transient memory of one call is thus under
+3 BLOCK_BYTES plus a few arrays per kept term, whatever lam.  An auto
 contour has at most 8 T_CAP_FACTOR c lam / pi + 2 <= 9.1e5 nodes, one
-group, so E is formed once per block.  One sweep gives both the
+group, so each term's phasors are formed once.  One sweep gives both the
 trapezoid sum and the last period's sum, each reduced by np.sum over
 slices of BLOCK_BYTES / 128 nodes, so no result depends on the number of
 BLAS threads.  The kept terms, their coefficients a_n, phases g_n and
 frequencies mu_eff are derived once per call and shared by the choice of
 T, the trace and the tail.  Choosing T sorts the terms once; the tail
-takes e^(i pi g_n) and z_n^M from one two-row phasor table of the
-expanded terms, at most 2 * terms exponentials.
+takes e^(i pi g_n) and z_n^M from two more rows of the phasor table, so
+a call whose terms fit one block makes one table.
 
 Phases: (lam - lam_n) j h reaches thousands of radians, and rounding it
 to a double moves it by about 1e-13 rad.  Near a resonance (lam_n close
@@ -119,7 +117,7 @@ KAPPA = 2.0                  # target c * lam for the auto contour
 AUTO_TRUNCATION_TOL = 2e-3   # absolute truncation-error budget for auto T
 T_CAP_FACTOR = 1e5           # hard cap T <= T_CAP_FACTOR * c
 TERM_DROP_EXPONENT = 46.0    # drop spectral terms with c*(lam_n - lam) beyond this
-BLOCK_BYTES = 1 << 24       # budget of each working array of the contour kernel
+BLOCK_BYTES = 1 << 24       # bytes of the kernel's trace, of a block's product, twice its table and P
 TAIL_EXPANSION_MIN = 4.0     # least mu_eff * T at which a term's tail is expanded
 
 # 1/(2 pi) as the unevaluated sum of two doubles
@@ -213,7 +211,8 @@ def _terms(s: Spectrum, lam: float, c: float, h: float):
     """
     kept = bisect.bisect_right(s.values, TERM_DROP_EXPONENT, key=lambda v: c * (v - lam))
     values = s.values[:kept]
-    coeffs = s.multiplicities[:kept] * np.exp(-values * c)
+    # numpy's complex exp is libm's at every SIMD level; its float exp is not
+    coeffs = s.multiplicities[:kept] * np.exp(values * complex(-c)).real
     mu_eff = np.abs(2.0 * np.sin(0.5 * (lam - values) * h)) / h
     return (coeffs, *_turns_per_step(lam, values, h), mu_eff)
 
@@ -308,21 +307,22 @@ def _contour_sums(terms, lam: float, cfg: InversionConfig):
 
     # one sweep: each node at weight 1, then half of each end node taken back
     total = last_period = 0.0
-    for j, trace in _trace_on_grid(terms, m_steps + 1):
-        f = np.real(trace / (c + 1j * (j * h)))
+    ends = np.empty((2, terms[0].size), dtype=complex)  # filled by the sweep
+    for j, trace in _trace_on_grid(terms, m_steps + 1, ends):
+        f = np.real(trace / (c + j * (1j * h)))
         if j[0] == 0:
             f_first = f[0]
-        total += float(np.sum(f))
-        last_period += float(np.sum(f[j >= j_tail]))
+        total += float(f.sum())
+        last_period += float(f[max(j_tail - j[0], 0) :].sum())
     f_last = f[-1]
     trapezoid = scale * (total - 0.5 * (f_first + f_last))
     osc_raw = abs(scale * (last_period - 0.5 * f_last))
     oscillation = max(osc_raw, 2.0**-40 * (1.0 + abs(trapezoid)))
-    tail = scale * _tail_sum(terms, c, T, h, m_steps)
+    tail = scale * _tail_sum(terms, c, T, h, m_steps, ends)
     return trapezoid, tail, oscillation
 
 
-def _tail_sum(terms, c, T, h, m):
+def _tail_sum(terms, c, T, h, m, ends):
     """sum_n coeffs_n Re tau_n, tau_n the trapezoid tail of term n past node m, half end weight included.
 
     With z = e^(2 pi i g), g = g_hi + g_lo, and g_j = 1/(c + i j h),
@@ -331,14 +331,13 @@ def _tail_sum(terms, c, T, h, m):
         tau = z^m g_m (1/(1 - z) - 1/2) + z^(m+1) (g_(m+1) - g_m) / (1 - z)^2
             = z^m (g_m (i/2) cot(pi g) - (g_(m+1) - g_m) / (4 sin(pi g)^2)),
 
-    for terms with mu_eff T >= TAIL_EXPANSION_MIN; e^(i pi g) and z^m come
-    from one phasor table of those terms.  A resonant term (mu_eff = 0)
-    has Re tau = atan(c/(m h)) / h by Euler-Maclaurin; the terms in
-    between get no correction.
+    for terms with mu_eff T >= TAIL_EXPANSION_MIN, e^(i pi g) and z^m from
+    ends.  A resonant term (mu_eff = 0) has Re tau = atan(c/(m h)) / h by
+    Euler-Maclaurin; the terms in between get no correction.
     """
-    coeffs, g_hi, g_lo, mu_eff = terms
+    coeffs, _, _, mu_eff = terms
     expanded = mu_eff * T >= TAIL_EXPANSION_MIN
-    half, z_m = _unit_phasors(g_hi[expanded], g_lo[expanded], np.array([0.5, float(m)]))
+    half, z_m = ends[:, expanded]
     sin, cos = half.imag, half.real
     g_m = 1.0 / (c + 1j * (m * h))
     dg = -1j * h * g_m / (c + 1j * ((m + 1) * h))  # g_(m+1) - g_m
@@ -346,37 +345,37 @@ def _tail_sum(terms, c, T, h, m):
     return float(np.sum(tau.real)) + math.atan(c / (m * h)) / h * float(np.sum(coeffs[mu_eff == 0.0]))
 
 
-def _trace_on_grid(terms, count):
+def _trace_on_grid(terms, count, ends):
     """Yield (j, sum_n coeffs_n e^(2 pi i (g_hi + g_lo)_n j)) in slices covering 0 .. count - 1.
 
-    Node j = q B + r with B = ceil(sqrt(count)): the trace is the product
-    P @ E of P[q, n] = coeffs_n e^(2 pi i g_n q B) and E[n, r] = e^(2 pi i
-    g_n r).  Nodes are taken a group of whole rows q at a time, at most
-    BLOCK_BYTES / 16 of them, so that the group's trace fits the budget;
-    terms a block at a time, each block's E columns and P rows coming from
-    one phasor table over k = (0 .. B - 1, the group's row starts) of at
-    most BLOCK_BYTES / 96 entries, and each block's product is added into
-    the trace.  The trace is yielded in slices of BLOCK_BYTES / 128 nodes.
+    P @ E as in the module docstring; U is offset by the group's first node and
+    B2 = ceil(sqrt(rows of a group)).  A block's table is one _unit_phasors call over
+    k = (0 .. B - 1, B (0 .. B2 - 1), q1 starts, 1/2, count - 1), its last two rows to ends.
     """
     coeffs, g_hi, g_lo, _ = terms
     width = math.isqrt(count - 1) + 1
-    group = max(BLOCK_BYTES // 16 // width, 1) * width  # 16 bytes a node of the trace
+    group = min(max(BLOCK_BYTES // 16 // width, 1), -(-count // width)) * width  # 16 bytes a node
+    width2 = math.isqrt(group // width - 1) + 1
     step = max(BLOCK_BYTES // 128, 1)
 
-    def product(k, n, size):
-        # terms n .. n + size - 1: P's rows at k[width:], E's columns at k[:width]
+    def product(k, n_rows, n, size):
         phasors = _unit_phasors(g_hi[n : n + size], g_lo[n : n + size], k)
-        return ((coeffs[n : n + size] * phasors[width:]) @ phasors[:width].T).ravel()
+        ends[:, n : n + size] = phasors[-2:]
+        top = coeffs[n : n + size] * phasors[width + width2 : -2]
+        p = (top[:, None] * phasors[width : width + width2]).reshape(top.shape[0] * width2, -1)
+        return (p[:n_rows] @ phasors[:width].T).ravel()
 
     for j0 in range(0, count, group):
         j1 = min(j0 + group, count)
-        k = np.concatenate((np.arange(width), np.arange(j0, j1, width))).astype(np.float64)
-        # _unit_phasors peaks at 48 bytes an entry, so a block's table takes
-        # at most half the budget; all of it gave twice the peak, no faster
-        size = max(BLOCK_BYTES // (96 * k.size), 1)
-        trace = product(k, 0, size)  # an empty block where no term is kept
+        k = np.concatenate((np.arange(width), np.arange(0, width * width2, width),
+                            np.arange(j0, j1, width * width2), (0.5, count - 1)))
+        n_rows = -(-(j1 - j0) // width)
+        # half the budget: _unit_phasors peaks at 32 bytes an entry, and the
+        # table, coeffs U and P take under 16 (2 k.size + n_rows) bytes a term
+        size = max(BLOCK_BYTES // (32 * (2 * k.size + n_rows)), 1)
+        trace = product(k, n_rows, 0, size)  # an empty block where no term is kept
         for n in range(size, coeffs.size, size):
-            trace += product(k, n, size)
+            trace += product(k, n_rows, n, size)
         for s in range(j0, j1, step):
             j = np.arange(s, min(s + step, j1))
             yield j, trace[s - j0 : s - j0 + j.size]
@@ -425,7 +424,8 @@ def _unit_phasors(g_hi, g_lo, k):
     e += np.multiply.outer(k, g_lo)
     p -= np.round(p)
     p += e
-    return np.exp((2j * math.pi) * p)
+    z = (2j * math.pi) * p
+    return np.exp(z, out=z)
 
 
 def invert_profile(s: Spectrum, grid, cfg: InversionConfig | None = None) -> EvalTable:

@@ -19,8 +19,9 @@ math.fsum of its terms), so no byte depends on the order of a sum or on
 the length of the spectrum.  Not portable: ``invert`` and ``verify-2`` take
 their contour traces from a BLAS complex matrix product, whose bytes
 follow the OpenBLAS kernel the CPU selects (they change under
-``OPENBLAS_CORETYPE=Haswell``), and their contour coefficients from
-numpy's ``exp``, whose bytes change again at numpy's x86-64-v2 baseline.
+``OPENBLAS_CORETYPE=Haswell``), and one factor of that product and
+their tail sums from numpy's complex multiply, whose bytes change again
+at numpy's x86-64-v2 baseline.
 """
 import hashlib
 import math

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,7 +25,13 @@ from heatcount import (
     invert_profile,
     inversion,
 )
-from heatcount.inversion import _contour_sums, _resolve_config, _trace_on_grid, _turns_per_step
+from heatcount.inversion import (
+    _contour_sums,
+    _resolve_config,
+    _trace_on_grid,
+    _turns_per_step,
+    _unit_phasors,
+)
 
 
 class TestAbscissaEstimate:
@@ -226,13 +233,17 @@ def assert_matches_direct_trapezoid(s, lam, cfg=None):
 class TestContourKernel:
     @pytest.mark.parametrize(
         "j0, count",
-        [(0, 1), (0, 2), (0, 7), (0, 16), (0, 17), (0, 1000), (0, 1001), (5, 1), (977, 2), (12_345, 38)],
+        [(0, 1), (0, 2), (0, 7), (0, 16), (0, 17), (0, 1000), (0, 1001), (5, 1), (977, 2), (12_345, 38),
+         # m^4 - 1, m^4 and m^4 + 1 nodes for m = 3 and 4, where B = m^2 and
+         # B2 = m split the grid exactly, and a prime count
+         (0, 80), (0, 81), (0, 82), (0, 255), (0, 256), (0, 257), (0, 1009)],
     )
     @pytest.mark.parametrize("budget", [inversion.BLOCK_BYTES, 12_288, 1])
     def test_trace_matches_per_term_sum(self, interval_pi_200, monkeypatch, j0, count, budget):
         # budget 1 forces groups of one row of P and blocks of one term;
-        # 12_288 gives groups of 24 rows and blocks of 2 terms on the grids
-        # of about 1000 nodes, blocks of 12 to 21 terms on the smallest.
+        # 12_288 gives groups of 24 rows and blocks of 3 or 4 terms on the
+        # grids of about 1000 nodes, of 1 term on the largest and of 14 to
+        # 34 terms on those of up to 17 nodes.
         # The grid has j0 + count nodes and its last count are checked, up
         # to j = 12_382, where the phases values_n * w run past 1e6 rad.
         monkeypatch.setattr(inversion, "BLOCK_BYTES", budget)
@@ -240,7 +251,8 @@ class TestContourKernel:
         values = interval_pi_200.values[:60]
         coeffs = interval_pi_200.multiplicities[:60] * np.exp(-values * c)
         terms = (coeffs, *_turns_per_step(0.0, values, h), None)
-        blocks = list(_trace_on_grid(terms, j0 + count))
+        ends = np.empty((2, values.size), dtype=complex)
+        blocks = list(_trace_on_grid(terms, j0 + count, ends))
         j = np.concatenate([b[0] for b in blocks])
         trace = np.concatenate([b[1] for b in blocks])[j0:]
         assert j.tolist() == list(range(j0 + count))
@@ -249,6 +261,10 @@ class TestContourKernel:
         omega_max = h * (j0 + count - 1)
         tol = 1e-15 * float(np.sum(coeffs * (1.0 + values * omega_max)))
         assert np.max(np.abs(trace - expected)) <= tol
+        # each term's e^(2 pi i g k) at k = 1/2 and the last node, for the tail
+        for row, omega in zip(ends, (0.5 * h, omega_max)):
+            expected = np.array([cmath.exp(-1j * v * omega) for v in values])
+            assert np.all(np.abs(row - expected) <= 1e-15 * (1.0 + values * omega))
 
     @pytest.mark.parametrize(
         "lam, cfg", [(9.0, None), (12.0, None), (12.0, InversionConfig(c=0.2, T=50.0, h=0.1))]
@@ -264,6 +280,30 @@ class TestContourKernel:
         monkeypatch.setattr(inversion, "_turns_per_step", counted)
         bromwich_invert(interval_pi_200, lam, cfg)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["interval", "constant"])
+    def test_one_phasor_table_per_call(self, interval_pi_200, const_density_200, monkeypatch, family):
+        # the trace's three factors and the tail's two rows share one table
+        s = interval_pi_200 if family == "interval" else const_density_200
+        calls = []
+
+        def counted(g_hi, g_lo, k):
+            calls.append(g_hi)
+            return _unit_phasors(g_hi, g_lo, k)
+
+        monkeypatch.setattr(inversion, "_unit_phasors", counted)
+        for lam in grid_of(s, 19, 5):
+            calls.clear()
+            bromwich_invert(s, lam)
+            assert len(calls) == 1
+        # const-200 at 19.5 has 871 nodes and 200 terms: a budget of 16,384
+        # bytes keeps them one group and splits the terms into blocks of 4
+        monkeypatch.setattr(inversion, "BLOCK_BYTES", 16_384)
+        calls.clear()
+        _, (_, g_hi, _, _) = _resolve_config(const_density_200, 19.5, InversionConfig())
+        bromwich_invert(const_density_200, 19.5)
+        assert len(calls) > 1
+        assert np.concatenate(calls).tolist() == g_hi.tolist()  # one table a block
 
     @pytest.mark.parametrize("lam", [0.5, 9.0, 12.0, 20.5, 380.5])
     def test_interval_auto_contour(self, interval_pi_200, lam):
