@@ -21,8 +21,7 @@ add at most N e^(-16 c lam) / (1 - e^(-16 c lam)).  The auto contour's
 c lam = max(KAPPA, ln(N / eps) / 16), eps = 1e-3 AUTO_TRUNCATION_TOL,
 holds that within eps and keeps the e^(c lam) amplification of the
 tail error small: c lam is 2 up to N ~ 1.6e8, below 3.6 for any int64
-count.  T is the smallest height whose predicted error after the tail
-correction stays below AUTO_TRUNCATION_TOL.
+count.  T is the least height whose predicted error is within budget.
 
 Tail correction: with a_n = mult_n e^(-c lam_n), z_n = e^(i (lam - lam_n) h)
 and g_j = 1/(c + i j h), node j carries Re sum_n a_n z_n^j g_j.  Stopping
@@ -62,7 +61,8 @@ and the smallest T within budget is the root of a cubic in the first
 interval where the budget is met.  T then stays between
 t_min = max(20 c, 4 pi / lam, 8 h) and the cap T_CAP_FACTOR * c.  Where
 the uncorrected rule needed T ~ 1/tol, the corrected one needs
-T ~ tol^(-1/3).  The model leaves rounding out.
+T ~ tol^(-1/3).  The model leaves rounding out.  Its sines, products,
+quotients and ordered sums round alike at every numpy dispatch level.
 
 Cost model: K(c + i w) e^(i lam w) is needed at every node w_j = j h,
 j = 0 .. ceil(T/h), for the `terms` spectral values kept.  With j =
@@ -70,10 +70,10 @@ j = 0 .. ceil(T/h), for the `terms` spectral values kept.  With j =
 the trace on the grid is the complex matrix product P @ E of a (nodes/B)
 x terms table P[(q1, q2), n] = a_n U[q1, n] V[q2, n] with a terms x B
 table E[n, r], where U, V and E hold e^(i (lam - lam_n) w) at w =
-q1 B2 B h, q2 B h and r h.  That is sqrt(nodes) + 2 nodes^(1/4) complex
-exponentials and a broadcast multiply of sqrt(nodes) entries a term, and
+q1 B2 B h, q2 B h and r h.  That is sqrt(nodes) + 2 nodes^(1/4) cosines
+and sines and a broadcast multiply of sqrt(nodes) entries a term, and
 nodes * terms complex multiply-adds; a cube-root B would take fewer
-exponentials but page in a P of nodes^(2/3) rows.  Both factors are
+phasors but page in a P of nodes^(2/3) rows.  Both factors are
 tiled to the one budget BLOCK_BYTES: nodes are taken a group at a time,
 at most BLOCK_BYTES / 16 of them, so that the group's trace is at most
 BLOCK_BYTES; terms are taken a block at a time, whose E, V and U come
@@ -96,8 +96,10 @@ to a double moves it by about 1e-13 rad.  Near a resonance (lam_n close
 to lam) the real part of the integrand is only c/w of its modulus, so
 that error is amplified by up to T/c.  The phase is therefore carried in
 turns as a double-double, (lam - lam_n) h / (2 pi) = g_hi + g_lo, and
-reduced modulo one turn before the exponential, which leaves an absolute
-phase error of a few 1e-16 rad whatever j.
+reduced modulo one turn before its cosine and sine, which leaves an
+absolute phase error of a few 1e-16 rad whatever j < 2^26, the limit
+InversionConfig sets (an auto contour has at most 9.1e5 nodes).  numpy's
+cos and sin there are libm's, as its complex exp was.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class InversionConfig:
 
     Left all None (the default), the three are derived from the evaluation
     point and the spectrum; a manual configuration must supply them all,
-    finite, with c > 0, 0 < h < T and T/h finite.
+    finite, with c > 0, 0 < h < T and ceil(T/h) < 2^26.
     """
 
     c: float | None = None
@@ -146,8 +148,8 @@ class InversionConfig:
             raise ConfigurationError("manual inversion config requires c, T and h")
         if not (0 < self.c < math.inf):
             raise ConfigurationError(f"contour abscissa c must be positive and finite, got {self.c!r}")
-        if not (0 < self.h < self.T and self.T / self.h < math.inf):
-            raise ConfigurationError(f"need 0 < h < T with T/h finite, got h={self.h!r}, T={self.T!r}")
+        if not (0 < self.h < self.T and self.T / self.h <= 2**26 - 1):  # ceil(T/h) < 2**26
+            raise ConfigurationError(f"need 0 < h < T with ceil(T/h) < 2**26, got h={self.h!r}, T={self.T!r}")
 
 
 @dataclass(frozen=True)
@@ -220,37 +222,34 @@ def _terms(s: Spectrum, lam: float, c: float, h: float):
 def _auto_truncation(terms, lam: float, c: float, h: float) -> float:
     """The smallest T in [t_min, T_CAP_FACTOR c] whose predicted tail error is within budget.
 
-    Per unit of a_n e^(c lam) / pi, a term of wrapped frequency mu_eff
-    leaves 2 / (mu_eff T)^3 once its tail is expanded (mu_eff T >=
-    TAIL_EXPANSION_MIN), 1 / (mu_eff T) before that, and c / T in
-    resonance.  Past its breakpoint TAIL_EXPANSION_MIN / mu_eff a term
-    moves from the second kind to the first, so the predicted error
-    decreases with T; between breakpoints it is p / T^3 + q / T.  A term
-    with mu_eff T < 1/2 even at the cap (mu_eff is rounding noise near an
-    alias, or lam is within it of lam_n) leaves at most 2 instead: pi/2
-    from the sine integral, plus c/T <= 1/20 and h/T <= 1/8 for T >=
-    t_min.  These terms take a fixed share r of the budget, the cubic is
+    Each term's size, per unit of a_n e^(c lam) / pi, is the module
+    docstring's.  The terms with mu_eff T < 1/2 even at the cap take a
+    fixed share r of the budget, 2 each; the cubic p / T^3 + q / T is
     solved in the 1 - r left, and T is the cap if r >= 1.
     """
     coeffs, _, _, mu_eff = terms
     t_cap = T_CAP_FACTOR * c
     a_n = coeffs * (math.exp(c * lam) / (math.pi * AUTO_TRUNCATION_TOL))  # budget 1
-    resonant = mu_eff == 0.0
-    bounded = ~resonant & (mu_eff * t_cap < 0.5)
-    slack = 1.0 - 2.0 * float(np.sum(a_n[bounded]))
-    if not slack > 0.0:
-        return t_cap
-    a_n /= slack  # the other terms' sizes in units of the budget they have left
-    q_resonant = c * float(np.sum(a_n[resonant]))
-    live = ~(resonant | bounded)
-    order = np.argsort(-mu_eff[live], kind="stable")
-    a, mu = a_n[live][order], mu_eff[live][order]
+    live = mu_eff * t_cap >= 0.5
+    mu, q_resonant = mu_eff, 0.0
+    if not live.all():
+        resonant = mu_eff == 0.0
+        slack = 1.0 - 2.0 * float(np.sum(a_n[~(live | resonant)]))
+        if not slack > 0.0:
+            return t_cap
+        a_n /= slack  # the other terms' sizes in units of the budget they have left
+        q_resonant = c * float(np.sum(a_n[resonant]))
+        a_n, mu = a_n[live], mu_eff[live]
+    order = np.argsort(-mu, kind="stable")
+    a, mu = a_n[order], mu[order]
     breaks = TAIL_EXPANSION_MIN / mu  # ascending
-    # p[k], q[k]: the coefficients once the first k terms are expanded
-    p = np.concatenate(([0.0], np.cumsum(2.0 * a / mu**3)))
-    q = q_resonant + np.concatenate((np.cumsum((a / mu)[::-1])[::-1], [0.0]))
+    # p[k], q[k]: the coefficients once the first k terms are expanded (cubes as products, not power)
+    p, q = np.zeros((2, mu.size + 1))
+    np.cumsum(2.0 * a / (mu * mu * mu), out=p[1:])
+    np.cumsum((a / mu)[::-1], out=q[:-1][::-1])
+    q += q_resonant
     # the first breakpoint at which the budget is met; the root lies below it
-    met = p[1:] / breaks**3 + q[1:] / breaks <= 1.0
+    met = p[1:] / (breaks * breaks * breaks) + q[1:] / breaks <= 1.0
     k = int(np.argmax(met)) if met.any() else breaks.size
     t_req = _cubic_root(float(p[k]), float(q[k]))
     if k < breaks.size:
@@ -367,8 +366,8 @@ def _trace_on_grid(terms, count, ends):
 
     for j0 in range(0, count, group):
         j1 = min(j0 + group, count)
-        k = np.concatenate((np.arange(width), np.arange(0, width * width2, width),
-                            np.arange(j0, j1, width * width2), (0.5, count - 1)))
+        k = np.array([*range(width), *range(0, width * width2, width),
+                      *range(j0, j1, width * width2), 0.5, count - 1])
         n_rows = -(-(j1 - j0) // width)
         # half the budget: _unit_phasors peaks at 32 bytes an entry, and the
         # table, coeffs U and P take under 16 (2 k.size + n_rows) bytes a term
@@ -409,23 +408,24 @@ def _turns_per_step(lam, values, h):
 
 
 def _unit_phasors(g_hi, g_lo, k):
-    """e^(2 pi i (g_hi + g_lo) k) as a len(k) x len(g) array, for integer or half-integer k.
+    """e^(2 pi i (g_hi + g_lo) k) as a len(k) x len(g) array, for k integers or 1/2, all below 2^26.
 
-    The product g_hi k is split exactly into a double and its rounding
-    error, and its whole turns are removed before the exponential.
+    Such k, like the halves of the split g_hi, have at most 26 significant
+    bits, so g_hi k splits exactly into a double and its rounding error.
+    Its whole turns are removed before the cosine and sine.
     """
     g_h, g_l = _split(g_hi)
-    k_h, k_l = _split(k)
     p = np.multiply.outer(k, g_hi)
-    e = np.multiply.outer(k_h, g_h) - p
-    e += np.multiply.outer(k_l, g_h)
-    e += np.multiply.outer(k_h, g_l)
-    e += np.multiply.outer(k_l, g_l)
+    e = np.multiply.outer(k, g_h) - p
+    e += np.multiply.outer(k, g_l)
     e += np.multiply.outer(k, g_lo)
     p -= np.round(p)
     p += e
-    z = (2j * math.pi) * p
-    return np.exp(z, out=z)
+    p *= 2.0 * math.pi
+    z = np.empty(p.shape, dtype=complex)
+    np.cos(p, out=z.real)
+    np.sin(p, out=z.imag)
+    return z
 
 
 def invert_profile(s: Spectrum, grid, cfg: InversionConfig | None = None) -> EvalTable:

@@ -449,3 +449,59 @@ def trapezoid_limit(values, mults, lam, c, h, drop_exponent):
         k += 1
     aliases.append(total * math.exp(-c * period * k) / (1.0 - damping))
     return Fraction(twice_mid(lam), 2) + Fraction(math.fsum(aliases))
+
+
+def unit_phasors_split_k(g_hi, g_lo, k):
+    """e^(2 pi i (g_hi + g_lo) k) as a len(k) x len(g) array, with both factors of g_hi k split.
+
+    Dekker's exact product of k and g_hi, each split into halves of at
+    most 26 significant bits, gives g_hi k as a double plus its rounding
+    error for any k; the whole turns of the double are removed, and the
+    turns left go through numpy's complex exp.
+    """
+
+    def split(a):
+        t = 134217729.0 * a  # 2^27 + 1
+        hi = t - (t - a)
+        return hi, a - hi
+
+    k = np.asarray(k, dtype=np.float64)
+    g_h, g_l = split(g_hi)
+    k_h, k_l = split(k)
+    p = np.multiply.outer(k, g_hi)
+    e = np.multiply.outer(k_h, g_h) - p
+    e += np.multiply.outer(k_l, g_h)
+    e += np.multiply.outer(k_h, g_l)
+    e += np.multiply.outer(k_l, g_l)
+    e += np.multiply.outer(k, g_lo)
+    p -= np.round(p)
+    p += e
+    return np.exp((2j * math.pi) * p)
+
+
+def predicted_tail_error(values, mults, lam, c, h, T, t_cap, tol, drop_exponent, expand_min):
+    """The truncation error the auto-T rule predicts at height T, in units of the budget tol.
+
+    Term by term over the values with c (v - lam) <= drop_exponent: with
+    mu = 2 |sin((lam - v) h / 2)| / h, a term of weight
+    mult e^(-c v) e^(c lam) / (pi tol) leaves c/T in resonance (mu = 0), 2
+    where mu t_cap < 1/2, 2 / (mu T)^3 where mu T >= expand_min and
+    1 / (mu T) otherwise; the sizes are added by math.fsum.
+    """
+    scale = math.exp(c * lam) / (math.pi * tol)
+    sizes = []
+    for v, m in zip(values, mults):
+        v = float(v)
+        if c * (v - lam) > drop_exponent:
+            continue
+        mu = abs(2.0 * math.sin(0.5 * (lam - v) * h)) / h
+        if mu == 0.0:
+            size = c / T
+        elif mu * t_cap < 0.5:
+            size = 2.0
+        elif mu * T >= expand_min:
+            size = 2.0 / (mu * T) ** 3
+        else:
+            size = 1.0 / (mu * T)
+        sizes.append(float(m) * math.exp(-c * v) * scale * size)
+    return math.fsum(sizes)

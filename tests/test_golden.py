@@ -24,6 +24,7 @@ their tail sums from numpy's complex multiply, whose bytes change again
 at numpy's x86-64-v2 baseline.
 """
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -33,7 +34,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heatcount import (
+    Spectrum,
+    generate_constant_density,
+    generate_interval,
+    generate_rectangle,
+    generate_torus,
+)
 from heatcount.cli import main
+from heatcount.inversion import InversionConfig, _resolve_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,6 +133,39 @@ AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 def test_csv_bytes_at_numpy_avx2_dispatch(spectra, tmp_path):
     # numpy reads the disabled features once, when it loads
     assert rerun_differs(spectra, tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512)) == []
+
+
+def contour_heights() -> list:
+    """float.hex of the auto contour's T at the inversion benchmark's 62
+    points, the first midpoints and values of four families, and at 400
+    seeded file spectra, a third of them with lam on a value."""
+    points = []
+    for s, n_mid, n_jump in ((generate_interval(math.pi, 200), 19, 5),
+                             (generate_constant_density(1.0, 200), 19, 5),
+                             (generate_torus(400.0), 7, 0),
+                             (generate_rectangle(math.pi, math.pi, 2000.0), 7, 0)):
+        v = s.values.tolist()
+        points += [(s, 0.5 * (a + b)) for a, b in zip(v[:n_mid], v[1 : n_mid + 1])]
+        points += [(s, x) for x in v[:n_jump]]
+    rng = np.random.default_rng(34)
+    for i in range(400):
+        size = int(rng.integers(1, 31))
+        values, mults = rng.uniform(0.5, 40.0, size), rng.integers(1, 4, size)
+        lam = float(values[0]) if i % 3 == 0 else float(rng.uniform(0.2, 45.0))
+        points.append((Spectrum.from_entries(values.tolist(), mults.tolist()), lam))
+    return [_resolve_config(s, lam, InversionConfig())[0].T.hex() for s, lam in points]
+
+
+@pytest.mark.skipif(not dispatched(AVX512), reason="numpy dispatches to no AVX-512 level here")
+def test_contour_heights_at_numpy_avx2_dispatch():
+    # the rule for T takes numpy's sin, products and quotients, never its
+    # power, whose AVX-512 loop rounds some cubes differently
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512),
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    script = "import json; from test_golden import contour_heights; print(json.dumps(contour_heights()))"
+    rerun = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True)
+    assert json.loads(rerun.stdout) == contour_heights()
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRA))

@@ -112,6 +112,13 @@ class TestBromwichInvert:
         with pytest.raises(ConfigurationError):
             InversionConfig(c=c, T=T, h=h)
 
+    def test_manual_contour_below_2_26_steps(self):
+        # _unit_phasors takes node indices of at most 26 significant bits
+        InversionConfig(c=1.0, T=(2**26 - 1) * 0.5, h=0.5)
+        for T in (2**25, 1e9):
+            with pytest.raises(ConfigurationError, match=r"ceil\(T/h\) < 2\*\*26"):
+                InversionConfig(c=1.0, T=T, h=0.5)
+
     def test_contour_below_abscissa_estimate_accepted(self, const_density_200):
         # the stored sum's K is entire: any c > 0 converges once h damps the
         # aliases, here by e^(-2 pi c / h) = e^(-10 pi) over 200 terms
@@ -304,6 +311,21 @@ class TestContourKernel:
         bromwich_invert(const_density_200, 19.5)
         assert len(calls) > 1
         assert np.concatenate(calls).tolist() == g_hi.tolist()  # one table a block
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_phasors_need_no_split_of_k(self, seed):
+        # every k is an integer or 1/2 below 2^26, of at most 26 significant
+        # bits, so splitting k as well as g_hi adds only zeros
+        rng = np.random.default_rng(seed)
+        lam = float(rng.uniform(0.2, 3000.0))
+        values = np.sort(rng.uniform(0.0, 3000.0, 150))
+        g_hi, g_lo = _turns_per_step(lam, values, math.pi / (8.0 * lam))
+        g_hi = np.concatenate((g_hi, rng.uniform(-0.5, 0.5, 50) * 10.0 ** rng.uniform(-12, 0, 50)))
+        g_lo = np.concatenate((g_lo, g_hi[150:] * rng.uniform(-2.0**-53, 2.0**-53, 50)))
+        k = np.concatenate(([0.0, 0.5, 2.0**26 - 1], rng.integers(0, 2**26, 300)))
+        got = _unit_phasors(g_hi, g_lo, k)
+        expected = oracles.unit_phasors_split_k(g_hi, g_lo, k)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("lam", [0.5, 9.0, 12.0, 20.5, 380.5])
     def test_interval_auto_contour(self, interval_pi_200, lam):
@@ -528,3 +550,36 @@ def test_auto_contour_bounds_the_aliases(spectrum_of, spectrum, lam):
     n_star = Fraction(oracles.count_below(pairs, lam) + oracles.count_below(pairs, lam, False), 2)
     eps = 1e-3 * inversion.AUTO_TRUNCATION_TOL
     assert float(abs(limit - n_star)) <= 1.001 * eps
+
+
+@given(family_or_file, st.floats(min_value=0.2, max_value=45.0),
+       st.sampled_from(["free", "on", "next", "alias"]), st.integers(0, 29))
+# lam one ulp above the only value: one bounded term of weight 159, so the slack
+# 1 - 2 * 159 is below 0 and T is the cap
+@example(spectrum=[(1.0, 1)], lam=1.0, where="next", pick=0)
+@settings(deadline=None)
+def test_auto_height_is_the_least_within_budget(spectrum_of, spectrum, lam, where, pick):
+    # lam free, on a value (a resonant term), one ulp above it (a term
+    # bounded at 2) or at 1/17 of it, where the value is lam's first alias
+    # lam + 2 pi / h (a term bounded at 2, e^(-32) of the budget)
+    s = spectrum_of(spectrum)
+    v = float(s.values[pick % s.values.size])
+    lam = {"free": lam, "on": v, "next": math.nextafter(v, math.inf), "alias": v / 17.0}[where]
+    assume(lam >= 0.2)
+    cfg, _ = _resolve_config(s, lam, InversionConfig())
+    c, T, h = cfg.c, cfg.T, cfg.h
+    t_cap = inversion.T_CAP_FACTOR * c
+    t_min = max(20.0 * c, 4.0 * math.pi / lam, 8.0 * h)
+
+    def error(t):
+        return oracles.predicted_tail_error(
+            s.values, s.multiplicities, lam, c, h, t, t_cap, inversion.AUTO_TRUNCATION_TOL,
+            inversion.TERM_DROP_EXPONENT, inversion.TAIL_EXPANSION_MIN,
+        )
+
+    if T == t_cap:  # the budget is not met below the cap
+        assert error(T * (1.0 - 1e-9)) > 1.0 - 1e-12
+        return
+    assert error(T) <= 1.0 + 1e-12
+    if T > t_min:
+        assert error(T * (1.0 - 1e-9)) > 1.0
