@@ -184,11 +184,23 @@ def abscissa_estimate(s: Spectrum) -> float:
 def _resolve_config(s: Spectrum, lam: float, cfg: InversionConfig):
     """The contour for N(lam), and the _terms state of the spectral terms it keeps.
 
-    The auto c bounds the aliases (module docstring); only a manual c can overflow.
+    The auto c bounds the aliases (module docstring); only a manual c can
+    overflow.  The auto T cubes each live term's mu_eff and 4 / mu_eff,
+    where 1 / (2 T_CAP_FACTOR c) <= mu_eff <= 2 / h = 16 lam / pi; both
+    cubes stay below 2^1023 for lam from 8 T_CAP_FACTOR c lam / 2^341 to
+    pi 2^341 / 16, about 4e-97 to 9e101, and so do c, h and the cap.
+    Outside that range only a manual contour is served.
     """
     c = cfg.c
     if c is None:
-        c = max(KAPPA, math.log(s.total_count / (1e-3 * AUTO_TRUNCATION_TOL)) / 16.0) / lam
+        kappa = max(KAPPA, math.log(s.total_count / (1e-3 * AUTO_TRUNCATION_TOL)) / 16.0)
+        low, high = 8.0 * T_CAP_FACTOR * kappa / 2.0**341, math.pi / 16.0 * 2.0**341
+        if not low <= lam <= high:
+            raise DomainError(
+                f"the auto contour serves {low!r} <= lam <= {high!r}, got lam={lam!r}; "
+                "pass a manual InversionConfig"
+            )
+        c = kappa / lam
     # checked before _auto_truncation, which evaluates e^(c lam) itself
     if c * lam > 700.0:
         raise ConfigurationError(
@@ -281,7 +293,9 @@ def bromwich_invert(s: Spectrum, lam: float, cfg: InversionConfig | None = None)
     at an eigenvalue it converges to the jump midpoint.  The oscillation
     estimate is the magnitude of the last contour segment's contribution
     to the uncorrected sum (one oscillation period), a loose upper proxy
-    for the truncation error that remains.
+    for the truncation error that remains.  The auto contour serves lam
+    from about 4e-97 to 9e101 (``_resolve_config``); outside that range a
+    DomainError names it.
     """
     if not (0 < lam < math.inf):
         raise DomainError(f"inversion point must be positive and finite, got {lam!r}")

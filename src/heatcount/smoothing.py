@@ -27,8 +27,8 @@ def _check_lambda(lam: float) -> None:
 
 
 def _check_beta(beta: float) -> None:
-    if not (beta > 0):
-        raise DomainError(f"beta must be positive, got {beta!r}")
+    if not (0 < beta < math.inf):
+        raise DomainError(f"beta must be positive and finite, got {beta!r}")
 
 
 def _occupation(x: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def smoothed_counting(s: Spectrum, lam: float, beta: float) -> float:
 
     The sharpness beta is in inverse eigenvalue units.  Terms with
     beta (lam_n - lam) > EXP_ZERO are exactly +0.0 and are not evaluated
-    (``_spectral_sum``).  lam must be finite and beta positive.
+    (``_spectral_sum``).  lam and beta must be finite, beta positive.
     """
     _check_lambda(lam)
     _check_beta(beta)

@@ -457,32 +457,6 @@ def _file_spectrum(
     return s
 
 
-def _entry_arrays(entries: list):
-    """Value and multiplicity arrays when every entry is well typed, else None.
-
-    One type test per column instead of per entry; anything it does not
-    accept goes to ``_checked_arrays``, which names the bad entry.
-    """
-    if set(map(type, entries)) != {dict}:
-        return None
-    try:
-        values = [entry["value"] for entry in entries]
-    except KeyError:
-        return None
-    return _column_arrays(values, [entry.get("multiplicity", 1) for entry in entries])
-
-
-def _column_arrays(values: list, mults: list):
-    """Value and multiplicity arrays when the columns are well typed, else None."""
-    # exact types: bool, an int subclass, fails both tests
-    if not set(map(type, values)) <= {float, int} or set(map(type, mults)) != {int}:
-        return None
-    try:
-        return np.array(values, dtype=np.float64), np.array(mults, dtype=np.int64)
-    except OverflowError:  # an integer beyond the storage range
-        return None
-
-
 def _entry_pairs(entries: list):
     """The (value, multiplicity) of each entry, checking that it is an object with a value."""
     for i, entry in enumerate(entries):
@@ -538,7 +512,7 @@ def _columns(values, mults, width, names: tuple[str, str]):
         raise SpectrumFormatError("values: must be a non-empty list")
     if not isinstance(mults, list) or len(mults) != len(values):
         raise SpectrumFormatError("multiplicities: must be a list as long as values")
-    return _column_arrays(values, mults) or _checked_arrays(zip(values, mults), len(values), names)
+    return _checked_arrays(zip(values, mults), len(values), names)
 
 
 def _decoded(text: str, dtype: str, name: str) -> np.ndarray:
@@ -603,10 +577,10 @@ def load_spectrum(path) -> Spectrum:
     hand and as earlier versions wrote.  A file without the width holds
     int64 multiplicities, as every file before the field was written.  One
     with neither column holds an ``entries`` list of objects.
-    Base64 columns are decoded to arrays; list columns and entries have the
-    types of each column tested at once, with a fall back to per-item
-    checks that name the first bad item.  Either way every item is then
-    checked by value and named in the same way.
+    Base64 columns are decoded to arrays; list columns and entries are
+    read one item at a time, checking its type and naming the first bad
+    item.  Either way every item is then checked by value and named in the
+    same way.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -634,7 +608,5 @@ def load_spectrum(path) -> Spectrum:
         if not isinstance(entries, list) or not entries:
             raise SpectrumFormatError("entries: must be a non-empty list")
         names = ("entries[%d].value", "entries[%d].multiplicity")
-        arrays = _entry_arrays(entries) or _checked_arrays(
-            _entry_pairs(entries), len(entries), names
-        )
+        arrays = _checked_arrays(_entry_pairs(entries), len(entries), names)
     return _file_spectrum(payload, *arrays, names)

@@ -36,10 +36,6 @@ BOUNDARY_DROP = 1e-12
 # e^(-x) rounds to exactly 0.0 for every x above 745.14; terms, panels and
 # occupation factors whose exponent passes EXP_ZERO are not evaluated.
 EXP_ZERO = 746.0
-# e^(-x) lies below 2**-1022, the smallest normal double, for every x above
-# 708.3964; in spectral sums the terms whose exponent passes EXP_NORMAL are
-# bounded, not evaluated, unless the bound leaves the sum open.
-EXP_NORMAL = 708.4
 # Correctly rounded sums read their terms in blocks of this many values.
 BLOCK = 1 << 15
 
@@ -139,24 +135,21 @@ def _stopped_sum(form, values, counts, rate: float, origin: float = 0.0) -> floa
     skips the exact one while the bound is above 2**-52 of the total.  Each
     block ends at most where the bound falls below 2**-62 of a lower bound
     on the total (the running total, or before the first block the first
-    term), so the sum ends within about a block of where it could.  No
-    block runs past a second ``_live`` cut at EXP_NORMAL: the terms past
-    it are bounded by the last test, never formed.  Only a sum still open
-    there (a total near the subnormal range, at 0 or at a tie) has every
-    term formed and summed by ``_exact_sum``.
+    term), so the sum ends within about a block of where it could: before
+    the subnormal terms, whose np.exp is about a hundred times slower,
+    unless the total is below about 2**62 counts[k] times 2**-1022.  Only
+    a sum still open at k (a total near the subnormal range, at 0 or at a
+    tie) has every term formed again and summed by ``_exact_sum``.
     """
     k = _live(values, rate, origin)
-    cut = _live(values[:k], rate, origin, EXP_NORMAL)
     count = int(counts[k])
     pieces = (count + 1) * (k + 1)
-    running = _TwoLevelSum(cut + 1)
-    # a lower bound on the total: before the first block, on prefixes past
-    # an eighth of a block, the first term
-    estimate = float(form(0, 1)[0]) if cut > BLOCK // 8 else 0.0
-    at = _stop_exponent(count, estimate)
+    running = _TwoLevelSum(k + 1)
+    # a lower bound on the total before the first block: its first term
+    at = _stop_exponent(count, float(form(0, 1)[0]) if k else 0.0)
     i = 0
-    while i < cut:
-        end = min(i + BLOCK, cut)
+    while i < k:
+        end = min(i + BLOCK, k)
         # end the block where the tail bound falls below 2**-62 of the estimate
         if rate * (float(values[end - 1]) - origin) > at:
             stop = _live(values[:end], rate, origin, at)

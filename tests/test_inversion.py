@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +129,51 @@ class TestBromwichInvert:
             const_density_200, 5.5, InversionConfig(c=0.01, T=100.0, h=0.002)
         )
         assert abs(res.value - 5.0) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "entries, lam",
+        [
+            # T_CAP_FACTOR c overflowed: "T=inf"
+            ([(6.016351932254303e-304, 1)], math.nextafter(6.016351932254303e-304, 1.0)),
+            # c overflowed: "choose a smaller contour abscissa"
+            ([(1.0, 1)], 5e-324),
+            # the T rule's cubes overflowed, with three RuntimeWarnings
+            ([(0.0, 1), (1.0, 3)], 1e-150),
+            # mu_eff cubed overflowed, and T fell to t_min: an error of 1.3e-2
+            (None, 1e103),
+            # h underflowed to 0: "need 0 < h < T"
+            (None, 1e308),
+        ],
+    )
+    def test_auto_contour_refuses_lam_outside_its_range(self, interval_pi_200, entries, lam):
+        s = interval_pi_200 if entries is None else Spectrum.from_entries(*zip(*entries))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^the auto contour serves \S+ <= lam <= \S+, got"):
+                bromwich_invert(s, lam)
+
+    def test_manual_contour_outside_the_auto_range_is_served(self, interval_pi_200):
+        c = 2.0 / 1e103
+        cfg = InversionConfig(c=c, T=40.0 * c, h=math.pi / 8e103)
+        assert bromwich_invert(interval_pi_200, 1e103, cfg).config_used == cfg
+
+    def test_auto_contour_range_ends_invert_within_budget(
+        self, interval_pi_200, const_density_200, rectangle_pi_2000, torus_400
+    ):
+        for s in (interval_pi_200, const_density_200, rectangle_pi_2000, torus_400):
+            with pytest.raises(DomainError) as refused:
+                bromwich_invert(s, 5e-324)
+            low, high = map(float, re.match(r"the auto contour serves (\S+) <= lam <= (\S+),",
+                                            str(refused.value)).groups())
+            assert 1e-97 < low < 1e-96 and 1e101 < high < 1e102
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for lam in (low, high):
+                    value = bromwich_invert(s, lam).value
+                    assert abs(value - counting(s, lam)) <= inversion.AUTO_TRUNCATION_TOL, (s, lam)
+                for lam in (math.nextafter(low, 0.0), math.nextafter(high, math.inf)):
+                    with pytest.raises(DomainError, match="the auto contour serves"):
+                        bromwich_invert(s, lam)
 
     def test_overflowing_damping_rejected(self, interval_pi_200):
         with pytest.raises(ConfigurationError, match="overflow"):

@@ -74,7 +74,7 @@ def test_transforms_equal_naive_expressions(s, t):
 @pytest.mark.parametrize("depth", [0, 1, 3])
 @pytest.mark.parametrize("t", [1e-3, 0.05, 2.0])
 @pytest.mark.parametrize("name", ["torus-1e4", "rectangle-1x3", "const-150001"])
-def test_subdivision_cap_raises_where_the_naive_kernel_does(name, t, depth, monkeypatch):
+def test_split_depths_match_the_naive_kernel(name, t, depth, monkeypatch):
     # The plan has no subdivision cap: a panel is split down to x_tau however
     # many subpanels that takes.  Dividing BOUNDARY_DROP by 64 halves x_tau,
     # one depth finer; at each depth the kernel returns the naive

@@ -107,3 +107,43 @@ def test_names_the_benchmark_reaches_resolve():
         if not hasattr(home, attr):
             missing.append(name)
     assert missing == []
+
+
+SRC = Path(heatcount.__file__).resolve().parent
+
+
+def test_every_import_and_definition_is_used():
+    """Each module of the package uses every name it imports, and each
+    module-level function, class and constant is read somewhere in the
+    package or exported (``_EXPORTS``); dunders are exempt.  No linter is
+    installed, so this is the package's dead-code check."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    read = {name: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)}
+            for name, tree in trees.items()}
+    everywhere = set().union(*read.values())
+    exported = {name for names in heatcount._EXPORTS.values() for name in names}
+    unused, unreferenced = [], []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read[module]:
+                        unused.append(f"{module}: {bound}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in everywhere and name not in exported:
+                    unreferenced.append(f"{module}: {name}")
+    assert unused == []
+    assert unreferenced == []

@@ -5,7 +5,6 @@ import json
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from heatcount import (
     CountingMode,
+    HeatcountError,
     InversionConfig,
     Spectrum,
     ValidationError,
@@ -30,7 +30,7 @@ from heatcount import (
     smoothed_counting,
 )
 from heatcount.inversion import TERM_DROP_EXPONENT, _resolve_config
-from heatcount.spectrum import SAVE_CHUNK, _entry_arrays
+from heatcount.spectrum import SAVE_CHUNK
 
 # eigenvalues are 0 or >= 1e-3: below ~1e-16, e^(-lam t) rounds to exactly 1.0
 # and strict monotonicity statements stop being float-meaningful
@@ -235,45 +235,33 @@ def test_save_writes_json_dump_bytes_across_chunks(tmp_path):
     assert_saves_oracle_bytes(s, tmp_path / "s.json")
 
 
-def load_outcome(tmp_path_factory, payload):
-    """The spectrum and warnings loading the payload gives, or the error it raises."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            s = load_payload(tmp_path_factory, payload)
-        except Exception as exc:  # compared between the two paths
-            return type(exc), str(exc)
-    return s, s.values.tolist(), s.multiplicities.tolist(), [
-        (w.category, str(w.message)) for w in caught
-    ]
-
-
 file_values = st.one_of(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     st.integers(min_value=0, max_value=2**80),
 )
 
 
-# entries only the per-entry checks accept or name, each with whether the
-# column types still fit the fast path (a NaN does; from_entries rejects it)
+# entries the per-entry checks name by index: ill-typed ones, and a NaN,
+# which is well typed and which the value checks reject
 odd_entries = [
-    (None, False),
-    ({}, False),
-    ([1.0], False),
-    ({"value": True}, False),
-    ({"value": "1"}, False),
-    ({"value": 10**400}, False),
-    ({"value": 1.0, "multiplicity": 2.0}, False),
-    ({"value": 1.0, "multiplicity": False}, False),
-    ({"value": 1.0, "multiplicity": 2**63}, False),
-    ({"value": math.nan}, True),
+    None,
+    {},
+    [1.0],
+    {"value": True},
+    {"value": "1"},
+    {"value": 10**400},
+    {"value": 1.0, "multiplicity": 2.0},
+    {"value": 1.0, "multiplicity": False},
+    {"value": 1.0, "multiplicity": 2**63},
+    {"value": math.nan},
 ]
 
 
 @st.composite
 def file_payloads(draw):
     """Sorted or unsorted values, ints and floats mixed, some near-duplicates,
-    sometimes one odd entry; returns the payload and whether the fast path fits."""
+    sometimes one odd entry; returns the payload and the odd entry's index,
+    or None."""
     values = draw(st.lists(file_values, min_size=1, max_size=30))
     if draw(st.booleans()):
         values.sort()
@@ -285,23 +273,38 @@ def file_payloads(draw):
         if draw(st.booleans()):
             entry["multiplicity"] = draw(st.integers(min_value=1, max_value=9))
         entries.append(entry)
-    fits = True
+    odd = None
     if draw(st.booleans()):
-        odd, fits = draw(st.sampled_from(odd_entries))
-        entries.insert(draw(st.integers(0, len(entries))), odd)
-    return {"label": "p", "entries": entries}, fits
+        odd = draw(st.integers(0, len(entries)))
+        entries.insert(odd, draw(st.sampled_from(odd_entries)))
+    return {"label": "p", "entries": entries}, odd
 
 
 @given(file_payloads())
-@example(({"entries": [{"value": 3}, {"value": 1.5, "multiplicity": 2}, {"value": 3.0}]}, True))
+@example(({"entries": [{"value": 3}, {"value": 1.5, "multiplicity": 2}, {"value": 3.0}]}, None))
+@example(({"entries": [{"value": 1.0}, {"value": 1.0, "multiplicity": 2**63}]}, 1))
 @settings(max_examples=200, deadline=None)
-def test_fast_load_matches_per_entry_loop(tmp_path_factory, case):
-    payload, fits = case
-    assert (_entry_arrays(payload["entries"]) is not None) == fits
-    fast = load_outcome(tmp_path_factory, payload)
-    with mock.patch("heatcount.spectrum._entry_arrays", return_value=None):
-        checked = load_outcome(tmp_path_factory, payload)
-    assert fast == checked
+def test_entries_load_equals_from_entries(tmp_path_factory, case):
+    """Entries and decimal columns load to from_entries of their items, a
+    missing multiplicity counting 1; an odd entry is named by its index."""
+    payload, odd = case
+    entries = payload["entries"]
+    if odd is not None:
+        with pytest.raises(HeatcountError, match=rf"^entries\[{odd}\]"):
+            load_payload(tmp_path_factory, payload)
+        return
+    values = [entry["value"] for entry in entries]
+    mults = [entry.get("multiplicity", 1) for entry in entries]
+    label = payload.get("label", "")
+    expected = Spectrum.from_entries(values, mults, label=label, generator={"kind": "file"})
+    columns = {"label": label, "values": values, "multiplicities": mults}
+    for layout in (payload, columns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unsorted and merged items warn
+            s = load_payload(tmp_path_factory, layout)
+        assert s == expected
+        assert s.values.tolist() == expected.values.tolist()
+        assert s.multiplicities.tolist() == expected.multiplicities.tolist()
 
 
 @given(st.text(), generator_dicts, saved_entries)

@@ -205,6 +205,20 @@ def test_non_positive_beta_rejected(interval_pi_100, beta):
             call()
 
 
+def test_infinite_beta_rejected(interval_pi_200):
+    # beta = inf made inf * 0 in the occupation factor at lam = 9.0: a nan
+    # count, and a row of nans in the sweep
+    s = interval_pi_200
+    calls = [
+        lambda: smoothed_counting(s, 9.0, math.inf),
+        lambda: smoothing_error_bound(s, 9.0, math.inf),
+        lambda: beta_sweep(s, 9.0, [math.inf]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="beta must be positive and finite, got inf"):
+            call()
+
+
 class TestDefaultBeta:
     def test_uses_nearest_gap(self, const_density_200):
         assert default_beta(const_density_200, 5.25) == pytest.approx(50.0 / 0.25)

@@ -1,9 +1,9 @@
 """Sums that skip the exponentials which round to 0.0, held bit for bit to
 the sum of every term (``oracles.full_sum``), correctly rounded sums that
-bound the subnormal band and stop once the terms not formed cannot change
-the last bit, held to math.fsum of every term, and the quadrature that
-skips the panels past them, held to its panel plan with every panel built
-(``oracles.boole_quadrature``)."""
+stop once the terms not formed cannot change the last bit, before the
+subnormal band unless the total is near it, held to math.fsum of every
+term, and the quadrature that skips the panels past them, held to its
+panel plan with every panel built (``oracles.boole_quadrature``)."""
 
 import functools
 import math
@@ -28,7 +28,11 @@ from heatcount import (
     smoothing_error_bound,
 )
 from heatcount import transforms
-from heatcount.transforms import BLOCK, EXP_NORMAL, EXP_ZERO, _live
+from heatcount.transforms import BLOCK, EXP_ZERO, _live
+
+# e^(-x) lies below 2**-1022, the smallest normal double, for every x above
+# 708.3964: the terms whose exponent passes NORMAL are the subnormal band
+NORMAL = 708.4
 
 # spectra of 10k to 216k distinct values, with and without multiplicities
 LARGE = {
@@ -127,19 +131,19 @@ def test_live_keeps_every_value_at_zero_and_tiny_rate():
 
 @given(sorted_values, st.floats(1e-6, 1e16), st.floats(-1e6, 1e6))
 def test_normal_cut_drops_only_exponents_past_exp_normal(values, rate, origin):
-    k = _live(values, rate, origin, EXP_NORMAL)
+    k = _live(values, rate, origin, NORMAL)
     with np.errstate(over="ignore"):
         exponents = rate * (values - origin)
     assert 0 <= k <= _live(values, rate, origin)
-    assert np.all(exponents[k:] > EXP_NORMAL)
+    assert np.all(exponents[k:] > NORMAL)
 
 
 # -- the subnormal band of correctly rounded sums ---------------------------
 #
-# The terms whose exponent passes EXP_NORMAL (the band) are bounded, not
-# evaluated, unless that bound leaves the sum open.  The block length is
-# lowered here so that small spectra cross many block boundaries; every sum
-# is held to math.fsum of every term, the band's included.
+# The stop rule ends the blocks before the band, unless the total itself is
+# within about 2**62 times the live count of the subnormal range.  The block
+# length is lowered here so that small spectra cross many block boundaries;
+# every sum is held to math.fsum of every term, the band's included.
 
 SMALL = {
     "interval-3000": lambda: generate_interval(math.pi, 3000),
@@ -154,17 +158,17 @@ def small(name):
     return SMALL[name]()
 
 
-# values 700 to 745 at t = 1: a total near 2**-1010, within the band's bound
-# of rounding boundaries, so the band must be evaluated
+# values 700 to 745 at t = 1: a total near 2**-1010, so close to the band
+# that the stop rule reaches into it and every term is formed
 NEAR_SUBNORMAL = Spectrum.from_entries(np.linspace(700.0, 745.0, 2000), [3] * 2000)
-# at t = 1 the normal cut lies at EXP_NORMAL (1 + 2**-30), widened by one
-# rounding step; these values run 40 ulps either side of it, and either side
-# of 1022 ln 2, where e^-v crosses 2**-1022 (``from_entries`` would merge them)
+# at t = 1 these values run 40 ulps either side of NORMAL (1 + 2**-30), and
+# either side of 1022 ln 2, where e^-v crosses 2**-1022 (``from_entries``
+# would merge them)
 AT_THE_CUT = Spectrum(
     np.array(
         [1.0, 700.0]
         + [1022 * math.log(2) + i * 2.0**-43 for i in range(-10, 11)]
-        + [EXP_NORMAL * (1 + 2**-30) + i * 2.0**-43 for i in range(-40, 41)]
+        + [NORMAL * (1 + 2**-30) + i * 2.0**-43 for i in range(-40, 41)]
         + [720.0, 745.0]
     ),
     np.arange(1, 107),
@@ -223,7 +227,7 @@ def band_sums(s, t, lam, beta):
 @settings(max_examples=80, deadline=None)
 def test_band_sums_equal_fsum_of_every_term(s, where, above, x, block):
     # t puts the value at quantile ``where`` at exponent x, so for small
-    # ``where`` and x near EXP_NORMAL the band holds most live values; beta
+    # ``where`` and x near NORMAL the band holds most live values; beta
     # does the same for the values above lam, at quantile ``above`` of them
     values = s.values
     i = int(where * (values.size - 1))
@@ -265,7 +269,7 @@ def test_band_is_bounded_not_evaluated(monkeypatch):
     # and the rest below 2**-60 of the total from about the 12,100th value on
     s = large("torus-1e6")
     t = 1e-3
-    live, cut = _live(s.values, t), _live(s.values, t, 0.0, EXP_NORMAL)
+    live, cut = _live(s.values, t), _live(s.values, t, 0.0, NORMAL)
     assert live - cut > 7000
     expected = fsum(s.multiplicities * np.exp(-s.values * t))
     enough = stop_prefix(s, t, expected, 60)
@@ -301,10 +305,11 @@ def test_quadrature_builds_no_panel_past_its_stop(monkeypatch):
 
 def test_band_is_evaluated_where_its_bound_leaves_the_sum_open(monkeypatch):
     s = NEAR_SUBNORMAL
-    exact = recorded(monkeypatch, "_exact_sum")
+    formed = recorded(monkeypatch, "_terms")
     value = heat_trace(s, 1.0).value
-    # every live term, the band's included, went to the exact sum
-    assert [args[0].size for args, _ in exact] == [_live(s.values, 1.0)]
+    # the first term, the lower bound on the total, then every live term,
+    # the band's included, in one block
+    assert [args[1].size for args, _ in formed] == [1, _live(s.values, 1.0)]
     assert value.hex() == fsum(s.multiplicities * np.exp(-s.values)).hex()
 
 
